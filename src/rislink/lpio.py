@@ -67,22 +67,20 @@ def write_lp(model) -> str:
     names = model.var_names
     lines = ["\\ binary allocation program", "Minimize"]
     obj_cols = np.nonzero(model.objective)[0]
-    lines.append(" obj: " + _lp_terms(obj_cols, model.objective[obj_cols], names))
+    lines.append(" obj: " + _lp_terms(obj_cols.tolist(), model.objective[obj_cols].tolist(), names))
     lines.append("Subject To")
-    for k in range(model.n_rows):
-        lines.append(
-            f" {model.row_names[k]}: "
-            + _lp_terms(model.row_cols[k], model.row_coefs[k], names)
-            + f" {_SENSE_TO_LP[model.row_sense[k]]} {repr(float(model.row_rhs[k]))}"
-        )
-    fixed = [j for j in range(model.n_vars) if model.lb[j] == model.ub[j]]
-    if fixed:
+    a = model.matrix
+    cols, coefs, bounds = a.indices.tolist(), a.data.tolist(), a.indptr.tolist()
+    for name, lo, hi, sense, rhs in zip(model.row_names, bounds[:-1], bounds[1:],
+                                        model.row_sense.tolist(), model.row_rhs.tolist()):
+        lines.append(f" {name}: {_lp_terms(cols[lo:hi], coefs[lo:hi], names)} {_SENSE_TO_LP[sense]} {rhs!r}")
+    fixed = np.flatnonzero(model.lb == model.ub)
+    if len(fixed):
         lines.append("Bounds")
-        for j in fixed:
-            lines.append(f" {names[j]} = {int(model.lb[j])}")
+        values = model.lb[fixed].astype(int).tolist()
+        lines.extend(f" {names[j]} = {value}" for j, value in zip(fixed.tolist(), values))
     lines.append("Binaries")
-    for j in range(model.n_vars):
-        lines.append(f" {names[j]}")
+    lines.extend(f" {name}" for name in names)
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -162,10 +160,11 @@ def parse_lp(text: str) -> ParsedModel:
             note(terms)
         elif section == "constraints":
             terms, constant, rest = _parse_expression(tokens)
-            if len(rest) != 2:
+            # the right-hand side is a number, maybe after a sign token
+            if len(rest) not in (2, 3) or (len(rest) == 3 and rest[1] not in ("+", "-")):
                 raise ValueError(f"malformed constraint {name.strip()!r}")
             sense = {"<=": "<", ">=": ">", "=": "="}[rest[0]]
-            rows.append((name.strip(), terms, sense, float(rest[1]) - constant))
+            rows.append((name.strip(), terms, sense, float("".join(rest[1:])) - constant))
             note(terms)
 
     for raw in text.splitlines():
@@ -250,44 +249,39 @@ def _retokenize(body: str):
 
 def write_mps(model) -> str:
     names = model.var_names
+    row_names = model.row_names
     lines = ["NAME model", "ROWS", " N obj"]
-    for k in range(model.n_rows):
-        lines.append(f" {_SENSE_TO_MPS[model.row_sense[k]]} {model.row_names[k]}")
-    # column-major coefficient lists
-    per_col = [[] for _ in range(model.n_vars)]
-    for k in range(model.n_rows):
-        for j, coef in zip(model.row_cols[k], model.row_coefs[k]):
-            per_col[j].append((model.row_names[k], float(coef)))
+    lines.extend(f" {_SENSE_TO_MPS[sense]} {name}" for sense, name in zip(model.row_sense.tolist(), row_names))
+    # column-major, straight from the compressed columns
+    csc = model.matrix.tocsc()
+    rows, coefs, bounds = csc.indices.tolist(), csc.data.tolist(), csc.indptr.tolist()
+    objective = model.objective.tolist()
     lines.append("COLUMNS")
     lines.append(" MARKER M1 'MARKER' 'INTORG'")
-    for j in range(model.n_vars):
-        if model.objective[j]:
-            lines.append(f" {names[j]} obj {repr(float(model.objective[j]))}")
-        for row_name, coef in per_col[j]:
-            lines.append(f" {names[j]} {row_name} {repr(coef)}")
-        if not model.objective[j] and not per_col[j]:
-            lines.append(f" {names[j]} obj 0.0")
+    for j, name in enumerate(names):
+        lo, hi = bounds[j], bounds[j + 1]
+        if objective[j]:
+            lines.append(f" {name} obj {objective[j]!r}")
+        lines.extend(f" {name} {row_names[k]} {coef!r}" for k, coef in zip(rows[lo:hi], coefs[lo:hi]))
+        if not objective[j] and lo == hi:
+            lines.append(f" {name} obj 0.0")
     lines.append(" MARKER M2 'MARKER' 'INTEND'")
     lines.append("RHS")
-    for k in range(model.n_rows):
-        if model.row_rhs[k]:
-            lines.append(f" RHS {model.row_names[k]} {repr(float(model.row_rhs[k]))}")
+    lines.extend(f" RHS {name} {rhs!r}" for name, rhs in zip(row_names, model.row_rhs.tolist()) if rhs)
     lines.append("BOUNDS")
-    for j in range(model.n_vars):
-        if model.lb[j] == model.ub[j]:
-            lines.append(f" FX BND {names[j]} {repr(float(model.lb[j]))}")
-        else:
-            lines.append(f" BV BND {names[j]}")
+    for name, lo, hi in zip(names, model.lb.tolist(), model.ub.tolist()):
+        lines.append(f" FX BND {name} {lo!r}" if lo == hi else f" BV BND {name}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
 
 def parse_mps(text: str) -> ParsedModel:
+    """Parse an MPS file, collecting each row's terms while reading COLUMNS."""
     section = None
+    objective_row = None
     row_sense = {}
-    row_order = []
+    row_terms = {}
     objective = {}
-    columns = {}
     rhs = {}
     fixed = {}
     binaries = set()
@@ -305,9 +299,10 @@ def parse_mps(text: str) -> ParsedModel:
         if section == "ROWS":
             kind, name = toks
             if kind.upper() == "N":
+                objective_row = name
                 continue
             row_sense[name] = {"L": "<", "G": ">", "E": "="}[kind.upper()]
-            row_order.append(name)
+            row_terms[name] = {}
         elif section == "COLUMNS":
             if len(toks) >= 3 and toks[2].strip("'") == "MARKER":
                 integral = toks[-1].strip("'") == "INTORG"
@@ -319,16 +314,18 @@ def parse_mps(text: str) -> ParsedModel:
             if col not in seen:
                 seen.add(col)
                 order.append(col)
-                columns[col] = {}
                 if integral:
                     binaries.add(col)
             for pos in range(1, len(toks) - 1, 2):
                 row, coef = toks[pos], float(toks[pos + 1])
-                if row == "obj":
+                if row == objective_row:
                     if coef:
                         objective[col] = objective.get(col, 0.0) + coef
+                elif row in row_terms:
+                    terms = row_terms[row]
+                    terms[col] = terms.get(col, 0.0) + coef
                 else:
-                    columns[col][row] = columns[col].get(row, 0.0) + coef
+                    raise ValueError(f"column {col!r} names undeclared row {row!r}")
         elif section == "RHS":
             for pos in range(1, len(toks) - 1, 2):
                 rhs[toks[pos]] = float(toks[pos + 1])
@@ -341,13 +338,8 @@ def parse_mps(text: str) -> ParsedModel:
             else:
                 raise ValueError(f"unsupported bound type {kind}")
 
-    rows = []
-    for name in row_order:
-        terms = {}
-        for col, entries in columns.items():
-            if name in entries and entries[name] != 0.0:
-                terms[col] = entries[name]
-        rows.append((name, terms, row_sense[name], rhs.get(name, 0.0)))
+    rows = [(name, {col: coef for col, coef in terms.items() if coef != 0.0}, row_sense[name], rhs.get(name, 0.0))
+            for name, terms in row_terms.items()]
     return ParsedModel(var_names=order, objective=objective, rows=rows, fixed=fixed, binaries=binaries)
 
 

@@ -4,9 +4,15 @@
 objective counts outage slots.  The SINR requirement of a served link is
 affine once the ratio is multiplied through by its denominator, and every
 row is divided by the noise power so coefficients stay in a sane range.
-Coverage is applied as variable fixing rather than constraint rows, and a
-dummy variable paired with each allocation bit deactivates the SINR row of
-an unused link through a big-M term.
+Coverage is applied as variable fixing rather than constraint rows.  The
+SINR row of an unused link is switched off by a big-M term on the link's own
+allocation bit: ``sig*X - psi*I >= psi`` is written
+``(sig - M)*X - psi*I >= psi - M``, which holds at every admissible
+interference level I once X = 0.
+
+Each constraint family is emitted as numpy COO triplets, over all slots at
+once or slot by slot, and the model holds the rows as one CSR matrix.  Row
+and variable names are made only when something reads them.
 
 ``brute_force_optimum`` is an independent oracle for tiny instances: it
 enumerates assignments slot by slot, re-deriving SINR, conflict, capacity,
@@ -20,10 +26,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
-from .allocation import AllocationSchedule
+from .allocation import BS, RIS, AllocationSchedule
 
 MU_SAFETY = 1.01
 
@@ -34,168 +42,222 @@ class ModelError(ValueError):
     """Model construction failed (e.g. an insufficient big-M constant)."""
 
 
+def _family_shapes(n_bs, n_ris, n_robots, n_slots) -> dict:
+    """Index shape of each variable family, in column order."""
+    return {
+        "Xb": (n_bs, n_robots, n_slots),
+        "Xi": (n_ris, n_robots, n_slots),
+        "Y": (n_ris, n_robots, n_slots),
+        "C": (n_ris, n_slots),
+        "W": (n_ris, n_robots, n_slots),
+        "O": (n_robots, n_slots),
+    }
+
+
+def _family_columns(*dims) -> dict:
+    """Column indices of each variable family, shaped like its index space."""
+    out, base = {}, 0
+    for label, shape in _family_shapes(*dims).items():
+        size = math.prod(shape)
+        out[label] = base + np.arange(size).reshape(shape)
+        base += size
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _variable_names(*dims) -> tuple:
+    return tuple(label + "_" + "_".join(map(str, idx))
+                 for label, shape in _family_shapes(*dims).items()
+                 for idx in itertools.product(*map(range, shape)))
+
+
 @dataclass
 class MilpModel:
-    """Binary program with named variables and linear rows.
+    """Binary program over named variable families and one CSR row matrix.
 
     Senses are "<", ">", or "=".  Variable bounds equal to each other pin a
-    variable.  ``mu`` holds the per-(robot, slot) big-M actually emitted.
+    variable.  ``mu`` holds the per-(robot, slot) big-M sized from the worst
+    interference a robot can hear (or the explicit one); the strengthened
+    model sizes each row's big-M from that row's own clamped terms.
     """
 
     n_bs: int
     n_ris: int
     n_robots: int
     n_slots: int
-    var_names: list
     lb: np.ndarray
     ub: np.ndarray
     objective: np.ndarray
-    row_names: list = field(default_factory=list)
-    row_cols: list = field(default_factory=list)
-    row_coefs: list = field(default_factory=list)
-    row_sense: list = field(default_factory=list)
-    row_rhs: list = field(default_factory=list)
+    matrix: sp.csr_matrix
+    row_sense: np.ndarray
+    row_rhs: np.ndarray
+    make_row_names: Callable[[], list] = field(repr=False)
     mu: np.ndarray | None = None
-
-    # variable family bases, assigned by build_model
-    base_xb: int = 0
-    base_xi: int = 0
-    base_zb: int = 0
-    base_zi: int = 0
-    base_y: int = 0
-    base_c: int = 0
-    base_w: int = 0
-    base_o: int = 0
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_names)
+        return len(self.lb)
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_names)
+        return self.matrix.shape[0]
+
+    @functools.cached_property
+    def columns(self) -> dict:
+        """Column indices of each variable family ("Xb", "Xi", "Y", "C", "W", "O")."""
+        return _family_columns(self.n_bs, self.n_ris, self.n_robots, self.n_slots)
+
+    @property
+    def var_names(self) -> tuple:
+        return _variable_names(self.n_bs, self.n_ris, self.n_robots, self.n_slots)
+
+    @functools.cached_property
+    def row_names(self) -> list:
+        return self.make_row_names()
+
+    @functools.cached_property
+    def row_cols(self) -> list:
+        return np.split(self.matrix.indices, self.matrix.indptr[1:-1])
+
+    @functools.cached_property
+    def row_coefs(self) -> list:
+        return np.split(self.matrix.data, self.matrix.indptr[1:-1])
 
     def xb(self, b: int, r: int, n: int) -> int:
-        return self.base_xb + (b * self.n_robots + r) * self.n_slots + n
+        return int(self.columns["Xb"][b, r, n])
 
     def xi(self, i: int, r: int, n: int) -> int:
-        return self.base_xi + (i * self.n_robots + r) * self.n_slots + n
-
-    def zb(self, b: int, r: int, n: int) -> int:
-        return self.base_zb + (b * self.n_robots + r) * self.n_slots + n
-
-    def zi(self, i: int, r: int, n: int) -> int:
-        return self.base_zi + (i * self.n_robots + r) * self.n_slots + n
-
-    def y(self, i: int, r: int, n: int) -> int:
-        return self.base_y + (i * self.n_robots + r) * self.n_slots + n
-
-    def c(self, i: int, n: int) -> int:
-        return self.base_c + i * self.n_slots + n
-
-    def w(self, i: int, r: int, n: int) -> int:
-        return self.base_w + (i * self.n_robots + r) * self.n_slots + n
+        return int(self.columns["Xi"][i, r, n])
 
     def o(self, r: int, n: int) -> int:
-        return self.base_o + r * self.n_slots + n
-
-    def add_row(self, name: str, cols, coefs, sense: str, rhs: float) -> None:
-        self.row_names.append(name)
-        self.row_cols.append(np.asarray(cols, dtype=np.int32))
-        self.row_coefs.append(np.asarray(coefs, dtype=float))
-        self.row_sense.append(sense)
-        self.row_rhs.append(float(rhs))
-
-    def add_rows(self, names, cols, coefs, sense: str, rhs) -> None:
-        """Append one row per line of the 2-D ``cols`` array.
-
-        ``coefs`` and ``rhs`` broadcast against the rows, so a family of
-        equally shaped rows costs one call instead of one per row.
-        """
-        cols = np.asarray(cols, dtype=np.int32)
-        coefs = np.array(np.broadcast_to(np.asarray(coefs, dtype=float), cols.shape))
-        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (len(cols),))
-        self.row_names.extend(names)
-        self.row_cols.extend(cols)
-        self.row_coefs.extend(coefs)
-        self.row_sense.extend([sense] * len(cols))
-        self.row_rhs.extend(rhs.tolist())
+        return int(self.columns["O"][r, n])
 
     def fix(self, var: int, value: int) -> None:
         self.lb[var] = value
         self.ub[var] = value
 
 
-def _families(n_bs, n_ris, n_robots, n_slots):
-    """(base attribute, name label, index shape) of each variable family, in column order."""
-    return (
-        ("base_xb", "Xb", (n_bs, n_robots, n_slots)),
-        ("base_xi", "Xi", (n_ris, n_robots, n_slots)),
-        ("base_zb", "Zb", (n_bs, n_robots, n_slots)),
-        ("base_zi", "Zi", (n_ris, n_robots, n_slots)),
-        ("base_y", "Y", (n_ris, n_robots, n_slots)),
-        ("base_c", "C", (n_ris, n_slots)),
-        ("base_w", "W", (n_ris, n_robots, n_slots)),
-        ("base_o", "O", (n_robots, n_slots)),
-    )
+# Row sections of one slot, in row order; the outage windows follow the last slot.
+_ONE, _CAPACITY, _SINR, _HISTORY, _SERVE = range(5)
 
 
-@functools.lru_cache(maxsize=8)
-def _variable_names(*dims) -> tuple:
-    return tuple(label + "_" + "_".join(map(str, idx))
-                 for _, label, shape in _families(*dims)
-                 for idx in itertools.product(*map(range, shape)))
+class _Rows:
+    """Constraint rows gathered family by family as COO triplets.
+
+    Every row carries an integer key.  ``finish`` sorts the rows by key and
+    keeps emission order among equal keys, so a family emitted for all slots
+    at once still lands slot by slot between the families around it.
+    """
+
+    def __init__(self, n_vars: int):
+        self.n_vars = n_vars
+        self.count = 0
+        self.keys, self.rows, self.cols, self.coefs, self.rhs = [], [], [], [], []
+        self.senses = []   # (sense, row count) of each family
+        self.names = []    # per family, a callable that makes its row names
+
+    def add(self, key, sense: str, rhs, cols, coefs, names: Callable[[], list], rows=None) -> None:
+        """Append one row per line of the 2-D ``cols``, or, when ``rows`` gives
+        each nonzero's row within the family, ``len(rhs)`` rows of any length.
+        ``key``, ``rhs`` and ``coefs`` broadcast."""
+        cols = np.asarray(cols, dtype=np.int64)
+        if rows is None:
+            rows = np.repeat(np.arange(len(cols)), cols.shape[1])
+        m = len(cols) if np.ndim(rhs) == 0 else len(rhs)
+        self.keys.append(np.broadcast_to(np.asarray(key, dtype=np.int64), (m,)))
+        self.rows.append(self.count + np.asarray(rows, dtype=np.int64).ravel())
+        self.cols.append(cols.ravel())
+        self.coefs.append(np.broadcast_to(np.asarray(coefs, dtype=float), cols.shape).ravel())
+        self.rhs.append(np.broadcast_to(np.asarray(rhs, dtype=float), (m,)))
+        self.senses.append((sense, m))
+        self.names.append(names)
+        self.count += m
+
+    def finish(self):
+        """(CSR matrix, senses, right-hand sides, row-name maker), rows in key order."""
+        order = np.argsort(np.concatenate(self.keys), kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(self.count)
+        matrix = sp.csr_matrix(
+            (np.concatenate(self.coefs), (rank[np.concatenate(self.rows)], np.concatenate(self.cols))),
+            shape=(self.count, self.n_vars),
+        )
+        sense = np.repeat([s for s, _ in self.senses], [m for _, m in self.senses]).astype("U1")
+        rhs = np.concatenate(self.rhs)
+        return matrix, sense[order], rhs[order], functools.partial(_ordered_names, tuple(self.names), order)
 
 
-def _allocate_variables(n_bs, n_ris, n_robots, n_slots) -> MilpModel:
-    names = list(_variable_names(n_bs, n_ris, n_robots, n_slots))
-    model = MilpModel(
-        n_bs=n_bs, n_ris=n_ris, n_robots=n_robots, n_slots=n_slots,
-        var_names=names, lb=np.zeros(len(names)), ub=np.ones(len(names)),
-        objective=np.zeros(len(names)),
-    )
-    base = 0
-    for attr, _, shape in _families(n_bs, n_ris, n_robots, n_slots):
-        setattr(model, attr, base)
-        base += math.prod(shape)
-    return model
+def _ordered_names(parts, order) -> list:
+    names = [name for part in parts for name in part()]
+    return [names[k] for k in order.tolist()]
+
+
+def _covered(pair_sets, n_sources: int, n_robots: int) -> np.ndarray:
+    """(slot, source, robot) mask of the pairs in each slot's coverage set."""
+    mask = np.zeros((len(pair_sets), n_sources, n_robots), dtype=bool)
+    for n, pairs in enumerate(pair_sets):
+        mask[n][tuple(np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T)] = True
+    return mask
+
+
+def _slot_names(label: str, n_slots: int, n_inner: int) -> Callable[[], list]:
+    """Names ``label_j_n`` of a family with one row per slot n and index j, slot-major."""
+    return lambda: [f"{label}_{j}_{n}" for n in range(n_slots) for j in range(n_inner)]
+
+
+def _sinr_names(n, n_bs, robots, links, kill_terms=None) -> list:
+    """Names of a slot's SINR rows, or of its kill rows when ``kill_terms`` is given."""
+    labels = [f"B_{l}_{r}_{n}" if l < n_bs else f"I_{l - n_bs}_{r}_{n}"
+              for r, l in zip(robots.tolist(), links.tolist())]
+    if kill_terms is None:
+        return ["snr" + label for label in labels]
+    return [f"kill{label}_{j}" for label, j in zip(labels, kill_terms.tolist())]
 
 
 def build_model(tables, scenario, mu: float | None = None, strengthen: bool = True) -> MilpModel:
     """Emit the full allocation program for one scenario.
 
-    With ``mu=None`` the big-M of each (robot, slot) is sized from the worst
-    interference that robot can receive; an explicit ``mu`` is checked for
-    sufficiency and rejected with the offending magnitude if too small.
+    The SINR row of link X with interference terms I reads
+    ``(sig - mu)*X - psi*I >= psi - mu``: the served row when X = 1, slack
+    at every admissible interference level when X = 0.  With ``mu=None``
+    the big-M of each (robot, slot) is sized from the worst interference
+    that robot can receive; an explicit ``mu`` is checked for sufficiency
+    and rejected with the offending magnitude if too small.
 
     ``strengthen`` additionally emits ``X + X' <= 1`` whenever a single
     interferer alone drives a link below threshold, clamps interference
     coefficients at the level that already violates the row (exact over
     binaries because the pairwise row excludes every stronger combination),
-    and rescales each SINR row by its signal coefficient.  It also caps the
-    distinct robots of every usage window at U (``sum_r Y <= U``): a surface
-    serving in slot n had at most U distinct robots in the window of its
-    last serving slot, which covers the rest of window n, so every valid
-    schedule keeps each window at U or fewer and the busy flag never rises.
-    The row only cuts off stray allocation bits on busy surfaces, which
-    ``extract_schedule`` discards anyway.  Finally it writes the usage
-    history as one ``X <= Y`` row per live link and window slot instead of
-    ``sum X <= D * Y``: the same integer points, but a relaxation in which a
-    robot that touches a surface once in the window counts fully.  Schedules
-    and optimum are untouched; the LP relaxation tightens and the
-    coefficient range collapses from ~1e14 to ~1e2.
+    sizes each row's big-M from its clamped terms, and rescales each SINR
+    row by its signal coefficient.  It also caps the distinct robots of
+    every usage window at U (``sum_r Y <= U``): a surface serving in slot n
+    had at most U distinct robots in the window of its last serving slot,
+    which covers the rest of window n, so every valid schedule keeps each
+    window at U or fewer and the busy flag never rises.  The row only cuts
+    off stray allocation bits on busy surfaces, which ``extract_schedule``
+    discards anyway.  Finally it writes the usage history as one ``X <= Y``
+    row per live link and window slot instead of ``sum X <= D * Y``: the
+    same integer points, but a relaxation in which a robot that touches a
+    surface once in the window counts fully.  Schedules and optimum are
+    untouched; the LP relaxation tightens and the coefficient range
+    collapses from ~1e14 to ~1e2.
     """
     cfg = scenario.config
     n_b, n_i, n_r, n_n = cfg.n_bs, cfg.n_ris, cfg.n_robots, cfg.n_slots
-    model = _allocate_variables(n_b, n_i, n_r, n_n)
+    n_l = n_b + n_i
+    dims = (n_b, n_i, n_r, n_n)
+    col = _family_columns(*dims)
+    xb, xi, y, c, w, o = (col[label] for label in ("Xb", "Xi", "Y", "C", "W", "O"))
+    n_vars = sum(a.size for a in col.values())
+    lb, ub, objective = np.zeros(n_vars), np.ones(n_vars), np.zeros(n_vars)
+    objective[o.ravel()] = 1.0
 
     lt = tables.tables
     noise = lt.noise
     g2 = lt.gain_bs * lt.gain_robot
     psi = tables.psi_linear
-    u = tables.u_effective
+    u = float(tables.u_effective)
     d_reconfig = cfg.d_reconfig
-    cov = tables.coverage
 
     # conditioned coefficients: all SINR rows are divided through by the noise
     sig_bs = lt.p_direct * g2 / noise        # (N, B, R)
@@ -203,26 +265,10 @@ def build_model(tables, scenario, mu: float | None = None, strengthen: bool = Tr
     xi_bs = lt.xi_bs / noise                 # (N, B, R, R)
     xi_ris = lt.xi_ris / noise               # (N, I, R, R)
 
-    covered_bs = np.zeros((n_n, n_b, n_r), dtype=bool)
-    covered_ris = np.zeros((n_n, n_i, n_r), dtype=bool)
-    for n in range(n_n):
-        for (b, r) in cov.bs_robot[n]:
-            covered_bs[n, b, r] = True
-        for (i, r) in cov.ris_robot[n]:
-            covered_ris[n, i, r] = True
-
-    # big-M per (robot, slot): must dominate the worst admissible denominator
-    worst = np.zeros((n_r, n_n))
-    for n in range(n_n):
-        if n_r == 0:
-            break
-        best_src = np.zeros((n_r, n_r))  # (rp, victim)
-        if n_b:
-            best_src = np.maximum(best_src, xi_bs[n].max(axis=0))
-        if n_i:
-            best_src = np.maximum(best_src, xi_ris[n].max(axis=0))
-        worst[:, n] = best_src.sum(axis=0)  # sums over rp; diagonal terms are 0
-    mu_needed = psi[:, None] * (1.0 + worst) if n_r else np.zeros((0, n_n))
+    # big-M per (robot, slot): must dominate the worst admissible denominator,
+    # one source link per interfering robot
+    worst = np.maximum(xi_bs.max(axis=1, initial=0.0), xi_ris.max(axis=1, initial=0.0)).sum(axis=1)
+    mu_needed = psi[:, None] * (1.0 + worst.T)
     if mu is None:
         mu_rn = mu_needed * MU_SAFETY + 1.0
     else:
@@ -232,135 +278,141 @@ def build_model(tables, scenario, mu: float | None = None, strengthen: bool = Tr
                 f"denominator reaches {mu_needed.max():g}"
             )
         mu_rn = np.full((n_r, n_n), float(mu))
-    model.mu = mu_rn
 
-    # coverage as variable fixing
-    var_xb = model.base_xb + np.arange(n_b * n_r * n_n).reshape(n_b, n_r, n_n)
-    var_xi = model.base_xi + np.arange(n_i * n_r * n_n).reshape(n_i, n_r, n_n)
-    dark_bs = ~covered_bs.transpose(1, 2, 0)
-    dark_ris = ~covered_ris.transpose(1, 2, 0)
-    model.lb[var_xb[dark_bs]] = model.ub[var_xb[dark_bs]] = 0
-    model.lb[var_xb[dark_bs] - model.base_xb + model.base_zb] = 1
-    model.lb[var_xi[dark_ris]] = model.ub[var_xi[dark_ris]] = 0
-    model.lb[var_xi[dark_ris] - model.base_xi + model.base_zi] = 1
+    # per slot, robot and link (every BS, then every surface): the link's
+    # allocation bit, its coverage, and its conditioned signal
+    links = np.concatenate([xb.transpose(2, 1, 0), xi.transpose(2, 1, 0)], axis=2)          # (N, R, L)
+    covered = np.concatenate([_covered(tables.coverage.bs_robot, n_b, n_r).transpose(0, 2, 1),
+                              _covered(tables.coverage.ris_robot, n_i, n_r).transpose(0, 2, 1)], axis=2)
+    signal = np.concatenate([sig_bs.transpose(0, 2, 1), sig_ris.transpose(0, 2, 1)], axis=2)
+    lb[links[~covered]] = ub[links[~covered]] = 0
 
-    model.objective[model.base_o:model.base_o + n_r * n_n] = 1.0
+    stride = n_r * n_l + n_i + 1  # room for every group key within a section
 
+    def key(n, section, group=0):
+        return (np.asarray(n, dtype=np.int64) * 5 + section) * stride + group
+
+    rows = _Rows(n_vars)
+    slots = np.arange(n_n)
+    slot_of_nr = np.repeat(slots, n_r)                     # rows (slot, robot)
+    slot_of_ni, surface_of_ni = np.divmod(np.arange(n_n * n_i), max(n_i, 1))   # rows (slot, surface)
+
+    # single assignment per robot
+    if n_l:
+        rows.add(key(slot_of_nr, _ONE), "<", 1.0, links.reshape(-1, n_l), 1.0, _slot_names("one", n_n, n_r))
+
+    # angular conflicts and surface capacity
+    pairs = np.array([(n, i, ra, rb) for n, per_slot in enumerate(tables.conflicts.pairs)
+                      for i, at in enumerate(per_slot) for ra, rb in at], dtype=np.int64).reshape(-1, 4)
+    pn, pi, pa, pb = pairs.T
+    rows.add(key(pn, _CAPACITY, pi), "<", 1.0, np.column_stack([xi[pi, pa, pn], xi[pi, pb, pn]]), 1.0,
+             lambda: [f"confl_{i}_{ra}_{rb}_{n}" for n, i, ra, rb in pairs.tolist()])
+    if n_r:
+        rows.add(key(slot_of_ni, _CAPACITY, surface_of_ni), "<", u, xi.transpose(2, 0, 1).reshape(-1, n_r),
+                 1.0, _slot_names("cap", n_n, n_i))
+
+    # SINR rows, per slot: every covered link of every victim robot hears the
+    # covered links of every other robot (same-surface links are nulled)
     robots = np.arange(n_r)
-    # per-slot column blocks, rows indexed by robot: every BS then every
-    # surface link of the robot, and the source surface of each (-1 for a BS)
-    link_src = np.concatenate([np.full(n_b, -1), np.arange(n_i)]).astype(np.int32)
+    weak = []
     for n in range(n_n):
-        links = np.concatenate([var_xb[:, :, n].T, var_xi[:, :, n].T], axis=1)   # (R, B+I)
-
-        # single assignment per robot
-        if n_b + n_i:
-            model.add_rows([f"one_{r}_{n}" for r in range(n_r)], links, 1.0, "<", 1.0)
-
-        # angular conflicts and surface capacity
-        for i in range(n_i):
-            for (ra, rb) in tables.conflicts.at(i, n):
-                model.add_row(
-                    f"confl_{i}_{ra}_{rb}_{n}",
-                    [model.xi(i, ra, n), model.xi(i, rb, n)], [1.0, 1.0], "<", 1.0)
-            if n_r:
-                model.add_row(f"cap_{i}_{n}", var_xi[i, :, n], np.ones(n_r), "<", float(u))
-
-        # interference heard by each victim, per (source robot, link):
-        # levels[r, rp, link] = xi[n, link, rp, r]; only covered links radiate
+        # levels[r, rp, l] = interference victim r hears when robot rp uses link l
         levels = np.concatenate([xi_bs[n].transpose(2, 1, 0), xi_ris[n].transpose(2, 1, 0)], axis=2)
-        live = np.concatenate([covered_bs[n].T, covered_ris[n].T], axis=1)          # (rp, link)
-        src = np.broadcast_to(link_src, links.shape)
-        for r in range(n_r):
-            heard = (levels[r] > 0.0) & live
-            heard[r] = False
-            int_cols = links[heard].astype(np.int32)
-            int_coefs = levels[r][heard]
-            ris_src = src[heard]
+        heard = (levels > 0.0) & covered[n]
+        heard[robots, robots] = False
+        vr, vl = np.nonzero(covered[n])
+        sig = signal[n, vr, vl]
+        p = psi[vr]
+        if strengthen:
+            # below threshold even alone: the link is unusable
+            usable = sig >= p
+            weak.append(links[n, vr[~usable], vl[~usable]])
+            vr, vl, sig, p = vr[usable], vl[usable], sig[usable], p[usable]
+        mask = heard[vr]
+        on_ris = np.nonzero(vl >= n_b)[0]
+        mask[on_ris, :, vl[on_ris]] = False  # nulling removes same-surface interference
+        tv, trp, tl = np.nonzero(mask)
+        level = levels[vr[tv], trp, tl]
+        x = links[n, vr, vl]
+        t_col = links[n, trp, tl]
+        if strengthen:
+            kill_level = sig / p - 1.0  # interference a live link tolerates
+            killed = np.nonzero(level > kill_level[tv])[0]
+            level = np.minimum(level, kill_level[tv] + 1.0)
+            counts = np.bincount(tv, minlength=len(vr))
+            first_term = np.cumsum(counts) - counts
+            # bincount adds in order, as ndarray.sum does below 8 terms; longer
+            # rows take ndarray.sum itself, so each big-M is the row-by-row float
+            total = np.bincount(tv, weights=level, minlength=len(vr))
+            for v in np.nonzero(counts >= 8)[0]:
+                total[v] = level[first_term[v]:first_term[v] + counts[v]].sum()
+            mu_v = p * (1.0 + total) * MU_SAFETY + 1.0
+            if mu is not None:
+                mu_v = np.full(len(vr), float(mu))
+            scale = 1.0 / sig
+            kv = tv[killed]
+            rows.add(key(n, _SINR, kv), "<", 1.0, np.column_stack([x[kv], t_col[killed]]), 1.0,
+                     functools.partial(_sinr_names, n, n_b, vr[kv], vl[kv], killed - first_term[kv]))
+        else:
+            mu_v = mu_rn[vr, n]
+            scale = np.ones(len(vr))
+        n_v = len(vr)
+        rows.add(key(n, _SINR, np.arange(n_v)), ">", p * scale - mu_v * scale, np.concatenate([x, t_col]),
+                 np.concatenate([sig * scale - mu_v * scale, -p[tv] * level * scale[tv]]),
+                 functools.partial(_sinr_names, n, n_b, vr, vl), rows=np.concatenate([np.arange(n_v), tv]))
+    weak = np.concatenate(weak) if weak else np.zeros(0, dtype=np.int64)
+    lb[weak] = ub[weak] = 0
 
-            def emit_sinr(label, xvar, zvar, sig, terms, term_cols):
-                """One served-link quality row, optionally clamped and rescaled.
+    # usage history, readiness, and service rows
+    window = slots[:, None] - d_reconfig + 1 + np.arange(d_reconfig)      # (N, D), oldest first
+    in_range = window >= 0
+    window_x = xi[:, :, np.maximum(window, 0)].transpose(2, 0, 1, 3)     # (N, I, R, D)
+    y_nir = y.transpose(2, 0, 1)                                          # (N, I, R)
+    if strengthen:
+        # one X <= Y row per live link of the window: what the aggregated
+        # row says, with a tighter relaxation
+        hn, hi, hr, hk = np.nonzero((ub[window_x] > 0) & in_range[:, None, None, :])
+        rows.add(key(hn, _HISTORY, hi), "<", 0.0,
+                 np.column_stack([window_x[hn, hi, hr, hk], y_nir[hn, hi, hr]]), [1.0, -1.0],
+                 lambda: [f"used_{i}_{r}_{window[n, k]}_{n}"
+                          for n, i, r, k in zip(hn.tolist(), hi.tolist(), hr.tolist(), hk.tolist())])
+    else:
+        row_nir = np.arange(n_n * n_i * n_r).reshape(n_n, n_i, n_r)
+        hn, hi, hr, hk = np.nonzero(np.broadcast_to(in_range[:, None, None, :], window_x.shape))
+        rows.add(key(np.repeat(slot_of_ni, n_r), _HISTORY, np.repeat(surface_of_ni, n_r)), "<",
+                 np.zeros(row_nir.size), np.concatenate([window_x[hn, hi, hr, hk], y_nir.ravel()]),
+                 np.concatenate([np.ones(len(hn)), np.full(row_nir.size, -float(d_reconfig))]),
+                 lambda: [f"hist_{i}_{r}_{n}" for n in range(n_n) for i in range(n_i) for r in range(n_r)],
+                 rows=np.concatenate([row_nir[hn, hi, hr], row_nir.ravel()]))
+    if n_r:
+        y_ni = y_nir.reshape(-1, n_r)
+        rows.add(key(slot_of_ni, _HISTORY, surface_of_ni), "<", u, np.column_stack([y_ni, c.T.ravel()]),
+                 np.append(np.ones(n_r), -float(n_r)), _slot_names("busy", n_n, n_i))
+        if strengthen:
+            rows.add(key(slot_of_ni, _HISTORY, surface_of_ni), "<", u, y_ni, 1.0, _slot_names("ready", n_n, n_i))
+    # wx_{i,r,n} and wc_{i,r,n} alternate, robot by robot
+    w_nir = w.transpose(2, 0, 1)
+    c_nir = np.broadcast_to(c.T[:, :, None], w_nir.shape)
+    wxc = np.stack([np.stack([w_nir, xi.transpose(2, 0, 1)], axis=-1), np.stack([w_nir, c_nir], axis=-1)], axis=3)
+    rows.add(key(np.repeat(slot_of_ni, 2 * n_r), _HISTORY, np.repeat(surface_of_ni, 2 * n_r)), "<",
+             np.tile([0.0, 1.0], n_n * n_i * n_r), wxc.reshape(-1, 2),
+             np.tile([[1.0, -1.0], [1.0, 1.0]], (n_n * n_i * n_r, 1)),
+             lambda: [f"{kind}_{i}_{r}_{n}" for n in range(n_n) for i in range(n_i)
+                      for r in range(n_r) for kind in ("wx", "wc")])
 
-                ``terms`` are the admissible interference coefficients for
-                this row (noise-conditioned), ``sig`` the signal coefficient.
-                """
-                if strengthen and sig < psi[r]:
-                    # below threshold even alone: the link is unusable
-                    model.fix(xvar, 0)
-                    model.fix(zvar, 1)
-                    return
-                if strengthen:
-                    kill_level = sig / psi[r] - 1.0  # interference a live link tolerates
-                    for j in np.nonzero(terms > kill_level)[0]:
-                        model.add_row(f"kill{label}_{j}",
-                                      [xvar, int(term_cols[j])], [1.0, 1.0], "<", 1.0)
-                    terms = np.minimum(terms, kill_level + 1.0)
-                    mu_row = psi[r] * (1.0 + terms.sum()) * MU_SAFETY + 1.0
-                    if mu is not None:
-                        mu_row = float(mu)
-                    scale = 1.0 / sig
-                else:
-                    mu_row = mu_rn[r, n]
-                    scale = 1.0
-                cols = np.concatenate(([xvar, zvar], term_cols))
-                coefs = np.concatenate(([sig, mu_row], -psi[r] * terms)) * scale
-                model.add_row(f"snr{label}", cols, coefs, ">", float(psi[r]) * scale)
-                model.add_row(f"pair{label}", [xvar, zvar], [1.0, 1.0], "=", 1.0)
-
-            for b in range(n_b):
-                if not covered_bs[n, b, r]:
-                    continue
-                emit_sinr(f"B_{b}_{r}_{n}", model.xb(b, r, n), model.zb(b, r, n),
-                          sig_bs[n, b, r], int_coefs, int_cols)
-            for i in range(n_i):
-                if not covered_ris[n, i, r]:
-                    continue
-                keep = ris_src != i  # nulling removes same-surface interference
-                emit_sinr(f"I_{i}_{r}_{n}", model.xi(i, r, n), model.zi(i, r, n),
-                          sig_ris[n, i, r], int_coefs[keep], int_cols[keep])
-
-        # usage history, readiness, and service rows
-        lo = max(n - d_reconfig + 1, 0)
-        for i in range(n_i):
-            var_y = model.y(i, 0, n) + robots * n_n
-            window = var_xi[i, :, lo:n + 1]
-            if strengthen:
-                # one X <= Y row per live link of the window: what the
-                # aggregated row says, with a tighter relaxation
-                rr, kk = np.nonzero(model.ub[window] > 0)
-                model.add_rows([f"used_{i}_{r}_{lo + k}_{n}" for r, k in zip(rr.tolist(), kk.tolist())],
-                               np.column_stack([window[rr, kk], var_y[rr]]), [1.0, -1.0], "<", 0.0)
-            else:
-                model.add_rows([f"hist_{i}_{r}_{n}" for r in range(n_r)], np.column_stack([window, var_y]),
-                               [1.0] * (n + 1 - lo) + [-float(d_reconfig)], "<", 0.0)
-            cols = np.append(var_y, model.c(i, n))
-            coefs = [1.0] * n_r + [-float(n_r)]
-            if n_r:
-                model.add_row(f"busy_{i}_{n}", cols, coefs, "<", float(u))
-                if strengthen:
-                    model.add_row(f"ready_{i}_{n}", cols[:-1], coefs[:-1], "<", float(u))
-            # wx_{i,r,n} and wc_{i,r,n} alternate, robot by robot
-            var_w = model.w(i, 0, n) + robots * n_n
-            pairs = np.stack([np.column_stack([var_w, var_xi[i, :, n]]),
-                              np.column_stack([var_w, np.full(n_r, model.c(i, n))])], axis=1)
-            model.add_rows([f"{kind}_{i}_{r}_{n}" for r in range(n_r) for kind in ("wx", "wc")],
-                           pairs.reshape(2 * n_r, 2), np.tile([[1.0, -1.0], [1.0, 1.0]], (n_r, 1)),
-                           "<", np.tile([0.0, 1.0], n_r))
-
-        serve = np.column_stack([model.o(0, n) + robots * n_n,
-                                 (model.w(0, 0, n) + (np.arange(n_i)[None, :] * n_r + robots[:, None]) * n_n),
-                                 var_xb[:, :, n].T])
-        model.add_rows([f"serve_{r}_{n}" for r in range(n_r)], serve, 1.0, ">", 1.0)
+    serve = np.concatenate([o.T[:, :, None], w.transpose(2, 1, 0), xb.transpose(2, 1, 0)], axis=2)
+    rows.add(key(slot_of_nr, _SERVE), ">", 1.0, serve.reshape(-1, 1 + n_i + n_b), 1.0, _slot_names("serve", n_n, n_r))
 
     # outage windows: strictly fewer than K_r outages per K_r-slot window
-    for r in range(n_r):
-        k = int(scenario.k_out[r])
-        for n in range(n_n):
-            lo = max(n - k + 1, 0)
-            cols = [model.o(r, nn) for nn in range(lo, n + 1)]
-            model.add_row(f"win_{r}_{n}", cols, np.ones(len(cols)), "<", float(k - 1))
+    k_out = scenario.k_out.astype(int)
+    back = np.arange(max(k_out, default=0))
+    wr, wn, wb = np.nonzero((slots[None, :, None] >= back) & (back < k_out[:, None, None]))
+    rows.add(key(n_n, _ONE), "<", np.repeat(k_out - 1.0, n_n), o[wr, wn - wb], 1.0,
+             lambda: [f"win_{r}_{n}" for r in range(n_r) for n in range(n_n)], rows=wr * n_n + wn)
 
-    return model
+    matrix, sense, rhs, row_names = rows.finish()
+    return MilpModel(n_bs=n_b, n_ris=n_i, n_robots=n_r, n_slots=n_n, lb=lb, ub=ub, objective=objective,
+                     matrix=matrix, row_sense=sense, row_rhs=rhs, mu=mu_rn, make_row_names=row_names)
 
 
 def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule:
@@ -370,23 +422,21 @@ def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule
     transmission can only loosen every remaining constraint); a robot marked
     served without exactly one allocation bit indicates a backend bug.
     """
-    values = np.asarray(values)
+    on = np.asarray(values) >= 0.5
+    served = ~on[model.columns["O"]]
+    via_bs, via_ris = on[model.columns["Xb"]], on[model.columns["Xi"]]
+    bits = via_bs.sum(axis=0) + via_ris.sum(axis=0)
+    bad = np.argwhere(served & (bits != 1))
+    if len(bad):
+        r, n = bad[0]
+        raise RuntimeError(
+            f"inconsistent solution: robot {r} slot {n} marked served "
+            f"with {bits[r, n]} allocation bits")
     sched = AllocationSchedule.all_outage(model.n_robots, model.n_slots)
-    for r in range(model.n_robots):
-        for n in range(model.n_slots):
-            if values[model.o(r, n)] >= 0.5:
-                continue
-            hits = [("bs", b) for b in range(model.n_bs) if values[model.xb(b, r, n)] >= 0.5]
-            hits += [("ris", i) for i in range(model.n_ris) if values[model.xi(i, r, n)] >= 0.5]
-            if len(hits) != 1:
-                raise RuntimeError(
-                    f"inconsistent solution: robot {r} slot {n} marked served "
-                    f"with {len(hits)} allocation bits")
-            kind, idx = hits[0]
-            if kind == "bs":
-                sched.assign_bs(r, n, idx)
-            else:
-                sched.assign_ris(r, n, idx)
+    for kind, bits_of in ((BS, via_bs), (RIS, via_ris)):
+        hit = served & bits_of.any(axis=0)
+        sched.kind[hit] = kind
+        sched.index[hit] = np.tensordot(np.arange(len(bits_of)), bits_of, axes=1)[hit]
     return sched
 
 

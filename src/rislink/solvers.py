@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
 
@@ -65,21 +64,8 @@ def solve(model: MilpModel, backend="highs", time_budget: float | None = None) -
 
 
 def _constraint_matrix(model: MilpModel):
-    n_rows = model.n_rows
-    if n_rows:
-        lengths = np.fromiter(map(len, model.row_cols), dtype=np.int64, count=n_rows)
-        a = sp.csr_matrix(
-            (np.concatenate(model.row_coefs),
-             (np.repeat(np.arange(n_rows), lengths), np.concatenate(model.row_cols).astype(np.int64))),
-            shape=(n_rows, model.n_vars),
-        )
-    else:
-        a = sp.csr_matrix((0, model.n_vars))
-    sense = np.array(model.row_sense, dtype="U1").reshape(n_rows)
-    rhs = np.array(model.row_rhs, dtype=float).reshape(n_rows)
-    lower = np.where(sense == "<", -np.inf, rhs)
-    upper = np.where(sense == ">", np.inf, rhs)
-    return a, lower, upper
+    sense, rhs = model.row_sense, model.row_rhs
+    return model.matrix, np.where(sense == "<", -np.inf, rhs), np.where(sense == ">", np.inf, rhs)
 
 
 def _solve_highs(model: MilpModel, time_budget) -> SolveResult:
@@ -118,30 +104,30 @@ def _solve_highs(model: MilpModel, time_budget) -> SolveResult:
 _UNFIXED = -1
 
 
+def _slices(indptr, index, data) -> list:
+    """[(index, value) pairs of each compressed line] of a CSR or CSC matrix."""
+    pairs = list(zip(index.tolist(), data.tolist()))
+    bounds = indptr.tolist()
+    return [pairs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _solve_bnb(model: MilpModel, time_budget) -> SolveResult:
     start = time.perf_counter()
     deadline = None if time_budget is None else start + float(time_budget)
     n = model.n_vars
     obj = model.objective
 
-    # rows as parallel arrays; activity bounds maintained incrementally
+    # rows as parallel lists; activity bounds maintained incrementally
+    a = model.matrix
     n_rows = model.n_rows
-    row_cols = model.row_cols
-    row_coefs = model.row_coefs
-    row_sense = model.row_sense
-    row_rhs = model.row_rhs
-    var_rows = [[] for _ in range(n)]  # (row, coef) incidence
-    for k in range(n_rows):
-        for j, coef in zip(row_cols[k], row_coefs[k]):
-            var_rows[j].append((k, float(coef)))
-
-    lo_act = np.zeros(n_rows)
-    hi_act = np.zeros(n_rows)
-    for k in range(n_rows):
-        neg = row_coefs[k][row_coefs[k] < 0].sum()
-        pos = row_coefs[k][row_coefs[k] > 0].sum()
-        lo_act[k] = neg
-        hi_act[k] = pos
+    row_sense = model.row_sense.tolist()
+    row_rhs = model.row_rhs.tolist()
+    row_terms = _slices(a.indptr, a.indices, a.data)
+    csc = a.tocsc()
+    var_rows = _slices(csc.indptr, csc.indices, csc.data)  # (row, coef) incidence
+    row_of = np.repeat(np.arange(n_rows), np.diff(a.indptr))
+    lo_act = np.bincount(row_of, weights=np.minimum(a.data, 0.0), minlength=n_rows)
+    hi_act = np.bincount(row_of, weights=np.maximum(a.data, 0.0), minlength=n_rows)
 
     value = np.full(n, _UNFIXED, dtype=np.int8)
     trail = []
@@ -188,7 +174,7 @@ def _solve_bnb(model: MilpModel, time_budget) -> SolveResult:
                 return False
             if sense in (">", "=") and hi_act[k] < rhs - 1e-9:
                 return False
-            for j, coef in zip(row_cols[k], row_coefs[k]):
+            for j, coef in row_terms[k]:
                 if value[j] != _UNFIXED:
                     continue
                 force = None
@@ -209,19 +195,14 @@ def _solve_bnb(model: MilpModel, time_budget) -> SolveResult:
         return True
 
     # branch on allocation bits first, then outage bits, then the bookkeeping
-    order = []
-    for nn in range(model.n_slots):
-        for r in range(model.n_robots):
-            for b in range(model.n_bs):
-                order.append(model.xb(b, r, nn))
-            for i in range(model.n_ris):
-                order.append(model.xi(i, r, nn))
-            order.append(model.o(r, nn))
-    known = set(order)
-    order += [j for j in range(n) if j not in known]
+    col = model.columns
+    first = np.concatenate([col["Xb"], col["Xi"], col["O"][None]]).transpose(2, 1, 0).ravel()  # slot, robot
+    rest = np.ones(n, dtype=bool)
+    rest[first] = False
+    order = np.concatenate([first, np.nonzero(rest)[0]]).tolist()
     # allocation bits try 1 first (serve if possible); everything else 0 first
     first_value = np.zeros(n, dtype=np.int8)
-    first_value[: model.base_zb] = 1
+    first_value[col["Xb"]] = first_value[col["Xi"]] = 1
 
     best = {"obj": None, "values": None}
     timed_out = {"flag": False}

@@ -1,5 +1,6 @@
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from rislink import solvers
 from rislink.lpio import export_model, parse_lp, parse_mps, parse_solution, write_lp, write_mps, write_solution
 from rislink.milp import build_model, brute_force_optimum
-from rislink.scenario import ScenarioConfig, generate, precompute
+from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
 
@@ -72,6 +73,21 @@ class TestMpsRoundTrip:
             terms, _, _ = by_name[small_model.row_names[k]]
             for j, c in zip(small_model.row_cols[k], small_model.row_coefs[k]):
                 assert terms[small_model.var_names[j]] == float(c)  # bit-exact
+
+
+class TestExperimentScaleRoundTrip:
+    def test_lp_and_mps_parse_back_alike(self):
+        s = generate(replace(EXPERIMENT_CONFIG, n_robots=14), 1000)
+        model = build_model(precompute(s), s)
+        lp = parse_lp(write_lp(model))
+        mps = parse_mps(write_mps(model))
+        assert lp.coefficient_multiset() == mps.coefficient_multiset() == [
+            (sense, rhs, tuple(terms)) for (sense, rhs, terms) in model_multiset(model)
+        ]
+        assert lp.objective == mps.objective == {
+            model.var_names[j]: 1.0 for j in np.nonzero(model.objective)[0]}
+        fixed = {model.var_names[j]: int(model.lb[j]) for j in np.flatnonzero(model.lb == model.ub)}
+        assert lp.fixed == mps.fixed == fixed
 
 
 class TestEmptyModel:

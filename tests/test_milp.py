@@ -28,7 +28,7 @@ class TestBuildModel:
         t = precompute(s)
         model = build_model(t, s)
         families = {name.split("_")[0] for name in model.var_names}
-        assert families == {"Xb", "Zb", "O"}
+        assert families == {"Xb", "O"}
         obj, res, model = solve_objective(s, t)
         assert obj == 0
 
@@ -183,27 +183,62 @@ class TestMonotonicity:
 class TestBigMInertness:
     @pytest.mark.parametrize("seed", range(5))
     def test_deactivated_rows_have_slack(self, seed):
+        # The SINR row of link X reads (sig - mu)*X - psi*I >= psi - mu.  With
+        # X = 0 it must hold with slack even when every interferer is on.
         s = generate(tiny_config(), seed)
         t = precompute(s)
         model = build_model(t, s)
         res = solvers.solve(model, "highs")
-        if res.status != "optimal":
-            return
-        x = res.values
-        for k in range(model.n_rows):
-            name = model.row_names[k]
-            if not (name.startswith("snrB") or name.startswith("snrI")):
+        x = res.values if res.status == "optimal" else None
+        checked = 0
+        for k, name in enumerate(model.row_names):
+            if not name.startswith(("snrB", "snrI")):
                 continue
+            idx, r, n = map(int, name[5:].split("_"))
+            own = model.xb(idx, r, n) if name[3] == "B" else model.xi(idx, r, n)
             cols, coefs = model.row_cols[k], model.row_coefs[k]
-            z_col = cols[1]  # [x, z, interference...]
-            if x[z_col] < 0.5:
-                continue
-            activity = float(coefs @ x[cols])
-            rhs = model.row_rhs[k]
-            interference = -float(coefs[2:] @ x[cols[2:]])  # psi-scaled sum
-            slack_bound = float(x[z_col] * coefs[1]) - interference - rhs
+            others = cols != own
+            assert others.sum() == len(cols) - 1
+            assert (coefs[others] < 0).all()
+            slack_bound = float(coefs[others].sum()) - model.row_rhs[k]
             assert slack_bound > 0
-            assert activity - rhs >= slack_bound - 1e-6
+            if x is not None and x[own] < 0.5:
+                assert float(coefs @ x[cols]) - model.row_rhs[k] >= slack_bound - 1e-6
+            checked += 1
+        assert checked
+
+
+class TestMatrix:
+    def test_row_views_describe_the_matrix(self):
+        s = generate(tiny_config(), 5)
+        model = build_model(precompute(s), s)
+        n_rows = model.n_rows
+        assert model.matrix.shape == (n_rows, model.n_vars)
+        assert len(model.row_names) == len(model.row_cols) == len(model.row_coefs) == n_rows
+        assert len(model.row_sense) == len(model.row_rhs) == n_rows
+        dense = np.zeros((n_rows, model.n_vars))
+        for k, (cols, coefs) in enumerate(zip(model.row_cols, model.row_coefs)):
+            assert len(np.unique(cols)) == len(cols) == len(coefs)
+            dense[k, cols] = coefs
+        assert np.array_equal(dense, model.matrix.toarray())
+        assert np.array_equal(model.row_cols[-1], model.row_cols[n_rows - 1])
+        with pytest.raises(IndexError):
+            model.row_cols[n_rows]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_column_is_the_complement_of_another(self, seed):
+        s = generate(tiny_config(n_bs=1 + seed % 2, n_ris=1 + seed // 2), seed)
+        model = build_model(precompute(s), s, strengthen=seed % 2 == 0)
+        families = {name.split("_")[0] for name in model.var_names}
+        assert families == {"Xb", "Xi", "Y", "C", "W", "O"}
+        at_most, at_least = set(), set()
+        for cols, coefs, sense, rhs in zip(model.row_cols, model.row_coefs, model.row_sense, model.row_rhs):
+            if len(cols) == 2 and (coefs == 1.0).all() and rhs == 1.0:
+                if sense in ("<", "="):
+                    at_most.add(tuple(cols.tolist()))
+                if sense in (">", "="):
+                    at_least.add(tuple(cols.tolist()))
+        assert not at_most & at_least
 
 
 class TestExtractSchedule:
@@ -215,3 +250,22 @@ class TestExtractSchedule:
         bogus = np.zeros(model.n_vars)  # served flag with no allocation bit
         with pytest.raises(RuntimeError, match="inconsistent"):
             extract_schedule(model, bogus)
+
+    def test_two_allocation_bits_raise(self):
+        cfg = ScenarioConfig(n_bs=2, n_ris=0, n_robots=1, n_slots=1, n_obstacles=0, k_range=(2, 2))
+        s = generate(cfg, 0)
+        model = build_model(precompute(s), s)
+        bogus = np.zeros(model.n_vars)
+        bogus[[model.xb(0, 0, 0), model.xb(1, 0, 0)]] = 1  # served through both BSs
+        with pytest.raises(RuntimeError, match="inconsistent.* 2 allocation bits"):
+            extract_schedule(model, bogus)
+
+    def test_outage_bit_wins_over_stray_allocation(self):
+        cfg = ScenarioConfig(n_bs=2, n_ris=0, n_robots=1, n_slots=2, n_obstacles=0, k_range=(3, 3))
+        s = generate(cfg, 0)
+        model = build_model(precompute(s), s)
+        values = np.zeros(model.n_vars)
+        values[[model.o(0, 0), model.xb(0, 0, 0), model.xb(1, 0, 0), model.xb(1, 0, 1)]] = 1
+        sched = extract_schedule(model, values)
+        assert sched.assignment(0, 0) == (None, None)
+        assert sched.assignment(0, 1) == ("bs", 1)
