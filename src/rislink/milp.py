@@ -1,14 +1,21 @@
 """Integer program for outage-minimal BS/surface allocation.
 
 ``build_model`` turns precomputed tables into a pure binary program whose
-objective counts outage slots.  The SINR requirement of a served link is
-affine once the ratio is multiplied through by its denominator, and every
-row is divided by the noise power so coefficients stay in a sane range.
-Coverage is applied as variable fixing rather than constraint rows.  The
-SINR row of an unused link is switched off by a big-M term on the link's own
-allocation bit: ``sig*X - psi*I >= psi`` is written
+objective counts outage slots.  Its columns are the allocation bits Xb
+(base station) and Xi (surface), the usage-history bits Y, and the outage
+bits O.  The SINR requirement of a served link is affine once the ratio is
+multiplied through by its denominator, and every row is divided by the
+noise power and then by the link's signal coefficient so coefficients stay
+in a sane range.  Coverage is applied as variable fixing rather than
+constraint rows.  The SINR row of an unused link is switched off by a big-M
+term on the link's own allocation bit: ``sig*X - psi*I >= psi`` is written
 ``(sig - M)*X - psi*I >= psi - M``, which holds at every admissible
 interference level I once X = 0.
+
+Surface readiness is a cap rather than a flag: the distinct robots of every
+usage window stay at U or fewer, which no valid schedule breaks (see
+``build_model``), so the paper's busy flag is zero and its served-through-a-
+ready-surface flag equals Xi at every integer point.
 
 Each constraint family is emitted as numpy COO triplets, over all slots at
 once or slot by slot, and the model holds the rows as one CSR matrix.  Row
@@ -48,8 +55,6 @@ def _family_shapes(n_bs, n_ris, n_robots, n_slots) -> dict:
         "Xb": (n_bs, n_robots, n_slots),
         "Xi": (n_ris, n_robots, n_slots),
         "Y": (n_ris, n_robots, n_slots),
-        "C": (n_ris, n_slots),
-        "W": (n_ris, n_robots, n_slots),
         "O": (n_robots, n_slots),
     }
 
@@ -76,9 +81,7 @@ class MilpModel:
     """Binary program over named variable families and one CSR row matrix.
 
     Senses are "<", ">", or "=".  Variable bounds equal to each other pin a
-    variable.  ``mu`` holds the per-(robot, slot) big-M sized from the worst
-    interference a robot can hear (or the explicit one); the strengthened
-    model sizes each row's big-M from that row's own clamped terms.
+    variable.
     """
 
     n_bs: int
@@ -92,7 +95,6 @@ class MilpModel:
     row_sense: np.ndarray
     row_rhs: np.ndarray
     make_row_names: Callable[[], list] = field(repr=False)
-    mu: np.ndarray | None = None
 
     @property
     def n_vars(self) -> int:
@@ -104,7 +106,7 @@ class MilpModel:
 
     @functools.cached_property
     def columns(self) -> dict:
-        """Column indices of each variable family ("Xb", "Xi", "Y", "C", "W", "O")."""
+        """Column indices of each variable family ("Xb", "Xi", "Y", "O")."""
         return _family_columns(self.n_bs, self.n_ris, self.n_robots, self.n_slots)
 
     @property
@@ -214,40 +216,36 @@ def _sinr_names(n, n_bs, robots, links, kill_terms=None) -> list:
     return [f"kill{label}_{j}" for label, j in zip(labels, kill_terms.tolist())]
 
 
-def build_model(tables, scenario, mu: float | None = None, strengthen: bool = True) -> MilpModel:
+def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
     """Emit the full allocation program for one scenario.
 
     The SINR row of link X with interference terms I reads
     ``(sig - mu)*X - psi*I >= psi - mu``: the served row when X = 1, slack
-    at every admissible interference level when X = 0.  With ``mu=None``
-    the big-M of each (robot, slot) is sized from the worst interference
-    that robot can receive; an explicit ``mu`` is checked for sufficiency
-    and rejected with the offending magnitude if too small.
+    at every admissible interference level when X = 0.  ``X + X' <= 1`` is
+    emitted whenever a single interferer alone drives a link below
+    threshold, interference coefficients are clamped at the level that
+    already violates the row (exact over binaries because the pairwise row
+    excludes every stronger combination), and each row is rescaled by its
+    signal coefficient, so the coefficient range stays near ~1e2.  With
+    ``mu=None`` each row's big-M is sized from its clamped terms; an
+    explicit ``mu`` must be finite and exceed the worst admissible
+    denominator, else it is rejected with the offending magnitude.
 
-    ``strengthen`` additionally emits ``X + X' <= 1`` whenever a single
-    interferer alone drives a link below threshold, clamps interference
-    coefficients at the level that already violates the row (exact over
-    binaries because the pairwise row excludes every stronger combination),
-    sizes each row's big-M from its clamped terms, and rescales each SINR
-    row by its signal coefficient.  It also caps the distinct robots of
-    every usage window at U (``sum_r Y <= U``): a surface serving in slot n
-    had at most U distinct robots in the window of its last serving slot,
-    which covers the rest of window n, so every valid schedule keeps each
-    window at U or fewer and the busy flag never rises.  The row only cuts
-    off stray allocation bits on busy surfaces, which ``extract_schedule``
-    discards anyway.  Finally it writes the usage history as one ``X <= Y``
-    row per live link and window slot instead of ``sum X <= D * Y``: the
-    same integer points, but a relaxation in which a robot that touches a
-    surface once in the window counts fully.  Schedules and optimum are
-    untouched; the LP relaxation tightens and the coefficient range
-    collapses from ~1e14 to ~1e2.
+    Usage history is one ``X <= Y`` row per live link and window slot, and
+    readiness caps the distinct robots of every usage window at U
+    (``sum_r Y <= U``).  No valid schedule breaks that cap: a surface
+    serving in slot n had at most U distinct robots in the window of its
+    last serving slot, which covers the rest of window n.  So the paper's
+    busy flag never rises and a robot is served by ``O + sum Xi + sum Xb
+    >= 1``.  The cap only cuts off stray allocation bits on busy surfaces,
+    which ``extract_schedule`` discards anyway.
     """
     cfg = scenario.config
     n_b, n_i, n_r, n_n = cfg.n_bs, cfg.n_ris, cfg.n_robots, cfg.n_slots
     n_l = n_b + n_i
     dims = (n_b, n_i, n_r, n_n)
     col = _family_columns(*dims)
-    xb, xi, y, c, w, o = (col[label] for label in ("Xb", "Xi", "Y", "C", "W", "O"))
+    xb, xi, y, o = (col[label] for label in ("Xb", "Xi", "Y", "O"))
     n_vars = sum(a.size for a in col.values())
     lb, ub, objective = np.zeros(n_vars), np.ones(n_vars), np.zeros(n_vars)
     objective[o.ravel()] = 1.0
@@ -265,19 +263,16 @@ def build_model(tables, scenario, mu: float | None = None, strengthen: bool = Tr
     xi_bs = lt.xi_bs / noise                 # (N, B, R, R)
     xi_ris = lt.xi_ris / noise               # (N, I, R, R)
 
-    # big-M per (robot, slot): must dominate the worst admissible denominator,
-    # one source link per interfering robot
-    worst = np.maximum(xi_bs.max(axis=1, initial=0.0), xi_ris.max(axis=1, initial=0.0)).sum(axis=1)
-    mu_needed = psi[:, None] * (1.0 + worst.T)
-    if mu is None:
-        mu_rn = mu_needed * MU_SAFETY + 1.0
-    else:
-        if n_r and float(mu) <= mu_needed.max():
+    if mu is not None:
+        # an explicit big-M must dominate the worst admissible denominator,
+        # one source link per interfering robot
+        worst = np.maximum(xi_bs.max(axis=1, initial=0.0), xi_ris.max(axis=1, initial=0.0)).sum(axis=1)
+        needed = float((psi[:, None] * (1.0 + worst.T)).max(initial=0.0))
+        if not (math.isfinite(mu) and float(mu) > needed):
             raise ModelError(
-                f"big-M constant {mu:g} is insufficient: the worst conditioned "
-                f"denominator reaches {mu_needed.max():g}"
+                f"big-M constant {mu:g} is insufficient: it must be finite and exceed "
+                f"the worst conditioned denominator {needed:g}"
             )
-        mu_rn = np.full((n_r, n_n), float(mu))
 
     # per slot, robot and link (every BS, then every surface): the link's
     # allocation bit, its coverage, and its conditioned signal
@@ -323,11 +318,10 @@ def build_model(tables, scenario, mu: float | None = None, strengthen: bool = Tr
         vr, vl = np.nonzero(covered[n])
         sig = signal[n, vr, vl]
         p = psi[vr]
-        if strengthen:
-            # below threshold even alone: the link is unusable
-            usable = sig >= p
-            weak.append(links[n, vr[~usable], vl[~usable]])
-            vr, vl, sig, p = vr[usable], vl[usable], sig[usable], p[usable]
+        # below threshold even alone: the link is unusable
+        usable = sig >= p
+        weak.append(links[n, vr[~usable], vl[~usable]])
+        vr, vl, sig, p = vr[usable], vl[usable], sig[usable], p[usable]
         mask = heard[vr]
         on_ris = np.nonzero(vl >= n_b)[0]
         mask[on_ris, :, vl[on_ris]] = False  # nulling removes same-surface interference
@@ -335,27 +329,24 @@ def build_model(tables, scenario, mu: float | None = None, strengthen: bool = Tr
         level = levels[vr[tv], trp, tl]
         x = links[n, vr, vl]
         t_col = links[n, trp, tl]
-        if strengthen:
-            kill_level = sig / p - 1.0  # interference a live link tolerates
-            killed = np.nonzero(level > kill_level[tv])[0]
-            level = np.minimum(level, kill_level[tv] + 1.0)
-            counts = np.bincount(tv, minlength=len(vr))
-            first_term = np.cumsum(counts) - counts
+        kill_level = sig / p - 1.0  # interference a live link tolerates
+        killed = np.nonzero(level > kill_level[tv])[0]
+        level = np.minimum(level, kill_level[tv] + 1.0)
+        counts = np.bincount(tv, minlength=len(vr))
+        first_term = np.cumsum(counts) - counts
+        if mu is None:
             # bincount adds in order, as ndarray.sum does below 8 terms; longer
             # rows take ndarray.sum itself, so each big-M is the row-by-row float
             total = np.bincount(tv, weights=level, minlength=len(vr))
             for v in np.nonzero(counts >= 8)[0]:
                 total[v] = level[first_term[v]:first_term[v] + counts[v]].sum()
             mu_v = p * (1.0 + total) * MU_SAFETY + 1.0
-            if mu is not None:
-                mu_v = np.full(len(vr), float(mu))
-            scale = 1.0 / sig
-            kv = tv[killed]
-            rows.add(key(n, _SINR, kv), "<", 1.0, np.column_stack([x[kv], t_col[killed]]), 1.0,
-                     functools.partial(_sinr_names, n, n_b, vr[kv], vl[kv], killed - first_term[kv]))
         else:
-            mu_v = mu_rn[vr, n]
-            scale = np.ones(len(vr))
+            mu_v = np.full(len(vr), float(mu))
+        scale = 1.0 / sig
+        kv = tv[killed]
+        rows.add(key(n, _SINR, kv), "<", 1.0, np.column_stack([x[kv], t_col[killed]]), 1.0,
+                 functools.partial(_sinr_names, n, n_b, vr[kv], vl[kv], killed - first_term[kv]))
         n_v = len(vr)
         rows.add(key(n, _SINR, np.arange(n_v)), ">", p * scale - mu_v * scale, np.concatenate([x, t_col]),
                  np.concatenate([sig * scale - mu_v * scale, -p[tv] * level * scale[tv]]),
@@ -363,44 +354,21 @@ def build_model(tables, scenario, mu: float | None = None, strengthen: bool = Tr
     weak = np.concatenate(weak) if weak else np.zeros(0, dtype=np.int64)
     lb[weak] = ub[weak] = 0
 
-    # usage history, readiness, and service rows
+    # usage history: one X <= Y row per live link of the window
     window = slots[:, None] - d_reconfig + 1 + np.arange(d_reconfig)      # (N, D), oldest first
-    in_range = window >= 0
     window_x = xi[:, :, np.maximum(window, 0)].transpose(2, 0, 1, 3)     # (N, I, R, D)
     y_nir = y.transpose(2, 0, 1)                                          # (N, I, R)
-    if strengthen:
-        # one X <= Y row per live link of the window: what the aggregated
-        # row says, with a tighter relaxation
-        hn, hi, hr, hk = np.nonzero((ub[window_x] > 0) & in_range[:, None, None, :])
-        rows.add(key(hn, _HISTORY, hi), "<", 0.0,
-                 np.column_stack([window_x[hn, hi, hr, hk], y_nir[hn, hi, hr]]), [1.0, -1.0],
-                 lambda: [f"used_{i}_{r}_{window[n, k]}_{n}"
-                          for n, i, r, k in zip(hn.tolist(), hi.tolist(), hr.tolist(), hk.tolist())])
-    else:
-        row_nir = np.arange(n_n * n_i * n_r).reshape(n_n, n_i, n_r)
-        hn, hi, hr, hk = np.nonzero(np.broadcast_to(in_range[:, None, None, :], window_x.shape))
-        rows.add(key(np.repeat(slot_of_ni, n_r), _HISTORY, np.repeat(surface_of_ni, n_r)), "<",
-                 np.zeros(row_nir.size), np.concatenate([window_x[hn, hi, hr, hk], y_nir.ravel()]),
-                 np.concatenate([np.ones(len(hn)), np.full(row_nir.size, -float(d_reconfig))]),
-                 lambda: [f"hist_{i}_{r}_{n}" for n in range(n_n) for i in range(n_i) for r in range(n_r)],
-                 rows=np.concatenate([row_nir[hn, hi, hr], row_nir.ravel()]))
+    hn, hi, hr, hk = np.nonzero((ub[window_x] > 0) & (window >= 0)[:, None, None, :])
+    rows.add(key(hn, _HISTORY, hi), "<", 0.0,
+             np.column_stack([window_x[hn, hi, hr, hk], y_nir[hn, hi, hr]]), [1.0, -1.0],
+             lambda: [f"used_{i}_{r}_{window[n, k]}_{n}"
+                      for n, i, r, k in zip(hn.tolist(), hi.tolist(), hr.tolist(), hk.tolist())])
+    # readiness: at most U distinct robots per usage window
     if n_r:
-        y_ni = y_nir.reshape(-1, n_r)
-        rows.add(key(slot_of_ni, _HISTORY, surface_of_ni), "<", u, np.column_stack([y_ni, c.T.ravel()]),
-                 np.append(np.ones(n_r), -float(n_r)), _slot_names("busy", n_n, n_i))
-        if strengthen:
-            rows.add(key(slot_of_ni, _HISTORY, surface_of_ni), "<", u, y_ni, 1.0, _slot_names("ready", n_n, n_i))
-    # wx_{i,r,n} and wc_{i,r,n} alternate, robot by robot
-    w_nir = w.transpose(2, 0, 1)
-    c_nir = np.broadcast_to(c.T[:, :, None], w_nir.shape)
-    wxc = np.stack([np.stack([w_nir, xi.transpose(2, 0, 1)], axis=-1), np.stack([w_nir, c_nir], axis=-1)], axis=3)
-    rows.add(key(np.repeat(slot_of_ni, 2 * n_r), _HISTORY, np.repeat(surface_of_ni, 2 * n_r)), "<",
-             np.tile([0.0, 1.0], n_n * n_i * n_r), wxc.reshape(-1, 2),
-             np.tile([[1.0, -1.0], [1.0, 1.0]], (n_n * n_i * n_r, 1)),
-             lambda: [f"{kind}_{i}_{r}_{n}" for n in range(n_n) for i in range(n_i)
-                      for r in range(n_r) for kind in ("wx", "wc")])
+        rows.add(key(slot_of_ni, _HISTORY, surface_of_ni), "<", u, y_nir.reshape(-1, n_r), 1.0,
+                 _slot_names("ready", n_n, n_i))
 
-    serve = np.concatenate([o.T[:, :, None], w.transpose(2, 1, 0), xb.transpose(2, 1, 0)], axis=2)
+    serve = np.concatenate([o.T[:, :, None], xi.transpose(2, 1, 0), xb.transpose(2, 1, 0)], axis=2)
     rows.add(key(slot_of_nr, _SERVE), ">", 1.0, serve.reshape(-1, 1 + n_i + n_b), 1.0, _slot_names("serve", n_n, n_r))
 
     # outage windows: strictly fewer than K_r outages per K_r-slot window
@@ -412,7 +380,7 @@ def build_model(tables, scenario, mu: float | None = None, strengthen: bool = Tr
 
     matrix, sense, rhs, row_names = rows.finish()
     return MilpModel(n_bs=n_b, n_ris=n_i, n_robots=n_r, n_slots=n_n, lb=lb, ub=ub, objective=objective,
-                     matrix=matrix, row_sense=sense, row_rhs=rhs, mu=mu_rn, make_row_names=row_names)
+                     matrix=matrix, row_sense=sense, row_rhs=rhs, make_row_names=row_names)
 
 
 def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule:

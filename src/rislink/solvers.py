@@ -9,6 +9,7 @@ shells out to any solver command.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -50,7 +51,12 @@ def _round_binary(x: np.ndarray) -> np.ndarray:
 
 
 def solve(model: MilpModel, backend="highs", time_budget: float | None = None) -> SolveResult:
-    """Solve a model with the named backend ("highs", "bnb", or an ExternalBackend)."""
+    """Solve a model with the named backend ("highs", "bnb", or an ExternalBackend).
+
+    ``time_budget`` is None (no limit) or a positive, finite number of seconds.
+    """
+    if time_budget is not None and not (math.isfinite(time_budget) and time_budget > 0):
+        raise ValueError(f"time budget must be positive and finite, got {time_budget!r}")
     start = time.perf_counter()
     if model.n_vars == 0:
         return SolveResult("optimal", 0.0, np.zeros(0), time.perf_counter() - start)

@@ -49,6 +49,15 @@ class TestGenerateSolveValidate:
         rc = run_cli("solve", str(scenario_file), "--backend", "bnb", "--timeout", "1e-9")
         assert rc == 3
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("solve", "--timeout", "-1"), ("solve", "--timeout", "nan"),
+        ("solve", "--mu", "nan"), ("solve", "--mu", "inf"), ("export-model", "--mu", "nan"),
+    ])
+    def test_bad_numeric_option_is_error(self, scenario_file, command, flag, value, capsys):
+        rc = run_cli(command, str(scenario_file), flag, value)
+        assert rc == 1
+        assert "error" in capsys.readouterr().err
+
     def test_malformed_file_is_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{1 not json")

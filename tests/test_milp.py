@@ -6,14 +6,15 @@ import pytest
 
 from rislink import solvers
 from rislink.allocation import AllocationSchedule, derive_history, validate
+from rislink.heuristic import allocate
 from rislink.milp import ModelError, brute_force_optimum, build_model, extract_schedule
 from rislink.scenario import ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
 
 
-def solve_objective(scenario, tables, backend="highs", **kwargs):
-    model = build_model(tables, scenario, **kwargs)
+def solve_objective(scenario, tables, backend="highs"):
+    model = build_model(tables, scenario)
     res = solvers.solve(model, backend)
     if res.status == "infeasible":
         return None, None, model
@@ -56,30 +57,25 @@ class TestBuildModel:
     def test_insufficient_big_m_rejected(self):
         s = generate(tiny_config(), 3)
         t = precompute(s)
-        with pytest.raises(ModelError, match="insufficient"):
-            build_model(t, s, mu=1e-3)
+        for mu in (1e-3, float("nan"), float("inf")):
+            with pytest.raises(ModelError, match="insufficient"):
+                build_model(t, s, mu=mu)
 
     def test_explicit_big_m_accepted_when_large(self):
-        s = generate(tiny_config(), 3)
-        t = precompute(s)
-        model = build_model(t, s, mu=1e16)
-        assert (model.mu == 1e16).all()
-
-    def test_strengthen_rows_do_not_change_optimum(self):
-        for seed in range(6):
+        for seed in range(8):
             s = generate(tiny_config(), seed)
             t = precompute(s)
-            plain = solvers.solve(build_model(t, s, strengthen=False), "highs")
-            cut = solvers.solve(build_model(t, s, strengthen=True), "highs")
-            assert plain.status == cut.status
-            if plain.status == "optimal":
-                assert round(plain.objective) == round(cut.objective)
+            auto = solvers.solve(build_model(t, s), "highs")
+            explicit = solvers.solve(build_model(t, s, mu=1e16), "highs")
+            assert explicit.status == auto.status
+            if auto.status == "optimal":
+                assert round(explicit.objective) == round(auto.objective)
 
     def test_ready_rows_cut_off_no_ready_schedule(self):
-        # The strengthened model caps the distinct robots of every usage
-        # window at U.  No schedule whose served robots all meet a ready
-        # surface breaks that cap; checked over every use pattern of one
-        # surface by 3 robots in 4 slots.
+        # The model caps the distinct robots of every usage window at U in
+        # place of a busy flag.  No schedule whose served robots all meet a
+        # ready surface breaks that cap; checked over every use pattern of
+        # one surface by 3 robots in 4 slots.
         for d_reconfig in (1, 2, 3):
             for u in (1, 2):
                 for pattern in itertools.product((False, True), repeat=12):
@@ -87,7 +83,7 @@ class TestBuildModel:
                     for k in np.flatnonzero(pattern):
                         sched.assign_ris(k // 4, k % 4, 0)
                     hist = derive_history(sched, 1, d_reconfig, u)
-                    served = ~sched.outage_matrix()
+                    served = sched.outage_matrix() == 0
                     if not (served & hist.c[0]).any():
                         assert hist.y.sum(axis=1).max() <= u, (d_reconfig, u, pattern)
 
@@ -228,9 +224,9 @@ class TestMatrix:
     @pytest.mark.parametrize("seed", range(4))
     def test_no_column_is_the_complement_of_another(self, seed):
         s = generate(tiny_config(n_bs=1 + seed % 2, n_ris=1 + seed // 2), seed)
-        model = build_model(precompute(s), s, strengthen=seed % 2 == 0)
+        model = build_model(precompute(s), s)
         families = {name.split("_")[0] for name in model.var_names}
-        assert families == {"Xb", "Xi", "Y", "C", "W", "O"}
+        assert families == {"Xb", "Xi", "Y", "O"}
         at_most, at_least = set(), set()
         for cols, coefs, sense, rhs in zip(model.row_cols, model.row_coefs, model.row_sense, model.row_rhs):
             if len(cols) == 2 and (coefs == 1.0).all() and rhs == 1.0:
@@ -239,6 +235,55 @@ class TestMatrix:
                 if sense in (">", "="):
                     at_least.add(tuple(cols.tolist()))
         assert not at_most & at_least
+
+
+def schedule_point(model, scenario, tables, sched):
+    """The 0/1 model point of a schedule: its allocation, usage-history and outage bits."""
+    cfg = scenario.config
+    col = model.columns
+    x = np.zeros(model.n_vars)
+    for r in range(cfg.n_robots):
+        for n in range(cfg.n_slots):
+            kind, idx = sched.assignment(r, n)
+            if kind is not None:
+                x[col["Xb" if kind == "bs" else "Xi"][idx, r, n]] = 1
+    x[col["Y"]] = derive_history(sched, cfg.n_ris, cfg.d_reconfig, tables.u_effective).y
+    x[col["O"]] = sched.outage_matrix()
+    return x
+
+
+class TestValidSchedulesLieInModel:
+    # The ready cap stands in for the paper's busy flag; it must not cut off
+    # any schedule that the independent validator accepts.  One BS behind
+    # large obstacles makes both seeds serve robots through the surfaces.
+    @pytest.mark.parametrize("seed", (0, 7))
+    @pytest.mark.parametrize("u", (1, 2))
+    @pytest.mark.parametrize("d_reconfig", (1, 2, 3))
+    def test_optimum_and_heuristic_schedules_meet_every_row(self, d_reconfig, u, seed):
+        cfg = tiny_config(n_bs=1, n_obstacles=4, obstacle_size=(6.0, 12.0), k_range=(3, 4),
+                          d_reconfig=d_reconfig, u_override=u)
+        s = generate(cfg, seed)
+        t = precompute(s)
+        model = build_model(t, s)
+        schedules = [allocate(t, s, seed=k).schedule for k in range(10)]
+        _, optimum = brute_force_optimum(t, s)
+        if optimum is not None:
+            assert validate(s, t, optimum).ok
+            schedules.append(optimum)
+        sense, rhs = model.row_sense, model.row_rhs
+        tol = 1e-9 * np.maximum(1.0, np.abs(rhs))
+        checked = via_surface = 0
+        for sched in schedules:
+            if not validate(s, t, sched).ok:
+                continue
+            x = schedule_point(model, s, t, sched)
+            via_surface += x[model.columns["Xi"]].any()
+            assert ((model.lb <= x) & (x <= model.ub)).all()
+            activity = model.matrix @ x
+            broken = ((sense != ">") & (activity > rhs + tol)) | ((sense != "<") & (activity < rhs - tol))
+            assert not broken.any(), [model.row_names[k] for k in np.flatnonzero(broken)]
+            checked += 1
+        assert checked and via_surface
 
 
 class TestExtractSchedule:

@@ -54,6 +54,13 @@ class TestBackendContract:
         assert res.status == "timeout"
         assert res.values is None
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_time_budget_rejected(self, budget):
+        s = generate(tiny_config(n_robots=3, n_slots=4), 1)
+        model = build_model(precompute(s), s)
+        with pytest.raises(ValueError, match="time budget"):
+            solvers.solve(model, "highs", time_budget=budget)
+
 
 class TestBackendAgreement:
     @pytest.mark.parametrize("seed", range(10))
