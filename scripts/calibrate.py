@@ -72,13 +72,8 @@ def coverage_probe(args):
     cfg, seed = args
     scenario = generate(cfg, seed)
     cov = geometry.build_coverage(scenario)
-    bs = np.zeros((cfg.n_robots, cfg.n_slots), dtype=bool)
-    ris = np.zeros_like(bs)
-    for n in range(cfg.n_slots):
-        for _, r in cov.bs_robot[n]:
-            bs[r, n] = True
-        for _, r in cov.ris_robot[n]:
-            ris[r, n] = True
+    bs = cov.bs_robot.any(axis=1).T     # (robot, slot)
+    ris = cov.ris_robot.any(axis=1).T
     return dark_runs(~(bs | ris), scenario.k_out), 100.0 * (1.0 - bs.mean())
 
 

@@ -173,11 +173,11 @@ def validate(scenario, tables, schedule: AllocationSchedule) -> ValidationReport
     for n in range(n_slots):
         for r in range(n_robots):
             kind, idx = schedule.assignment(r, n)
-            if kind == "bs" and (idx, r) not in cov.bs_robot[n]:
+            if kind == "bs" and not (0 <= idx < cfg.n_bs and cov.bs_robot[n, idx, r]):
                 report.violations.append(Violation(
                     "coverage", (r, n), idx, -1,
                     f"robot {r} assigned to BS {idx} without line of sight"))
-            if kind == "ris" and (idx, r) not in cov.ris_robot[n]:
+            if kind == "ris" and not (0 <= idx < cfg.n_ris and cov.ris_robot[n, idx, r]):
                 report.violations.append(Violation(
                     "coverage", (r, n), idx, -1,
                     f"robot {r} assigned to surface {idx} outside its coverage"))
@@ -189,12 +189,13 @@ def validate(scenario, tables, schedule: AllocationSchedule) -> ValidationReport
                 report.violations.append(Violation(
                     "capacity(12)", (i, n), len(on_ris), u,
                     f"surface {i} serves {len(on_ris)} robots, capacity {u}"))
-            present = set(on_ris)
-            for (ra, rb) in tables.conflicts.at(i, n):
-                if ra in present and rb in present:
-                    report.violations.append(Violation(
-                        "conflict(11)", (i, n), 2, 1,
-                        f"robots {ra} and {rb} share an arrival angle at surface {i}"))
+            if len(on_ris) < 2:
+                continue
+            clash = tables.conflicts[n, i][np.ix_(on_ris, on_ris)]
+            for a, b in np.argwhere(clash).tolist():
+                report.violations.append(Violation(
+                    "conflict(11)", (i, n), 2, 1,
+                    f"robots {on_ris[a]} and {on_ris[b]} share an arrival angle at surface {i}"))
 
     # SINR of every served link, re-evaluated through the channel model
     for n in range(n_slots):

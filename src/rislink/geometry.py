@@ -7,7 +7,7 @@ call from parallel trial workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "Obstacle",
     "RisMount",
     "CoverageMap",
-    "ConflictSets",
     "los_blocked",
     "los_blocked_batch",
     "footprint_diameter",
@@ -219,41 +218,25 @@ def in_beam_cone(origin: Point2D, target: Point2D, probe: Point2D, theta: float,
 
 @dataclass
 class CoverageMap:
-    """Per-slot LoS coverage sets.
+    """Line-of-sight coverage as boolean arrays indexed (slot, source, robot).
 
-    ``bs_robot[n]`` holds (b, r) pairs with clear sight, ``ris_robot[n]``
-    holds (i, r) pairs that are additionally inside the mount's field of view
-    and whose mount has at least one covering BS, and ``bs_ris[n]`` holds
-    (b, i) pairs.  ``serving_bs[n][i]`` is the nearest covering BS of mount i
-    at slot n (the BS whose signal the mount redirects), or None.
+    ``bs_robot[n, b, r]`` is clear sight from BS b to robot r in slot n.
+    ``ris_sight[n, i, r]`` is clear sight from mount i to robot r, and
+    ``ris_robot`` keeps those pairs that are also inside the mount's field of
+    view and whose mount has a serving BS.  ``bs_ris[b, i]`` is the static
+    sight between BS b and mount i; ``serving_bs[i]`` is the nearest covering
+    BS of mount i (the BS whose signal it redirects), or -1.
     """
 
-    n_slots: int
-    bs_robot: list = field(default_factory=list)
-    ris_robot: list = field(default_factory=list)
-    bs_ris: list = field(default_factory=list)
-    serving_bs: list = field(default_factory=list)
-
-    def ris_usable(self, i: int, n: int) -> bool:
-        return self.serving_bs[n][i] is not None
-
-
-@dataclass
-class ConflictSets:
-    """Unordered robot pairs that share an arrival angle at a mount.
-
-    ``pairs[n][i]`` is a sorted list of (r, r') tuples with r < r'; at most
-    one robot of each pair may be scheduled through mount i in slot n.
-    """
-
-    pairs: list
-
-    def at(self, i: int, n: int):
-        return self.pairs[n][i]
+    bs_robot: np.ndarray    # (N, B, R) bool
+    ris_robot: np.ndarray   # (N, I, R) bool
+    ris_sight: np.ndarray   # (N, I, R) bool
+    bs_ris: np.ndarray      # (B, I) bool
+    serving_bs: np.ndarray  # (I,) int
 
 
 def build_coverage(scenario) -> CoverageMap:
-    """Compute all coverage sets for every slot of a scenario.
+    """Compute coverage for every slot of a scenario.
 
     A BS covers a robot with clear sight; a mount covers a robot with clear
     sight inside its field of view, provided the mount itself is covered by
@@ -264,35 +247,23 @@ def build_coverage(scenario) -> CoverageMap:
     n_robots = scenario.config.n_robots
     n_bs = len(scenario.bs_positions)
     n_ris = len(scenario.ris_mounts)
-    cov = CoverageMap(n_slots=n_slots)
 
     bs_xy = np.array([[p.x, p.y] for p in scenario.bs_positions], dtype=float).reshape(n_bs, 2)
     ris_xy = np.array([[m.position.x, m.position.y] for m in scenario.ris_mounts], dtype=float).reshape(n_ris, 2)
 
-    # BS-RIS sight is static; computed once and replicated per slot.
-    static_bs_ris = set()
+    bs_ris = np.zeros((n_bs, n_ris), dtype=bool)
     if n_bs and n_ris:
         a = np.repeat(bs_xy, n_ris, axis=0)
         b = np.tile(ris_xy, (n_bs, 1))
-        hit = los_blocked_batch(a, b, obstacles).reshape(n_bs, n_ris)
-        same = (a == b).all(axis=1).reshape(n_bs, n_ris)
-        for bb in range(n_bs):
-            for ii in range(n_ris):
-                if not hit[bb, ii] and not same[bb, ii]:
-                    static_bs_ris.add((bb, ii))
-    static_serving = []
+        bs_ris = (~los_blocked_batch(a, b, obstacles) & ~(a == b).all(axis=1)).reshape(n_bs, n_ris)
+    serving_bs = np.full(n_ris, -1, dtype=np.int64)
     for i, mount in enumerate(scenario.ris_mounts):
-        covering = [b for b in range(n_bs) if (b, i) in static_bs_ris]
+        covering = np.flatnonzero(bs_ris[:, i]).tolist()
         if covering:
-            static_serving.append(
-                min(covering, key=lambda b: (scenario.bs_positions[b].distance_to(mount.position), b))
-            )
-        else:
-            static_serving.append(None)
+            serving_bs[i] = min(covering, key=lambda b: (scenario.bs_positions[b].distance_to(mount.position), b))
 
     normals = np.array([m.normal for m in scenario.ris_mounts], dtype=float).reshape(n_ris, 2)
     fov = np.array([m.fov_half_angle for m in scenario.ris_mounts], dtype=float)
-    usable = np.array([s is not None for s in static_serving], dtype=bool)
 
     # sight from every BS and mount to every robot in every slot, one batch
     src_xy = np.concatenate([bs_xy, ris_xy])                     # (S, 2)
@@ -307,40 +278,32 @@ def build_coverage(scenario) -> CoverageMap:
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_a = (vec * normals[None, :, None, :]).sum(axis=3) / dist
     in_fov = (dist > 0) & (np.arccos(np.clip(cos_a, -1.0, 1.0)) <= fov[None, :, None] + 1e-12)
-    ris_clear = in_fov & clear[:, n_bs:] & usable[None, :, None]
+    ris_sight = clear[:, n_bs:]
+    return CoverageMap(
+        bs_robot=clear[:, :n_bs],
+        ris_robot=in_fov & ris_sight & (serving_bs >= 0)[None, :, None],
+        ris_sight=ris_sight,
+        bs_ris=bs_ris,
+        serving_bs=serving_bs,
+    )
 
-    for n in range(n_slots):
-        cov.bs_robot.append(set(map(tuple, np.argwhere(clear[n, :n_bs]).tolist())))
-        cov.ris_robot.append(set(map(tuple, np.argwhere(ris_clear[n]).tolist())))
-        cov.bs_ris.append(set(static_bs_ris))
-        cov.serving_bs.append(list(static_serving))
-    return cov
 
+def build_conflicts(scenario, coverage: CoverageMap, conflict_angle: float | None = None) -> np.ndarray:
+    """(N, I, R, R) mask of robot pairs angularly inseparable at a mount.
 
-def build_conflicts(scenario, coverage: CoverageMap, conflict_angle: float | None = None) -> ConflictSets:
-    """Extract robot pairs whose directions from a mount are angularly inseparable.
-
-    Pairs are emitted when both robots are covered by the mount and the
-    separation of the two mount-to-robot directions is at most
-    ``conflict_angle`` (the beamwidth unless overridden).
+    ``[n, i, ra, rb]`` is True, only where ra < rb, when mount i covers both
+    robots in slot n and the separation of the two mount-to-robot directions
+    is at most ``conflict_angle`` (the beamwidth unless overridden).  At most
+    one robot of such a pair may be scheduled through the mount.
     """
     if conflict_angle is None:
         conflict_angle = scenario.config.phys.theta
-    pairs = []
-    for n in range(scenario.config.n_slots):
-        per_ris = []
-        pos = scenario.positions_at(n) if scenario.config.n_robots else None
-        for i, mount in enumerate(scenario.ris_mounts):
-            covered = sorted(r for (ii, r) in coverage.ris_robot[n] if ii == i)
-            found = []
-            if len(covered) > 1:
-                vec = pos[covered] - np.array([mount.position.x, mount.position.y])
-                unit = vec / np.linalg.norm(vec, axis=1, keepdims=True)
-                sep = np.arccos(np.clip(unit @ unit.T, -1.0, 1.0))
-                for a in range(len(covered)):
-                    for b in range(a + 1, len(covered)):
-                        if sep[a, b] <= conflict_angle + 1e-12:
-                            found.append((covered[a], covered[b]))
-            per_ris.append(found)
-        pairs.append(per_ris)
-    return ConflictSets(pairs=pairs)
+    ris_xy = np.array([[m.position.x, m.position.y] for m in scenario.ris_mounts],
+                      dtype=float).reshape(-1, 2)
+    vec = scenario.trajectories.transpose(1, 0, 2)[:, None] - ris_xy[None, :, None]   # (N, I, R, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = vec / np.linalg.norm(vec, axis=3, keepdims=True)
+        sep = np.arccos(np.clip(unit @ unit.swapaxes(2, 3), -1.0, 1.0))
+    cov = coverage.ris_robot
+    both = cov[..., :, None] & cov[..., None, :]
+    return np.triu(both & (sep <= conflict_angle + 1e-12), k=1)

@@ -10,6 +10,7 @@ flag with a non-empty report is a soundness bug and aborts the trial.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -78,6 +79,8 @@ class SweepSpec:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if self.timeout is not None and not (_is_number(self.timeout) and 0 < self.timeout < math.inf):
+            raise ValueError(f"timeout must be None or a positive finite number of seconds, got {self.timeout!r}")
 
 
 @dataclass
@@ -246,23 +249,40 @@ def load_sweep_spec(text: str) -> SweepSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"sweep spec is not valid JSON: {exc}") from exc
-    if doc.get("format") != "rislink-sweep" or doc.get("version") != 1:
+    if not isinstance(doc, dict) or doc.get("format") != "rislink-sweep" or doc.get("version") != 1:
         raise ValueError("expected a rislink-sweep version 1 document")
     for key in ("axis", "values", "config"):
         if key not in doc:
             raise ValueError(f"sweep spec missing {key!r}")
     base = scen._config_from_dict(doc["config"])
     values = doc["values"]
-    if doc["axis"] in ("k_window", "sinr_threshold"):
+    pairs = doc["axis"] in ("k_window", "sinr_threshold")
+
+    def well_formed(v):
+        if pairs:
+            return isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+        return _is_number(v)
+
+    if not isinstance(values, list) or not all(map(well_formed, values)):
+        raise ValueError(f"sweep spec 'values' must be a list of {'[lo, hi] pairs' if pairs else 'numbers'} "
+                         f"for axis {doc['axis']!r}")
+    if pairs:
         values = [tuple(v) for v in values]
-    return SweepSpec(
-        base=base,
-        axis=doc["axis"],
-        values=values,
-        trials=int(doc.get("trials", 100)),
-        methods=tuple(doc.get("methods", list(KNOWN_METHODS))),
-        seed0=int(doc.get("seed0", 0)),
-        backend=doc.get("backend", "highs"),
-        timeout=doc.get("timeout", 600.0),
-        workers=int(doc.get("workers", 1)),
-    )
+    try:
+        return SweepSpec(
+            base=base,
+            axis=doc["axis"],
+            values=values,
+            trials=int(doc.get("trials", 100)),
+            methods=tuple(doc.get("methods", list(KNOWN_METHODS))),
+            seed0=int(doc.get("seed0", 0)),
+            backend=doc.get("backend", "highs"),
+            timeout=doc.get("timeout", 600.0),
+            workers=int(doc.get("workers", 1)),
+        )
+    except TypeError as exc:
+        raise ValueError(f"bad sweep spec field: {exc}") from exc
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)

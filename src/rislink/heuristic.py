@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import channel
 from .allocation import AllocationSchedule, has_service_failure
 
@@ -27,7 +29,7 @@ class HeuristicOutcome:
     failure_at: tuple | None  # first (robot, slot) hitting its outage budget
 
 
-def allocate(tables, scenario, seed: int = 0, sinr_fixed_point: bool = False) -> HeuristicOutcome:
+def allocate(tables, scenario, seed: int = 0) -> HeuristicOutcome:
     """Run the baseline on precomputed tables; pure in (tables, scenario, seed)."""
     cfg = scenario.config
     rng = random.Random(seed)
@@ -43,25 +45,23 @@ def allocate(tables, scenario, seed: int = 0, sinr_fixed_point: bool = False) ->
 
     for n in range(n_n):
         proposals = {}
+        sees_bs, sees_ris = cov.bs_robot[n].T.tolist(), cov.ris_robot[n].T.tolist()
         for r in range(n_r):
-            candidates = []
             pos = scenario.robot_position(r, n)
-            for b in range(cfg.n_bs):
-                if (b, r) in cov.bs_robot[n]:
-                    candidates.append((scenario.bs_positions[b].distance_to(pos), 0, b, "bs"))
-            for i in range(n_i):
-                if (i, r) in cov.ris_robot[n]:
-                    candidates.append((scenario.ris_mounts[i].position.distance_to(pos), 1, i, "ris"))
+            candidates = [(scenario.bs_positions[b].distance_to(pos), 0, b, "bs")
+                          for b, seen in enumerate(sees_bs[r]) if seen]
+            candidates += [(scenario.ris_mounts[i].position.distance_to(pos), 1, i, "ris")
+                           for i, seen in enumerate(sees_ris[r]) if seen]
             if candidates:
                 dist, _, idx, kind = min(candidates)
                 proposals[r] = (kind, idx)
 
-        # conflicts: keep one robot per clashing pair, uniformly at random
-        for i in range(n_i):
-            for (ra, rb) in tables.conflicts.at(i, n):
-                if proposals.get(ra) == ("ris", i) and proposals.get(rb) == ("ris", i):
-                    loser = rng.choice([ra, rb])
-                    del proposals[loser]
+        # conflicts: keep one robot per clashing pair, uniformly at random,
+        # visiting pairs by surface, then (ra, rb)
+        for i, ra, rb in np.argwhere(tables.conflicts[n]).tolist():
+            if proposals.get(ra) == ("ris", i) and proposals.get(rb) == ("ris", i):
+                loser = rng.choice([ra, rb])
+                del proposals[loser]
 
         # capacity: keep at most U robots per surface
         for i in range(n_i):
@@ -85,19 +85,16 @@ def allocate(tables, scenario, seed: int = 0, sinr_fixed_point: bool = False) ->
                 for r in takers:
                     del proposals[r]
 
-        # one simultaneous SINR pass; survivors only improve when violators drop
-        while True:
-            for r, (kind, idx) in proposals.items():
-                if kind == "bs":
-                    schedule.assign_bs(r, n, idx)
-                else:
-                    schedule.assign_ris(r, n, idx)
-            violators = [r for r in proposals if channel.sinr(lt, schedule, r, n) < psi[r]]
-            for r in violators:
-                schedule.assign_outage(r, n)
-                del proposals[r]
-            if not violators or not sinr_fixed_point:
-                break
+        # one simultaneous SINR pass drops every violator at once
+        for r, (kind, idx) in proposals.items():
+            if kind == "bs":
+                schedule.assign_bs(r, n, idx)
+            else:
+                schedule.assign_ris(r, n, idx)
+        violators = [r for r in proposals if channel.sinr(lt, schedule, r, n) < psi[r]]
+        for r in violators:
+            schedule.assign_outage(r, n)
+            del proposals[r]
 
         used = [set(r for r, a in proposals.items() if a == ("ris", i)) for i in range(n_i)]
         history.append(used)

@@ -194,14 +194,6 @@ def _ordered_names(parts, order) -> list:
     return [names[k] for k in order.tolist()]
 
 
-def _covered(pair_sets, n_sources: int, n_robots: int) -> np.ndarray:
-    """(slot, source, robot) mask of the pairs in each slot's coverage set."""
-    mask = np.zeros((len(pair_sets), n_sources, n_robots), dtype=bool)
-    for n, pairs in enumerate(pair_sets):
-        mask[n][tuple(np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T)] = True
-    return mask
-
-
 def _slot_names(label: str, n_slots: int, n_inner: int) -> Callable[[], list]:
     """Names ``label_j_n`` of a family with one row per slot n and index j, slot-major."""
     return lambda: [f"{label}_{j}_{n}" for n in range(n_slots) for j in range(n_inner)]
@@ -277,8 +269,7 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
     # per slot, robot and link (every BS, then every surface): the link's
     # allocation bit, its coverage, and its conditioned signal
     links = np.concatenate([xb.transpose(2, 1, 0), xi.transpose(2, 1, 0)], axis=2)          # (N, R, L)
-    covered = np.concatenate([_covered(tables.coverage.bs_robot, n_b, n_r).transpose(0, 2, 1),
-                              _covered(tables.coverage.ris_robot, n_i, n_r).transpose(0, 2, 1)], axis=2)
+    covered = np.concatenate([tables.coverage.bs_robot, tables.coverage.ris_robot], axis=1).transpose(0, 2, 1)
     signal = np.concatenate([sig_bs.transpose(0, 2, 1), sig_ris.transpose(0, 2, 1)], axis=2)
     lb[links[~covered]] = ub[links[~covered]] = 0
 
@@ -297,8 +288,7 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
         rows.add(key(slot_of_nr, _ONE), "<", 1.0, links.reshape(-1, n_l), 1.0, _slot_names("one", n_n, n_r))
 
     # angular conflicts and surface capacity
-    pairs = np.array([(n, i, ra, rb) for n, per_slot in enumerate(tables.conflicts.pairs)
-                      for i, at in enumerate(per_slot) for ra, rb in at], dtype=np.int64).reshape(-1, 4)
+    pairs = np.argwhere(tables.conflicts)  # (n, i, ra, rb) rows
     pn, pi, pa, pb = pairs.T
     rows.add(key(pn, _CAPACITY, pi), "<", 1.0, np.column_stack([xi[pi, pa, pn], xi[pi, pb, pn]]), 1.0,
              lambda: [f"confl_{i}_{ra}_{rb}_{n}" for n, i, ra, rb in pairs.tolist()])
@@ -423,7 +413,7 @@ def brute_force_optimum(tables, scenario):
         if getattr(cfg, attr) > limit:
             raise ValueError(f"brute force guard exceeded: {attr} > {limit}")
 
-    n_r, n_n, n_b, n_i = cfg.n_robots, cfg.n_slots, cfg.n_bs, cfg.n_ris
+    n_r, n_n, n_i = cfg.n_robots, cfg.n_slots, cfg.n_ris
     lt = tables.tables
     g2 = lt.gain_bs * lt.gain_robot
     psi = tables.psi_linear
@@ -438,8 +428,8 @@ def brute_force_optimum(tables, scenario):
         options = []
         for r in range(n_r):
             opts = [None]
-            opts += [("bs", b) for b in range(n_b) if (b, r) in tables.coverage.bs_robot[n]]
-            opts += [("ris", i) for i in range(n_i) if (i, r) in tables.coverage.ris_robot[n]]
+            opts += [("bs", b) for b in np.flatnonzero(tables.coverage.bs_robot[n, :, r]).tolist()]
+            opts += [("ris", i) for i in np.flatnonzero(tables.coverage.ris_robot[n, :, r]).tolist()]
             options.append(opts)
         feasible = []
         for combo in itertools.product(*options):
@@ -449,15 +439,7 @@ def brute_force_optimum(tables, scenario):
                     per_ris.setdefault(a[1], set()).add(r)
             if any(len(s) > u for s in per_ris.values()):
                 continue
-            conflicted = False
-            for i, served in per_ris.items():
-                for (ra, rb) in tables.conflicts.at(i, n):
-                    if ra in served and rb in served:
-                        conflicted = True
-                        break
-                if conflicted:
-                    break
-            if conflicted:
+            if any(tables.conflicts[n, i][np.ix_(list(s), list(s))].any() for i, s in per_ris.items()):
                 continue
             ok = True
             for r, a in enumerate(combo):

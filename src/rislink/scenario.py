@@ -15,7 +15,7 @@ import numpy as np
 
 from . import channel, geometry
 from .channel import LinkPowerTables, PhysParams
-from .geometry import ConflictSets, CoverageMap, Obstacle, Point2D, RisMount
+from .geometry import CoverageMap, Obstacle, Point2D, RisMount
 
 SCHEMA_NAME = "rislink-scenario"
 SCHEMA_VERSION = 1
@@ -165,7 +165,7 @@ class DerivedTables:
     """Everything the optimizers need, precomputed once per scenario."""
 
     coverage: CoverageMap
-    conflicts: ConflictSets
+    conflicts: np.ndarray  # (N, I, R, R) bool, see geometry.build_conflicts
     tables: LinkPowerTables
     u_effective: int
     psi_linear: np.ndarray
@@ -381,15 +381,17 @@ def precompute(scenario: Scenario) -> DerivedTables:
     bs_xy = np.array([[p.x, p.y] for p in scenario.bs_positions], dtype=float).reshape(n_b, 2)
     ris_xy = np.array([[m.position.x, m.position.y] for m in scenario.ris_mounts], dtype=float).reshape(n_i, 2)
     half_theta = phys.theta / 2.0
+    # free-space amplitude of each surface's feed from its serving BS
+    feed = np.zeros(n_i)
+    for i, serving in enumerate(coverage.serving_bs.tolist()):
+        if serving >= 0:
+            d1 = scenario.bs_positions[serving].distance_to(scenario.ris_mounts[i].position)
+            feed[i] = phys.c / (4.0 * math.pi * phys.freq * max(d1, channel.MIN_DISTANCE))
 
     for n in range(n_n):
         pos = scenario.positions_at(n) if n_r else np.zeros((0, 2))
-        cov_bs = np.zeros((n_b, n_r), dtype=bool)
-        for (b, r) in coverage.bs_robot[n]:
-            cov_bs[b, r] = True
-        cov_ris = np.zeros((n_i, n_r), dtype=bool)
-        for (i, r) in coverage.ris_robot[n]:
-            cov_ris[i, r] = True
+        cov_bs = coverage.bs_robot[n]
+        cov_ris = coverage.ris_robot[n]
 
         if n_b and n_r:
             vec_b = pos[None, :, :] - bs_xy[:, None, :]          # (B, R, 2)
@@ -413,13 +415,6 @@ def precompute(scenario: Scenario) -> DerivedTables:
             vec_i = pos[None, :, :] - ris_xy[:, None, :]
             dist_i = np.linalg.norm(vec_i, axis=2)
             amp2 = phys.c / (4.0 * math.pi * phys.freq * np.maximum(dist_i, channel.MIN_DISTANCE))
-            feed = np.zeros(n_i)
-            for i in range(n_i):
-                serving = coverage.serving_bs[n][i]
-                if serving is None:
-                    continue
-                d1 = scenario.bs_positions[serving].distance_to(scenario.ris_mounts[i].position)
-                feed[i] = phys.c / (4.0 * math.pi * phys.freq * max(d1, channel.MIN_DISTANCE))
             cascade = feed[:, None] * phys.n_elements * amp2
             pwr_i = phys.p_bs * cascade * cascade
             p_ris[n] = np.where(cov_ris, pwr_i, 0.0)
@@ -428,11 +423,7 @@ def precompute(scenario: Scenario) -> DerivedTables:
                 cosm = np.einsum("irk,isk->irs", unit, unit)
                 dots = np.einsum("irk,isk->irs", vec_i, vec_i)
                 in_cone = (np.arccos(np.clip(cosm, -1, 1)) <= half_theta + 1e-12) & (dots > 0)
-            a = np.repeat(ris_xy, n_r, axis=0)
-            t = np.tile(pos, (n_i, 1))
-            clear = ~geometry.los_blocked_batch(a, t, scenario.obstacles).reshape(n_i, n_r)
-            clear &= dist_i > 0
-            gate = cov_ris[:, :, None] & in_cone & clear[:, None, :]
+            gate = cov_ris[:, :, None] & in_cone & coverage.ris_sight[n][:, None, :]
             np.einsum("irr->ir", gate)[:] = False
             xi_ris[n] = np.where(gate, (gain * gain) * pwr_i[:, None, :], 0.0)
 
@@ -625,6 +616,15 @@ def deserialize(text: str) -> Scenario:
         trajectories = np.zeros(expected)
     if psi.shape != (config.n_robots,) or k_out.shape != (config.n_robots,):
         raise ScenarioFormatError("per-robot QoS arrays disagree with config n_robots")
+    # per-robot data that generate could never produce
+    if not (np.isfinite(trajectories).all() and np.isfinite(psi).all()):
+        raise ScenarioFormatError("trajectories and SINR thresholds must be finite")
+    x, y = trajectories[..., 0], trajectories[..., 1]
+    if ((x < 0.0) | (x > config.floor_width) | (y < 0.0) | (y > config.floor_height)).any():
+        raise ScenarioFormatError(
+            f"a robot position lies outside the {config.floor_width:g} x {config.floor_height:g} m floor")
+    if (k_out < 1).any():
+        raise ScenarioFormatError("outage_window_slots must be >= 1")
 
     return Scenario(
         config=config,

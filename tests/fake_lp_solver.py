@@ -4,12 +4,15 @@ Invoked as: python fake_lp_solver.py MODEL_PATH SOLUTION_PATH
 Exercises the whole file-based adapter path end to end.
 """
 
+import os
 import sys
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from rislink.lpio import parse_lp, parse_mps, write_solution
+# a process of its own: find the package the way pytest's pythonpath does
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+from rislink.lpio import parse_lp, parse_mps, write_solution  # noqa: E402
 
 
 def main():

@@ -92,10 +92,10 @@ class TestCriterion4NarrativeInstance:
     def test_coverage_matches_story(self, solved):
         scenario, tables, _, _ = solved
         cov = tables.coverage
-        assert {r for (i, r) in cov.ris_robot[1] if i == 0} == {0, 1, 2, 3}
-        assert {r for (i, r) in cov.ris_robot[1] if i == 1} == {3, 4, 5}
-        assert tables.conflicts.at(0, 1) == [(0, 1)]
-        assert sorted(tables.conflicts.at(1, 1)) == [(3, 4), (3, 5), (4, 5)]
+        assert np.flatnonzero(cov.ris_robot[1, 0]).tolist() == [0, 1, 2, 3]
+        assert np.flatnonzero(cov.ris_robot[1, 1]).tolist() == [3, 4, 5]
+        assert np.argwhere(tables.conflicts[1, 0]).tolist() == [[0, 1]]
+        assert np.argwhere(tables.conflicts[1, 1]).tolist() == [[3, 4], [3, 5], [4, 5]]
 
     def test_optimum_serves_the_pocket_through_i1(self, solved):
         scenario, tables, model, res = solved

@@ -166,6 +166,14 @@ class TestValidate:
         report = validate(scenario, tables, s)
         assert "coverage" in report.families()
 
+    def test_out_of_range_link_reported(self, showcase):
+        scenario, tables = showcase
+        s = AllocationSchedule.all_outage(6, 2)
+        s.assign_bs(3, 1, -1)  # BS 1 covers robot 3 in slot 1; -1 must not wrap to it
+        s.assign_ris(4, 1, -1)
+        report = validate(scenario, tables, s)
+        assert [v.where for v in report.violations if v.family == "coverage"] == [(3, 1), (4, 1)]
+
     def test_capacity_overflow_reported(self, showcase):
         scenario, tables = showcase
         s = AllocationSchedule.all_outage(6, 2)

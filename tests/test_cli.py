@@ -42,7 +42,8 @@ class TestGenerateSolveValidate:
         rc = run_cli("heuristic", str(scenario_file), "--seed", "1",
                      "--output", str(tmp_path / "h.json"))
         assert rc == 0
-        assert "feasib" in capsys.readouterr().err or True
+        err = capsys.readouterr().err
+        assert err.startswith("feasible") or err.startswith("service failure")
 
     def test_timeout_exit_code(self, scenario_file):
         # the bundled search cannot finish in a nanosecond
@@ -57,6 +58,16 @@ class TestGenerateSolveValidate:
         rc = run_cli(command, str(scenario_file), flag, value)
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "heuristic"])
+    def test_impossible_robot_data_is_error(self, scenario_file, command, capsys):
+        # a zero outage window once made solve report infeasible and the
+        # heuristic report feasible on the same file
+        doc = json.loads(scenario_file.read_text())
+        doc["outage_window_slots"][0] = 0
+        scenario_file.write_text(json.dumps(doc))
+        assert run_cli(command, str(scenario_file)) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_malformed_file_is_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -105,6 +116,23 @@ class TestSweepCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 2 * 2
+
+    def test_malformed_spec_is_error(self, tmp_path, capsys):
+        spec = {
+            "format": "rislink-sweep",
+            "version": 1,
+            "axis": "robots",
+            "values": [2],
+            "methods": ["heuristic", "ilp"],
+            "timeout": "60",
+            "config": _config_to_dict(ScenarioConfig(n_robots=2, n_slots=4, n_ris=2, n_obstacles=2)),
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", str(spec_path), "--output", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_full_axis_row_count(self, tmp_path):
         # seven robot counts, one cheap method: 7 rows plus the header

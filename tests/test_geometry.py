@@ -11,6 +11,7 @@ from rislink.geometry import (
     Obstacle,
     Point2D,
     RisMount,
+    angle_between,
     build_conflicts,
     build_coverage,
     footprint_diameter,
@@ -185,8 +186,8 @@ class TestCoverage:
         cfg = ScenarioConfig(n_bs=1, n_ris=0, n_robots=1, n_slots=6, n_obstacles=0)
         s = generate(cfg, 3)
         cov = build_coverage(s)
-        for n in range(6):
-            assert (0, 0) in cov.bs_robot[n]
+        assert cov.bs_robot.shape == (6, 1, 1)
+        assert cov.bs_robot.all()
 
     def test_robot_behind_mount_wall_not_covered(self):
         cfg = ScenarioConfig(n_bs=1, n_ris=1, n_robots=1, n_slots=1, n_obstacles=0,
@@ -198,9 +199,9 @@ class TestCoverage:
         s.ris_mounts[0] = RM(Point2D(20.0, 40.0), (0.0, -1.0), math.radians(60.0))
         s.trajectories[0, 0] = (39.9, 39.99)
         mount = s.ris_mounts[0]
-        assert not mount.sees(Point2D(39.9, 39.99)) or True  # FoV sector check below
+        assert not mount.sees(Point2D(39.9, 39.99))
         cov = build_coverage(s)
-        assert (0, 0) not in cov.ris_robot[0]
+        assert not cov.ris_robot[0, 0, 0]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_extra_obstacle_is_monotone(self, seed):
@@ -209,26 +210,30 @@ class TestCoverage:
         s_more = small_scenario(seed)
         s_more.obstacles = list(s.obstacles) + [Obstacle(12.0, 12.0, 18.0, 18.0)]
         cov_more = build_coverage(s_more)
-        for n in range(s.config.n_slots):
-            assert cov_more.bs_robot[n] <= cov.bs_robot[n]
-            assert cov_more.ris_robot[n] <= cov.ris_robot[n]
-            assert cov_more.bs_ris[n] <= cov.bs_ris[n]
+        assert not (cov_more.bs_robot & ~cov.bs_robot).any()
+        assert not (cov_more.ris_robot & ~cov.ris_robot).any()
+        assert not (cov_more.bs_ris & ~cov.bs_ris).any()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_pairwise_definition(self, seed):
-        # the batched sets equal their definition checked pair by pair with
+        # the batched masks equal their definition checked pair by pair with
         # the scalar routines, on a floor dense with machines
         s = generate(replace(EXPERIMENT_CONFIG, n_robots=6, n_slots=8), seed)
         cov = build_coverage(s)
+        bs_ris = [[points_differ(p, m.position) and not los_blocked(p, m.position, s.obstacles)
+                   for m in s.ris_mounts] for p in s.bs_positions]
+        assert np.array_equal(cov.bs_ris, bs_ris)
         for n in range(s.config.n_slots):
             robots = [s.robot_position(r, n) for r in range(s.config.n_robots)]
-            bs = {(b, r) for b, p in enumerate(s.bs_positions) for r, q in enumerate(robots)
-                  if points_differ(p, q) and not los_blocked(p, q, s.obstacles)}
-            ris = {(i, r) for i, m in enumerate(s.ris_mounts) for r, q in enumerate(robots)
-                   if cov.serving_bs[n][i] is not None and m.sees(q)
-                   and not los_blocked(m.position, q, s.obstacles)}
-            assert cov.bs_robot[n] == bs
-            assert cov.ris_robot[n] == ris
+            bs = [[points_differ(p, q) and not los_blocked(p, q, s.obstacles) for q in robots]
+                  for p in s.bs_positions]
+            sight = [[points_differ(m.position, q) and not los_blocked(m.position, q, s.obstacles)
+                      for q in robots] for m in s.ris_mounts]
+            ris = [[cov.serving_bs[i] >= 0 and m.sees(q) and seen for q, seen in zip(robots, sight[i])]
+                   for i, m in enumerate(s.ris_mounts)]
+            assert np.array_equal(cov.bs_robot[n], bs)
+            assert np.array_equal(cov.ris_sight[n], sight)
+            assert np.array_equal(cov.ris_robot[n], ris)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_blocked_pairs_stay_blocked(self, seed):
@@ -255,7 +260,7 @@ class TestConflicts:
         s.k_out = s.k_out[:2]
         cov = build_coverage(s)
         conf = build_conflicts(s, cov)
-        assert (0, 1) in conf.at(0, 0)
+        assert conf[0, 0, 0, 1]
 
     def test_orthogonal_robots_do_not_conflict(self):
         s = small_scenario(0, n_obstacles=0)
@@ -269,19 +274,16 @@ class TestConflicts:
         s.k_out = s.k_out[:2]
         cov = build_coverage(s)
         conf = build_conflicts(s, cov)
-        assert conf.at(0, 0) == []
+        assert not conf[0, 0].any()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_conflict_pairs_are_covered(self, seed):
         s = small_scenario(seed)
         cov = build_coverage(s)
         conf = build_conflicts(s, cov)
-        for n in range(s.config.n_slots):
-            for i in range(len(s.ris_mounts)):
-                for (ra, rb) in conf.at(i, n):
-                    assert (i, ra) in cov.ris_robot[n]
-                    assert (i, rb) in cov.ris_robot[n]
-                    assert ra < rb
+        assert not (conf & ~cov.ris_robot[..., :, None]).any()
+        assert not (conf & ~cov.ris_robot[..., None, :]).any()
+        assert not np.tril(conf).any()  # only ra < rb
 
     @pytest.mark.parametrize("seed", range(4))
     def test_surviving_conflicts_stay_under_extra_obstacle(self, seed):
@@ -291,11 +293,31 @@ class TestConflicts:
         s.obstacles = list(s.obstacles) + [Obstacle(12.0, 12.0, 18.0, 18.0)]
         cov2 = build_coverage(s)
         conf2 = build_conflicts(s, cov2)
+        both2 = cov2.ris_robot[..., :, None] & cov2.ris_robot[..., None, :]
+        assert not (conf & both2 & ~conf2).any()
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_pairwise_definition(self, seed):
+        # the mask equals its definition checked pair by pair with the scalar
+        # angle, on the floor dense with machines, where some robots near in
+        # angle are hidden from the surface
+        s = generate(replace(EXPERIMENT_CONFIG, n_robots=14, n_slots=6), seed)
+        cov = build_coverage(s)
+        conf = build_conflicts(s, cov)
+        theta = s.config.phys.theta
+        expected = np.zeros_like(conf)
+        near_but_hidden = 0
         for n in range(s.config.n_slots):
-            for i in range(len(s.ris_mounts)):
-                for (ra, rb) in conf.at(i, n):
-                    if (i, ra) in cov2.ris_robot[n] and (i, rb) in cov2.ris_robot[n]:
-                        assert (ra, rb) in conf2.at(i, n)
+            for i, m in enumerate(s.ris_mounts):
+                vec = s.positions_at(n) - (m.position.x, m.position.y)
+                for ra in range(s.config.n_robots):
+                    for rb in range(ra + 1, s.config.n_robots):
+                        near = angle_between(*vec[ra], *vec[rb]) <= theta + 1e-12
+                        covered = cov.ris_robot[n, i, ra] and cov.ris_robot[n, i, rb]
+                        expected[n, i, ra, rb] = near and covered
+                        near_but_hidden += near and not covered
+        assert near_but_hidden > 0 and expected.any()
+        assert np.array_equal(conf, expected)
 
 
 def _cfg_dict(cfg):

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -114,19 +115,24 @@ class TestRunSweep:
         assert len(set(map(frozenset, seeds_at.values()))) == 1
 
 
+def _spec_doc(**overrides):
+    doc = {
+        "format": "rislink-sweep",
+        "version": 1,
+        "axis": "k_window",
+        "values": [[4, 5], [7, 8]],
+        "trials": 2,
+        "methods": ["heuristic"],
+        "seed0": 5,
+        "config": _config_to_dict(FAST_CFG),
+    }
+    doc.update(overrides)
+    return doc
+
+
 class TestSweepSpecFile:
     def test_load_round_trip(self):
-        doc = {
-            "format": "rislink-sweep",
-            "version": 1,
-            "axis": "k_window",
-            "values": [[4, 5], [7, 8]],
-            "trials": 2,
-            "methods": ["heuristic"],
-            "seed0": 5,
-            "config": _config_to_dict(FAST_CFG),
-        }
-        spec = load_sweep_spec(json.dumps(doc))
+        spec = load_sweep_spec(json.dumps(_spec_doc()))
         assert spec.axis == "k_window"
         assert spec.values == [(4, 5), (7, 8)]
         assert spec.base == FAST_CFG
@@ -138,6 +144,31 @@ class TestSweepSpecFile:
             load_sweep_spec("{}")
         with pytest.raises(ValueError):
             load_sweep_spec("not json")
+
+    @pytest.mark.parametrize("doc", [
+        [_spec_doc()],
+        _spec_doc(timeout="60"),
+        _spec_doc(timeout=0),
+        _spec_doc(timeout=math.inf),
+        _spec_doc(values=[3]),
+        _spec_doc(values=[[4, 5, 6]]),
+        _spec_doc(values=[[4, None]]),
+        _spec_doc(values=4),
+        _spec_doc(axis="robots", values=[[3]]),
+        _spec_doc(trials=None),
+        _spec_doc(methods=5),
+    ], ids=["not-an-object", "string-timeout", "zero-timeout", "infinite-timeout",
+            "scalar-on-range-axis", "triple-on-range-axis", "null-in-range", "values-not-a-list",
+            "pair-on-scalar-axis", "null-trials", "scalar-methods"])
+    def test_malformed_spec_rejected(self, doc):
+        with pytest.raises(ValueError):
+            load_sweep_spec(json.dumps(doc))
+
+    def test_timeout_validated(self):
+        assert SweepSpec(base=FAST_CFG, axis="robots", values=[1], timeout=None).timeout is None
+        for bad in ("60", -1.0, math.nan, True):
+            with pytest.raises(ValueError, match="timeout"):
+                SweepSpec(base=FAST_CFG, axis="robots", values=[1], timeout=bad)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):

@@ -108,12 +108,3 @@ class TestInvariants:
             wins += out.schedule.outage_count() > round(res.objective)
         # the exact solver is strictly better somewhere across the batch
         assert wins > 0
-
-    def test_fixed_point_mode_no_worse(self):
-        for seed in range(5):
-            s = generate(ScenarioConfig(n_robots=8, n_slots=10, n_obstacles=4,
-                                        u_override=2), seed)
-            t = precompute(s)
-            single = allocate(t, s, seed=seed)
-            fp = allocate(t, s, seed=seed, sinr_fixed_point=True)
-            assert fp.schedule.outage_count() <= single.schedule.outage_count()

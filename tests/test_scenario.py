@@ -131,8 +131,9 @@ class TestPrecompute:
         cfg = ScenarioConfig(n_bs=1, n_ris=0, n_robots=1, n_slots=8, n_obstacles=0)
         s = generate(cfg, 2)
         t = precompute(s)
-        assert all((0, 0) in t.coverage.bs_robot[n] for n in range(8))
-        assert all(t.conflicts.at(i, n) == [] for n in range(8) for i in range(0))
+        assert t.coverage.bs_robot.shape == (8, 1, 1)
+        assert t.coverage.bs_robot.all()
+        assert t.conflicts.shape == (8, 0, 1, 1)
         assert (t.tables.p_direct > 0).all()
         assert not t.tables.xi_bs.any()
         assert not t.tables.xi_ris.any()
@@ -145,9 +146,9 @@ class TestPrecompute:
         assert np.array_equal(t1.tables.p_ris, t2.tables.p_ris)
         assert np.array_equal(t1.tables.xi_bs, t2.tables.xi_bs)
         assert np.array_equal(t1.tables.xi_ris, t2.tables.xi_ris)
-        assert t1.coverage.bs_robot == t2.coverage.bs_robot
-        assert t1.coverage.ris_robot == t2.coverage.ris_robot
-        assert t1.conflicts.pairs == t2.conflicts.pairs
+        assert np.array_equal(t1.coverage.bs_robot, t2.coverage.bs_robot)
+        assert np.array_equal(t1.coverage.ris_robot, t2.coverage.ris_robot)
+        assert np.array_equal(t1.conflicts, t2.conflicts)
 
     def test_u_derived_from_elements(self):
         s = generate(CFG, 1)
@@ -196,10 +197,29 @@ class TestSerialization:
         with pytest.raises(ScenarioFormatError):
             deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["trajectories_m"][0][3].__setitem__(0, math.nan),
+        lambda d: d["trajectories_m"][1][0].__setitem__(1, math.inf),
+        lambda d: d["sinr_thresholds"].__setitem__(2, math.nan),
+        lambda d: d["trajectories_m"][0][0].__setitem__(0, 500.0),
+        lambda d: d["trajectories_m"][2][4].__setitem__(1, -0.5),
+        lambda d: d["outage_window_slots"].__setitem__(0, 0),
+    ], ids=["nan-x", "inf-y", "nan-threshold", "x-beyond-floor", "y-below-floor", "zero-window"])
+    def test_impossible_robot_data_rejected(self, edit):
+        doc = json.loads(serialize(generate(CFG, 1)))
+        edit(doc)
+        with pytest.raises(ScenarioFormatError):
+            deserialize(json.dumps(doc))
+
+    def test_negative_db_thresholds_accepted(self):
+        s = generate(replace(CFG, sinr_threshold_db=True, psi_range=(-3.0, -1.0), qos_draw="uniform"), 1)
+        assert (s.psi < 0).all()
+        assert deserialize(serialize(s)) == s
+
     def test_minimal_hand_written_fixture(self, tmp_path):
         with open("tests/data/minimal_scenario.json") as fh:
             s = deserialize(fh.read())
         assert s.config.n_robots == 1
         assert s.config.n_slots == 2
         t = precompute(s)
-        assert (0, 0) in t.coverage.bs_robot[0]
+        assert t.coverage.bs_robot[0, 0, 0]
