@@ -3,7 +3,7 @@
 Modules: ``geometry`` (occlusion, cones, coverage), ``channel`` (SINR model),
 ``scenario`` (generation, precomputation, files), ``allocation`` (schedules,
 validation, metrics), ``milp`` (model builder and brute-force oracle),
-``solvers`` (branch and bound, HiGHS, external adapter), ``lpio`` (LP/MPS),
+``solvers`` (HiGHS, external adapter), ``lpio`` (LP/MPS),
 ``heuristic`` (shortest-distance baseline), ``harness`` (trials and sweeps).
 """
 

@@ -197,25 +197,32 @@ def validate(scenario, tables, schedule: AllocationSchedule) -> ValidationReport
                     "conflict(11)", (i, n), 2, 1,
                     f"robots {on_ris[a]} and {on_ris[b]} share an arrival angle at surface {i}"))
 
+    # A link to a BS or surface that does not exist is reported above; the
+    # SINR and readiness checks see it as an outage and never index with it.
+    linked = schedule.copy()
+    limit = np.where(linked.kind == BS, cfg.n_bs, cfg.n_ris)
+    stray = (linked.kind != OUTAGE) & ((linked.index < 0) | (linked.index >= limit))
+    linked.kind[stray], linked.index[stray] = OUTAGE, -1
+
     # SINR of every served link, re-evaluated through the channel model
     for n in range(n_slots):
         for r in range(n_robots):
-            if schedule.is_outage(r, n):
+            if linked.is_outage(r, n):
                 continue
-            value = channel.sinr(tables.tables, schedule, r, n)
-            family = "sinr_bs(13)" if schedule.kind[r, n] == BS else "sinr_ris(14)"
+            value = channel.sinr(tables.tables, linked, r, n)
+            family = "sinr_bs(13)" if linked.kind[r, n] == BS else "sinr_ris(14)"
             if value < psi[r] * (1.0 - SINR_REL_TOL):
                 report.violations.append(Violation(
                     family, (r, n), value, float(psi[r]),
                     f"robot {r} served below its SINR threshold in slot {n}"))
 
     # surface readiness: a served robot requires its surface not busy
-    hist = derive_history(schedule, cfg.n_ris, cfg.d_reconfig, u)
+    hist = derive_history(linked, cfg.n_ris, cfg.d_reconfig, u)
     for n in range(n_slots):
         for i in range(cfg.n_ris):
             if not hist.c[i, n]:
                 continue
-            for r in schedule.robots_on_ris(i, n):
+            for r in linked.robots_on_ris(i, n):
                 report.violations.append(Violation(
                     "ris_ready(16,19)", (i, r, n), 1, 0,
                     f"robot {r} served by surface {i} while it is reconfiguring"))

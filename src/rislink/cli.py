@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import allocation, harness, heuristic, lpio, milp, scenario as scen, solvers
 
@@ -12,6 +13,15 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_TIMEOUT = 3
+
+
+class UsageError(Exception):
+    """A malformed command line; reported like every other error (exit 1)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -54,17 +64,19 @@ def _config_from_args(args) -> scen.ScenarioConfig:
     if args.capacity is not None:
         overrides["u_override"] = args.capacity
     if overrides:
-        from dataclasses import replace
         cfg = replace(cfg, **overrides)
     return cfg
 
 
 def _parse_backend(value: str):
-    if value in ("highs", "bnb"):
+    if value == "highs":
         return value
     if value.startswith("external:"):
-        return solvers.ExternalBackend(value[len("external:"):].split())
-    raise argparse.ArgumentTypeError("backend must be 'highs', 'bnb', or 'external:CMD {model} {solution}'")
+        try:
+            return solvers.ExternalBackend(value[len("external:"):].split())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    raise argparse.ArgumentTypeError("backend must be 'highs' or 'external:CMD {model} {solution}'")
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -138,7 +150,6 @@ def cmd_sweep(args) -> int:
     with open(args.spec) as fh:
         spec = harness.load_sweep_spec(fh.read())
     if args.workers is not None:
-        from dataclasses import replace
         spec = replace(spec, workers=args.workers)
     table = harness.run_sweep(spec)
     _write_output(harness.sweep_to_csv(table), args.output)
@@ -154,7 +165,7 @@ def cmd_export_model(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rislink",
         description="Outage-minimal BS/RIS allocation: scenario generator, solvers, and sweeps.",
     )
@@ -197,11 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (scen.ScenarioFormatError, scen.GenerationError, milp.ModelError,
+    except (UsageError, scen.ScenarioFormatError, scen.GenerationError, milp.ModelError,
             solvers.BackendError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -65,7 +65,6 @@ class SweepSpec:
     trials: int = 100
     methods: tuple = ("ilp", "heuristic", "no-ris")
     seed0: int = 0
-    backend: str = "highs"
     timeout: float | None = 600.0
     workers: int = 1
 
@@ -81,6 +80,8 @@ class SweepSpec:
                 raise ValueError(f"unknown method {m!r}")
         if self.timeout is not None and not (_is_number(self.timeout) and 0 < self.timeout < math.inf):
             raise ValueError(f"timeout must be None or a positive finite number of seconds, got {self.timeout!r}")
+        if not (isinstance(self.workers, int) and not isinstance(self.workers, bool) and self.workers >= 1):
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
 
 
 @dataclass
@@ -125,9 +126,9 @@ def axis_label(axis: str, value) -> float:
     return float(value)
 
 
-def _solve_ilp(scenario, tables, backend, timeout) -> MethodResult:
+def _solve_ilp(scenario, tables, timeout) -> MethodResult:
     model = milp.build_model(tables, scenario)
-    result = solvers.solve(model, backend=backend, time_budget=timeout)
+    result = solvers.solve(model, time_budget=timeout)
     if result.status == "optimal":
         sched = milp.extract_schedule(model, result.values)
         report = allocation.validate(scenario, tables, sched)
@@ -147,7 +148,7 @@ def _solve_ilp(scenario, tables, backend, timeout) -> MethodResult:
 
 
 def run_trial(config: scen.ScenarioConfig, seed: int, methods=KNOWN_METHODS,
-              backend="highs", timeout: float | None = 600.0) -> TrialResult:
+              timeout: float | None = 600.0) -> TrialResult:
     """Generate one scenario and run each requested method on it."""
     scenario = scen.generate(config, seed)
     # the no-RIS baseline alone needs only the stripped scenario's tables
@@ -155,10 +156,10 @@ def run_trial(config: scen.ScenarioConfig, seed: int, methods=KNOWN_METHODS,
     out = {}
     for method in methods:
         if method == "ilp":
-            out[method] = _solve_ilp(scenario, tables, backend, timeout)
+            out[method] = _solve_ilp(scenario, tables, timeout)
         elif method == "no-ris":
             bare = scen.strip_ris(scenario)
-            out[method] = _solve_ilp(bare, scen.precompute(bare), backend, timeout)
+            out[method] = _solve_ilp(bare, scen.precompute(bare), timeout)
         elif method == "heuristic":
             t0 = time.perf_counter()
             outcome = heuristic.allocate(tables, scenario, seed=seed)
@@ -184,8 +185,7 @@ def run_trial(config: scen.ScenarioConfig, seed: int, methods=KNOWN_METHODS,
 
 
 def _trial_job(args):
-    config, seed, methods, backend, timeout = args
-    return run_trial(config, seed, methods, backend, timeout)
+    return run_trial(*args)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -195,8 +195,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     for value in spec.values:
         config = apply_axis(spec.base, spec.axis, value)
         for t in range(spec.trials):
-            jobs.append((axis_label(spec.axis, value), (config, spec.seed0 + t, spec.methods,
-                                                        spec.backend, spec.timeout)))
+            jobs.append((axis_label(spec.axis, value), (config, spec.seed0 + t, spec.methods, spec.timeout)))
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             results = list(pool.map(_trial_job, [j[1] for j in jobs]))
@@ -276,9 +275,8 @@ def load_sweep_spec(text: str) -> SweepSpec:
             trials=int(doc.get("trials", 100)),
             methods=tuple(doc.get("methods", list(KNOWN_METHODS))),
             seed0=int(doc.get("seed0", 0)),
-            backend=doc.get("backend", "highs"),
             timeout=doc.get("timeout", 600.0),
-            workers=int(doc.get("workers", 1)),
+            workers=doc.get("workers", 1),
         )
     except TypeError as exc:
         raise ValueError(f"bad sweep spec field: {exc}") from exc

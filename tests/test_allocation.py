@@ -166,13 +166,17 @@ class TestValidate:
         report = validate(scenario, tables, s)
         assert "coverage" in report.families()
 
-    def test_out_of_range_link_reported(self, showcase):
+    # B = I = 2, so index 2 names no BS or surface; -1 must not wrap to the
+    # last one (BS 1 covers robot 3 in slot 1)
+    @pytest.mark.parametrize("assign", ["assign_bs", "assign_ris"])
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_out_of_range_link_reported(self, showcase, assign, index):
         scenario, tables = showcase
         s = AllocationSchedule.all_outage(6, 2)
-        s.assign_bs(3, 1, -1)  # BS 1 covers robot 3 in slot 1; -1 must not wrap to it
-        s.assign_ris(4, 1, -1)
+        getattr(s, assign)(3, 1, index)
+        s.assign_bs(5, 1, 1)  # its interference sum passes robot 3's link
         report = validate(scenario, tables, s)
-        assert [v.where for v in report.violations if v.family == "coverage"] == [(3, 1), (4, 1)]
+        assert [v.where for v in report.violations if v.family == "coverage"] == [(3, 1)]
 
     def test_capacity_overflow_reported(self, showcase):
         scenario, tables = showcase

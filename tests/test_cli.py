@@ -46,9 +46,8 @@ class TestGenerateSolveValidate:
         assert err.startswith("feasible") or err.startswith("service failure")
 
     def test_timeout_exit_code(self, scenario_file):
-        # the bundled search cannot finish in a nanosecond
-        rc = run_cli("solve", str(scenario_file), "--backend", "bnb", "--timeout", "1e-9")
-        assert rc == 3
+        # HiGHS cannot finish in a nanosecond
+        assert run_cli("solve", str(scenario_file), "--timeout", "1e-9") == 3
 
     @pytest.mark.parametrize("command, flag, value", [
         ("solve", "--timeout", "-1"), ("solve", "--timeout", "nan"),
@@ -68,6 +67,28 @@ class TestGenerateSolveValidate:
         scenario_file.write_text(json.dumps(doc))
         assert run_cli(command, str(scenario_file)) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "SCENARIO", "--backend", "nope"],
+        ["solve", "SCENARIO", "--backend", "bnb"],
+        ["solve", "SCENARIO", "--backend", "external:"],
+        ["solve", "SCENARIO", "--timeout", "soon"],
+        ["sweep"],
+        ["frobnicate"],
+        [],
+    ], ids=["unknown-backend", "removed-backend", "empty-external-command", "non-numeric-timeout",
+            "sweep-without-spec", "unknown-command", "no-command"])
+    def test_usage_error_exits_1(self, scenario_file, args, capsys):
+        argv = [str(scenario_file) if a == "SCENARIO" else a for a in args]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
 
     def test_malformed_file_is_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -117,20 +138,26 @@ class TestSweepCommand:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 2 * 2
 
-    def test_malformed_spec_is_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fields, flags", [
+        ({"timeout": "60"}, []),
+        ({"workers": 0}, []),
+        ({"workers": -1}, []),
+        ({}, ["--workers", "0"]),
+    ], ids=["string-timeout", "zero-workers", "negative-workers", "zero-workers-flag"])
+    def test_malformed_spec_is_error(self, tmp_path, capsys, fields, flags):
         spec = {
             "format": "rislink-sweep",
             "version": 1,
             "axis": "robots",
             "values": [2],
             "methods": ["heuristic", "ilp"],
-            "timeout": "60",
             "config": _config_to_dict(ScenarioConfig(n_robots=2, n_slots=4, n_ris=2, n_obstacles=2)),
+            **fields,
         }
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "sweep.csv"
-        assert run_cli("sweep", str(spec_path), "--output", str(out)) == 1
+        assert run_cli("sweep", str(spec_path), "--output", str(out), *flags) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 

@@ -157,9 +157,15 @@ class TestSweepSpecFile:
         _spec_doc(axis="robots", values=[[3]]),
         _spec_doc(trials=None),
         _spec_doc(methods=5),
+        _spec_doc(workers=0),
+        _spec_doc(workers=-1),
+        _spec_doc(workers=1.5),
+        _spec_doc(workers="2"),
+        _spec_doc(workers=True),
     ], ids=["not-an-object", "string-timeout", "zero-timeout", "infinite-timeout",
             "scalar-on-range-axis", "triple-on-range-axis", "null-in-range", "values-not-a-list",
-            "pair-on-scalar-axis", "null-trials", "scalar-methods"])
+            "pair-on-scalar-axis", "null-trials", "scalar-methods", "zero-workers",
+            "negative-workers", "fractional-workers", "string-workers", "boolean-workers"])
     def test_malformed_spec_rejected(self, doc):
         with pytest.raises(ValueError):
             load_sweep_spec(json.dumps(doc))

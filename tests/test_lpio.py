@@ -127,12 +127,16 @@ class TestExternalAdapter:
         s = generate(tiny_config(n_slots=3), 2)
         t = precompute(s)
         model = build_model(t, s)
-        bundled = solvers.solve(model, "bnb")
+        highs = solvers.solve(model, "highs")
         external = solvers.solve(model, solvers.ExternalBackend(FAKE_SOLVER, file_format=fmt))
-        assert external.status == bundled.status == "optimal"
-        assert round(external.objective) == round(bundled.objective)
+        assert external.status == highs.status == "optimal"
+        assert round(external.objective) == round(highs.objective)
         bf_obj, _ = brute_force_optimum(t, s)
         assert round(external.objective) == bf_obj
+
+    def test_empty_command_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            solvers.ExternalBackend([])
 
     def test_missing_binary_reported(self, small_model):
         backend = solvers.ExternalBackend(["/nonexistent/solver", "{model}", "{solution}"])

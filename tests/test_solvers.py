@@ -4,7 +4,7 @@ import pytest
 from rislink import solvers
 from rislink.geometry import Obstacle
 from rislink.milp import build_model, extract_schedule
-from rislink.scenario import generate, precompute
+from rislink.scenario import ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
 
@@ -17,40 +17,41 @@ def walled_in(seed=0, n_slots=3, k_range=(4, 4)):
     return s, precompute(s)
 
 
+def empty_model():
+    """Model of a scenario with no robots: no variables at all."""
+    s = generate(ScenarioConfig(n_bs=0, n_ris=0, n_robots=0, n_slots=1, n_obstacles=0), 0)
+    return build_model(precompute(s), s)
+
+
 class TestBackendContract:
     def test_forced_outage_objective(self):
         s, t = walled_in()
         model = build_model(t, s)
-        for backend in ("highs", "bnb"):
-            res = solvers.solve(model, backend)
-            assert res.status == "optimal"
-            assert res.objective == pytest.approx(3.0)
-            sched = extract_schedule(model, res.values)
-            assert sched.outage_count() == 3
+        res = solvers.solve(model, "highs")
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(3.0)
+        sched = extract_schedule(model, res.values)
+        assert sched.outage_count() == 3
 
     def test_uncoverable_window_is_infeasible(self):
         s, t = walled_in(k_range=(2, 2))
-        model = build_model(t, s)
-        for backend in ("highs", "bnb"):
-            assert solvers.solve(model, backend).status == "infeasible"
+        assert solvers.solve(build_model(t, s), "highs").status == "infeasible"
 
     def test_unknown_backend_rejected(self):
         s, t = walled_in()
-        with pytest.raises(solvers.BackendError):
-            solvers.solve(build_model(t, s), "cplex")
+        for model in (build_model(t, s), empty_model()):
+            with pytest.raises(solvers.BackendError):
+                solvers.solve(model, "cplex")
 
     def test_empty_model_short_circuits(self):
-        from rislink.scenario import ScenarioConfig
-        cfg = ScenarioConfig(n_bs=0, n_ris=0, n_robots=0, n_slots=1, n_obstacles=0)
-        s = generate(cfg, 0)
-        res = solvers.solve(build_model(precompute(s), s))
+        res = solvers.solve(empty_model())
         assert res.status == "optimal" and res.objective == 0.0
 
     def test_timeout_reported(self):
         cfg = tiny_config(n_robots=3, n_slots=4)
         s = generate(cfg, 1)
         model = build_model(precompute(s), s)
-        res = solvers.solve(model, "bnb", time_budget=1e-9)
+        res = solvers.solve(model, "highs", time_budget=1e-9)
         assert res.status == "timeout"
         assert res.values is None
 
@@ -60,30 +61,6 @@ class TestBackendContract:
         model = build_model(precompute(s), s)
         with pytest.raises(ValueError, match="time budget"):
             solvers.solve(model, "highs", time_budget=budget)
-
-
-class TestBackendAgreement:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_highs_and_bnb_agree(self, seed):
-        cfg = tiny_config(
-            n_bs=1 + seed % 2, n_ris=1 + seed % 2,
-            d_reconfig=1 + seed % 2, n_obstacles=2 + seed % 2,
-        )
-        s = generate(cfg, 100 + seed)
-        model = build_model(precompute(s), s)
-        a = solvers.solve(model, "highs")
-        b = solvers.solve(model, "bnb", time_budget=120)
-        assert a.status == b.status
-        if a.status == "optimal":
-            assert round(a.objective) == round(b.objective)
-
-    def test_bnb_deterministic(self):
-        s = generate(tiny_config(), 4)
-        model = build_model(precompute(s), s)
-        r1 = solvers.solve(model, "bnb")
-        r2 = solvers.solve(model, "bnb")
-        assert r1.objective == r2.objective
-        assert np.array_equal(r1.values, r2.values)
 
 
 class TestRounding:
