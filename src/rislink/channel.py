@@ -4,6 +4,10 @@ All powers are linear watts and all gains are dimensionless ratios.  The
 transmit side and the receive side use the same conical-beam gain, and a
 robot relayed through a reflecting surface receives the product channel
 (BS -> surface) * E * (surface -> robot).
+
+``sinr`` evaluates one robot's link; ``sinr_batch`` evaluates every robot of
+one slot, or of all slots, from a schedule's ``kind``/``index`` arrays.  Both
+add up the interferers in robot order, so they agree to the last bit.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # Near-field guard: path model diverges at d -> 0, clamp below this range.
 MIN_DISTANCE = 0.1
 
+# Link kinds of a schedule's ``kind`` array.
+OUTAGE, BS, RIS = 0, 1, 2
+
 __all__ = [
     "PhysParams",
     "LinkPowerTables",
@@ -30,6 +37,7 @@ __all__ = [
     "max_concurrent",
     "interference_sum",
     "sinr",
+    "sinr_batch",
 ]
 
 
@@ -171,3 +179,44 @@ def sinr(tables: LinkPowerTables, alloc, r: int, n: int) -> float:
     else:
         raise ValueError(f"robot {r} is unallocated in slot {n}; SINR undefined")
     return signal * tables.gain_bs * tables.gain_robot / (tables.noise + interference)
+
+
+def sinr_batch(tables: LinkPowerTables, kind: np.ndarray, index: np.ndarray, n: int | None = None) -> np.ndarray:
+    """SINR of every robot's link, NaN where a robot is unallocated.
+
+    With ``n`` given, ``kind`` and ``index`` are slot n's (R,) column of a
+    schedule and the result is (R,); without it they are the whole (R, N)
+    schedule and the result is (R, N).  Every served link must name an
+    existing BS or surface.  Interference is accumulated over the
+    transmitting robots in robot order (``np.cumsum``, not the pairwise
+    ``ndarray.sum``), so each value equals ``sinr`` bit for bit.
+    """
+    kind, index = np.asarray(kind), np.asarray(index)
+    if n is not None:
+        return _slot_sinr(tables, kind[None], index[None], np.array([n]))[0]
+    return _slot_sinr(tables, kind.T, index.T, np.arange(kind.shape[1])).T
+
+
+def _slot_sinr(tables: LinkPowerTables, kind: np.ndarray, index: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``sinr_batch`` on slot-major (S, R) link arrays of the given slots."""
+    bs, ris = kind == BS, kind == RIS
+    limit = np.where(bs, tables.n_bs, tables.n_ris)
+    if ((bs | ris) & ((index < 0) | (index >= limit))).any():
+        raise ValueError("a served link names a BS or surface that does not exist")
+    n_r = kind.shape[1]
+    robots = np.arange(n_r)
+    at = slots[:, None]
+    signal = np.zeros(kind.shape)
+    level = np.zeros(kind.shape + (n_r,))  # level[s, rp, r]: power r hears from rp's beam
+    for power, cross, on in ((tables.p_direct, tables.xi_bs, bs), (tables.p_ris, tables.xi_ris, ris)):
+        if on.any():
+            src = np.where(on, index, 0)
+            signal = np.where(on, power[at, src, robots], signal)
+            level = np.where(on[:, :, None], cross[at, src, robots], level)
+    # nulling: a surface's own beams never interfere with each other
+    level[ris[:, :, None] & ris[:, None, :] & (index[:, :, None] == index[:, None, :])] = 0.0
+    level[:, robots, robots] = 0.0
+    # transmitters added one at a time in robot order, as interference_sum does
+    interference = np.cumsum(level, axis=1)[:, -1] if n_r else np.zeros(kind.shape)
+    value = signal * tables.gain_bs * tables.gain_robot / (tables.noise + interference)
+    return np.where(bs | ris, value, np.nan)

@@ -73,6 +73,10 @@ class SweepSpec:
             raise ValueError(f"axis must be one of {AXES}")
         if not self.values:
             raise ValueError("axis values must be non-empty")
+        for name in ("trials", "seed0"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and not isinstance(value, bool)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for m in self.methods:
@@ -272,9 +276,9 @@ def load_sweep_spec(text: str) -> SweepSpec:
             base=base,
             axis=doc["axis"],
             values=values,
-            trials=int(doc.get("trials", 100)),
+            trials=doc.get("trials", 100),
             methods=tuple(doc.get("methods", list(KNOWN_METHODS))),
-            seed0=int(doc.get("seed0", 0)),
+            seed0=doc.get("seed0", 0),
             timeout=doc.get("timeout", 600.0),
             workers=doc.get("workers", 1),
         )

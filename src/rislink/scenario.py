@@ -362,6 +362,12 @@ def generate(config: ScenarioConfig, seed: int | None = None) -> Scenario:
     )
 
 
+def _pair_dots(v: np.ndarray) -> np.ndarray:
+    """Dot products of every pair of 2-vectors along the second-to-last axis,
+    (..., R, 2) -> (..., R, R): x product plus y product, rounded once each."""
+    return v[..., :, None, 0] * v[..., None, :, 0] + v[..., :, None, 1] * v[..., None, :, 1]
+
+
 def precompute(scenario: Scenario) -> DerivedTables:
     """Build coverage, conflicts, and all link-power tables for a scenario."""
     cfg = scenario.config
@@ -369,18 +375,12 @@ def precompute(scenario: Scenario) -> DerivedTables:
     coverage = geometry.build_coverage(scenario)
     conflicts = geometry.build_conflicts(scenario, coverage, cfg.conflict_angle)
 
-    n_n, n_b, n_i, n_r = cfg.n_slots, cfg.n_bs, cfg.n_ris, cfg.n_robots
+    n_b, n_i = cfg.n_bs, cfg.n_ris
     gain = channel.antenna_gain(phys.theta)
     noise = channel.noise_power(phys.temperature, phys.bandwidth, phys.k)
 
-    p_direct = np.zeros((n_n, n_b, n_r))
-    p_ris = np.zeros((n_n, n_i, n_r))
-    xi_bs = np.zeros((n_n, n_b, n_r, n_r))
-    xi_ris = np.zeros((n_n, n_i, n_r, n_r))
-
     bs_xy = np.array([[p.x, p.y] for p in scenario.bs_positions], dtype=float).reshape(n_b, 2)
     ris_xy = np.array([[m.position.x, m.position.y] for m in scenario.ris_mounts], dtype=float).reshape(n_i, 2)
-    half_theta = phys.theta / 2.0
     # free-space amplitude of each surface's feed from its serving BS
     feed = np.zeros(n_i)
     for i, serving in enumerate(coverage.serving_bs.tolist()):
@@ -388,44 +388,32 @@ def precompute(scenario: Scenario) -> DerivedTables:
             d1 = scenario.bs_positions[serving].distance_to(scenario.ris_mounts[i].position)
             feed[i] = phys.c / (4.0 * math.pi * phys.freq * max(d1, channel.MIN_DISTANCE))
 
-    for n in range(n_n):
-        pos = scenario.positions_at(n) if n_r else np.zeros((0, 2))
-        cov_bs = coverage.bs_robot[n]
-        cov_ris = coverage.ris_robot[n]
+    # all slots at once: (N, S, ...) arrays over the sources S of one kind
+    pos = scenario.trajectories.transpose(1, 0, 2)                 # (N, R, 2)
+    half_theta = phys.theta / 2.0
 
-        if n_b and n_r:
-            vec_b = pos[None, :, :] - bs_xy[:, None, :]          # (B, R, 2)
-            dist_b = np.linalg.norm(vec_b, axis=2)
-            amp = phys.c / (4.0 * math.pi * phys.freq * np.maximum(dist_b, channel.MIN_DISTANCE))
-            pwr_b = phys.p_bs * amp * amp                        # gainless power from b at r
-            p_direct[n] = np.where(cov_bs, pwr_b, 0.0)
-            # Beam-cone gating: victim r hears the beam b->rp when its
-            # direction is within theta/2 of the axis with clear sight.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                unit = vec_b / dist_b[:, :, None]
-                cosm = np.einsum("brk,bsk->brs", unit, unit)     # (B, rp, r)
-                dots = np.einsum("brk,bsk->brs", vec_b, vec_b)
-                in_cone = (np.arccos(np.clip(cosm, -1, 1)) <= half_theta + 1e-12) & (dots > 0)
-            sight = cov_bs  # LoS(b, r) holds exactly when covered
-            gate = cov_bs[:, :, None] & in_cone & sight[:, None, :]
-            np.einsum("brr->br", gate)[:] = False                # no self term
-            xi_bs[n] = np.where(gate, (gain * gain) * pwr_b[:, None, :], 0.0)
+    def links(src_xy, covered, sight, relay=None):
+        """Gainless powers (N, S, R) of covered links and beam interference (N, S, rp, r)."""
+        vec = pos[:, None, :, :] - src_xy[None, :, None, :]       # (N, S, R, 2)
+        dist = np.linalg.norm(vec, axis=3)
+        amp = phys.c / (4.0 * math.pi * phys.freq * np.maximum(dist, channel.MIN_DISTANCE))
+        if relay is not None:  # BS -> surface -> robot cascade
+            amp = relay[None, :, None] * amp
+        power = phys.p_bs * amp * amp
+        # Beam-cone gating: victim r hears the beam s->rp when its direction
+        # is within theta/2 of the axis with clear sight.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = vec / dist[..., None]
+            cosm = _pair_dots(unit)                                 # (N, S, rp, r)
+            dots = _pair_dots(vec)
+            in_cone = (np.arccos(np.clip(cosm, -1, 1)) <= half_theta + 1e-12) & (dots > 0)
+        gate = covered[..., :, None] & in_cone & sight[..., None, :]
+        np.einsum("nsrr->nsr", gate)[:] = False                    # no self term
+        return np.where(covered, power, 0.0), np.where(gate, (gain * gain) * power[..., None, :], 0.0)
 
-        if n_i and n_r:
-            vec_i = pos[None, :, :] - ris_xy[:, None, :]
-            dist_i = np.linalg.norm(vec_i, axis=2)
-            amp2 = phys.c / (4.0 * math.pi * phys.freq * np.maximum(dist_i, channel.MIN_DISTANCE))
-            cascade = feed[:, None] * phys.n_elements * amp2
-            pwr_i = phys.p_bs * cascade * cascade
-            p_ris[n] = np.where(cov_ris, pwr_i, 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                unit = vec_i / dist_i[:, :, None]
-                cosm = np.einsum("irk,isk->irs", unit, unit)
-                dots = np.einsum("irk,isk->irs", vec_i, vec_i)
-                in_cone = (np.arccos(np.clip(cosm, -1, 1)) <= half_theta + 1e-12) & (dots > 0)
-            gate = cov_ris[:, :, None] & in_cone & coverage.ris_sight[n][:, None, :]
-            np.einsum("irr->ir", gate)[:] = False
-            xi_ris[n] = np.where(gate, (gain * gain) * pwr_i[:, None, :], 0.0)
+    # a BS has clear sight of a robot exactly when it covers it
+    p_direct, xi_bs = links(bs_xy, coverage.bs_robot, coverage.bs_robot)
+    p_ris, xi_ris = links(ris_xy, coverage.ris_robot, coverage.ris_sight, feed * phys.n_elements)
 
     link_tables = LinkPowerTables(
         p_direct=p_direct,

@@ -4,12 +4,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rislink.allocation import (
+    BS,
+    OUTAGE,
+    RIS,
     AllocationSchedule,
     derive_history,
     has_service_failure,
     outage_percentage,
     validate,
 )
+
+
+def random_schedule(seed, n_robots, n_slots, n_ris=3):
+    """Outage-heavy schedule of BS and surface links, surfaces in [0, n_ris)."""
+    rng = np.random.default_rng(seed)
+    kind = rng.choice([OUTAGE, BS, RIS], size=(n_robots, n_slots), p=[0.5, 0.2, 0.3])
+    index = np.where(kind == OUTAGE, -1, rng.integers(0, n_ris, size=kind.shape))
+    return AllocationSchedule(kind.astype(np.int8), index.astype(np.int16))
+
+
+def failure_loop(schedule, k_out):
+    """Per-robot, per-slot scan: the first robot whose outage run reaches its budget, and where."""
+    for r in range(schedule.n_robots):
+        run = 0
+        for n in range(schedule.n_slots):
+            run = run + 1 if schedule.kind[r, n] == OUTAGE else 0
+            if run >= k_out[r]:
+                return True, (r, n)
+    return False, None
+
+
+def history_loop(schedule, n_ris, d_reconfig, u):
+    """Y and C from their definitions, one (surface, robot, slot) at a time."""
+    y = np.zeros((n_ris, schedule.n_robots, schedule.n_slots), dtype=bool)
+    for i in range(n_ris):
+        for r in range(schedule.n_robots):
+            for n in range(schedule.n_slots):
+                y[i, r, n] = any(schedule.kind[r, m] == RIS and schedule.index[r, m] == i
+                                 for m in range(max(n - d_reconfig + 1, 0), n + 1))
+    return y, y.sum(axis=1) > u
 
 
 def window_oracle(flags, k):
@@ -106,7 +139,26 @@ class TestServiceFailure:
         assert after or not before
 
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 12))
+    @settings(max_examples=100)
+    def test_matches_loop_reference(self, seed, n_robots, n_slots):
+        s = random_schedule(seed, n_robots, n_slots)
+        k_out = np.random.default_rng(seed + 1).integers(1, 5, size=n_robots)
+        assert has_service_failure(s, k_out) == failure_loop(s, k_out)
+
+
 class TestDeriveHistory:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 12),
+           st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=100)
+    def test_matches_loop_reference(self, seed, n_robots, n_slots, d_reconfig, u):
+        s = random_schedule(seed, n_robots, n_slots)
+        h = derive_history(s, 3, d_reconfig, u)
+        y, c = history_loop(s, 3, d_reconfig, u)
+        served = (s.kind == RIS)[None] & (s.index[None] == np.arange(3)[:, None, None])
+        assert np.array_equal(h.y, y) and np.array_equal(h.c, c)
+        assert np.array_equal(h.w, served & ~c[:, None])
+
     def test_window_rule(self):
         s = AllocationSchedule.all_outage(1, 5)
         s.assign_ris(0, 1, 0)
@@ -123,6 +175,13 @@ class TestDeriveHistory:
         assert not h.c[0, 0]
         assert h.c[0, 1]
         assert not h.w[0, 2, 1]
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_surface_out_of_range_rejected(self, index):
+        s = AllocationSchedule.all_outage(1, 2)
+        s.assign_ris(0, 0, index)
+        with pytest.raises(ValueError, match="surface"):
+            derive_history(s, n_ris=2, d_reconfig=2, u=1)
 
     def test_w_requires_ready_surface(self):
         s = AllocationSchedule.all_outage(1, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rislink import channel
+from rislink import channel, heuristic, milp, solvers
 from rislink.allocation import AllocationSchedule
 from rislink.channel import (
     BOLTZMANN,
@@ -19,7 +19,11 @@ from rislink.channel import (
     path_gain,
     ris_power,
     sinr,
+    sinr_batch,
 )
+from rislink.scenario import ScenarioConfig, generate, precompute
+
+from conftest import tiny_config
 
 PARAMS = PhysParams()  # 1 mW, 28 GHz, 10 degrees, 200 elements, 290 K, 20 MHz
 
@@ -207,3 +211,79 @@ class TestInterferenceAndSinr:
         # cone gating produced no cross terms, so the sums stay zero
         assert interference_sum(t, alloc, 0, 0, own_ris=0) == 0.0
         assert interference_sum(t, alloc, 1, 0, own_ris=1) == 0.0
+
+
+def assert_batch_matches_scalar(tables, sched):
+    """sinr_batch over all slots and slot by slot equals sinr on every served link, bit for bit."""
+    whole = sinr_batch(tables, sched.kind, sched.index)
+    served = 0
+    for n in range(sched.n_slots):
+        slot = sinr_batch(tables, sched.kind[:, n], sched.index[:, n], n)
+        for r in range(sched.n_robots):
+            if sched.is_outage(r, n):
+                assert np.isnan(whole[r, n]) and np.isnan(slot[r])
+            else:
+                assert whole[r, n] == slot[r] == sinr(tables, sched, r, n)
+                served += 1
+    return served
+
+
+class TestSinrBatch:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heuristic_schedules(self, seed):
+        cfg = ScenarioConfig(n_robots=10, n_slots=12, u_override=2, k_range=(3, 4))
+        s = generate(cfg, seed)
+        t = precompute(s)
+        assert assert_batch_matches_scalar(t.tables, heuristic.allocate(t, s, seed=seed).schedule) > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ilp_schedules(self, seed):
+        s = generate(tiny_config(n_robots=3, n_slots=3, k_range=(4, 4)), seed)
+        t = precompute(s)
+        model = milp.build_model(t, s)
+        result = solvers.solve(model, "highs")
+        assert result.status == "optimal"
+        assert_batch_matches_scalar(t.tables, milp.extract_schedule(model, result.values))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_schedules_sharing_surfaces(self, seed):
+        # two surfaces for ten robots, so most slots put several robots on one
+        cfg = ScenarioConfig(n_robots=10, n_slots=6, n_ris=2, n_obstacles=3)
+        s = generate(cfg, seed)
+        t = precompute(s)
+        rng = np.random.default_rng(seed)
+        kind = rng.choice([channel.OUTAGE, channel.BS, channel.RIS], size=(10, 6), p=[0.1, 0.3, 0.6])
+        index = np.where(kind == channel.OUTAGE, -1, rng.integers(0, 2, size=(10, 6)))  # B = I = 2
+        sched = AllocationSchedule(kind.astype(np.int8), index.astype(np.int16))
+        assert assert_batch_matches_scalar(t.tables, sched) > 40
+
+    def test_interferers_added_in_robot_order(self):
+        # one strong interferer, then 15 terms each below half an ulp of it:
+        # added in order they vanish, summed pairwise they would not
+        t = hand_tables(n_bs=1, n_ris=0, n_robots=17)
+        t.noise = 1e-40
+        t.p_direct[0, 0, 0] = 1e-12
+        t.xi_bs[0, 0, 1, 0] = 1e-9
+        t.xi_bs[0, 0, 2:, 0] = 1e-25
+        alloc = AllocationSchedule.all_outage(17, 1)
+        for r in range(17):
+            alloc.assign_bs(r, 0, 0)
+        value = sinr_batch(t, alloc.kind, alloc.index)[0, 0]
+        assert value == sinr(t, alloc, 0, 0)
+        pairwise = 1e-12 * t.gain_bs * t.gain_robot / (t.noise + t.xi_bs[0, 0, :, 0].sum())
+        assert value != pairwise
+
+    def test_unallocated_is_nan(self):
+        t = hand_tables(n_robots=2)
+        t.p_direct[0, 0, :] = direct_power(PARAMS, 10.0)
+        alloc = AllocationSchedule.all_outage(2, 1)
+        alloc.assign_bs(1, 0, 0)
+        value = sinr_batch(t, alloc.kind[:, 0], alloc.index[:, 0], 0)
+        assert np.isnan(value[0]) and value[1] == sinr(t, alloc, 1, 0)
+
+    @pytest.mark.parametrize("kind, index", [(channel.BS, 1), (channel.BS, -1),
+                                             (channel.RIS, 1), (channel.RIS, -1)])
+    def test_missing_link_source_rejected(self, kind, index):
+        t = hand_tables(n_bs=1, n_ris=1)
+        with pytest.raises(ValueError, match="does not exist"):
+            sinr_batch(t, np.array([kind]), np.array([index]), 0)

@@ -143,7 +143,12 @@ class TestSweepCommand:
         ({"workers": 0}, []),
         ({"workers": -1}, []),
         ({}, ["--workers", "0"]),
-    ], ids=["string-timeout", "zero-workers", "negative-workers", "zero-workers-flag"])
+        ({"trials": 2.7}, []),
+        ({"trials": "2"}, []),
+        ({"seed0": True}, []),
+        ({"seed0": 0.5}, []),
+    ], ids=["string-timeout", "zero-workers", "negative-workers", "zero-workers-flag",
+            "fractional-trials", "string-trials", "boolean-seed0", "fractional-seed0"])
     def test_malformed_spec_is_error(self, tmp_path, capsys, fields, flags):
         spec = {
             "format": "rislink-sweep",

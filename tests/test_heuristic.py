@@ -7,7 +7,7 @@ import pytest
 from rislink import solvers
 from rislink.allocation import validate
 from rislink.geometry import Point2D, RisMount
-from rislink.heuristic import allocate
+from rislink.heuristic import allocate, link_distances
 from rislink.milp import build_model
 from rislink.scenario import ScenarioConfig, Scenario, generate, precompute
 
@@ -56,6 +56,21 @@ class TestBasics:
         out = allocate(precompute(s), s, seed=0)
         assert not out.feasible
         assert out.failure_at == (0, 1)
+
+
+class TestLinkDistances:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_point_distances_bit_for_bit(self, seed):
+        s = generate(ScenarioConfig(n_robots=8, n_slots=10), seed)
+        cov = precompute(s).coverage
+        dist = link_distances(s, cov)
+        sources = list(s.bs_positions) + [m.position for m in s.ris_mounts]
+        covered = np.concatenate([cov.bs_robot, cov.ris_robot], axis=1)
+        for n in range(10):
+            for r in range(8):
+                for link, src in enumerate(sources):
+                    want = src.distance_to(s.robot_position(r, n)) if covered[n, link, r] else math.inf
+                    assert dist[n, r, link] == want
 
 
 class TestInvariants:
