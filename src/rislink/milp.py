@@ -10,7 +10,9 @@ in a sane range.  Coverage is applied as variable fixing rather than
 constraint rows.  The SINR row of an unused link is switched off by a big-M
 term on the link's own allocation bit: ``sig*X - psi*I >= psi`` is written
 ``(sig - M)*X - psi*I >= psi - M``, which holds at every admissible
-interference level I once X = 0.
+interference level I once X = 0.  An interferer that alone breaks a link
+gets a pairwise exclusion row instead of a term in the link's SINR row, so
+M covers only the terms that can be on together with the link.
 
 Surface readiness is a cap rather than a flag: the distinct robots of every
 usage window stay at U or fewer, which no valid schedule breaks (see
@@ -199,13 +201,18 @@ def _slot_names(label: str, n_slots: int, n_inner: int) -> Callable[[], list]:
     return lambda: [f"{label}_{j}_{n}" for n in range(n_slots) for j in range(n_inner)]
 
 
-def _sinr_names(n, n_bs, robots, links, kill_terms=None) -> list:
-    """Names of a slot's SINR rows, or of its kill rows when ``kill_terms`` is given."""
-    labels = [f"B_{l}_{r}_{n}" if l < n_bs else f"I_{l - n_bs}_{r}_{n}"
-              for r, l in zip(robots.tolist(), links.tolist())]
-    if kill_terms is None:
+def _link_labels(n_bs, robots, links, suffix="") -> list:
+    return [f"B_{l}_{r}{suffix}" if l < n_bs else f"I_{l - n_bs}_{r}{suffix}"
+            for r, l in zip(robots.tolist(), links.tolist())]
+
+
+def _sinr_names(n, n_bs, robots, links, killers=None) -> list:
+    """Names of a slot's SINR rows, or, when ``killers`` gives the interfering
+    (robots, links), of its kill rows ``kill<victim link>_<interfering link>``."""
+    labels = _link_labels(n_bs, robots, links, f"_{n}")
+    if killers is None:
         return ["snr" + label for label in labels]
-    return [f"kill{label}_{j}" for label, j in zip(labels, kill_terms.tolist())]
+    return [f"kill{label}_{other}" for label, other in zip(labels, _link_labels(n_bs, *killers))]
 
 
 def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
@@ -213,15 +220,16 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
 
     The SINR row of link X with interference terms I reads
     ``(sig - mu)*X - psi*I >= psi - mu``: the served row when X = 1, slack
-    at every admissible interference level when X = 0.  ``X + X' <= 1`` is
-    emitted whenever a single interferer alone drives a link below
-    threshold, interference coefficients are clamped at the level that
-    already violates the row (exact over binaries because the pairwise row
-    excludes every stronger combination), and each row is rescaled by its
-    signal coefficient, so the coefficient range stays near ~1e2.  With
-    ``mu=None`` each row's big-M is sized from its clamped terms; an
-    explicit ``mu`` must be finite and exceed the worst admissible
-    denominator, else it is rejected with the offending magnitude.
+    at every admissible interference level when X = 0.  An interferer X'
+    whose level alone drives X below threshold gets ``X + X' <= 1``, one row
+    per unordered pair, and no term in X's row.  That is exact: with X = 1
+    the pairwise rows turn every such X' off, so the row is the SINR
+    requirement itself.  Each row is rescaled by its signal coefficient, so
+    no entry exceeds about 10 in magnitude (weak interference still gives
+    entries near 1e-8).  With ``mu=None`` each row's big-M is
+    ``psi*(1 + sum of its kept levels)*MU_SAFETY + 1``; an explicit ``mu``
+    must be finite and exceed the worst denominator with every interferer
+    on, else it is rejected with the offending magnitude.
 
     Usage history is one ``X <= Y`` row per live link and window slot, and
     readiness caps the distinct robots of every usage window at U
@@ -319,25 +327,24 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
         level = levels[vr[tv], trp, tl]
         x = links[n, vr, vl]
         t_col = links[n, trp, tl]
-        kill_level = sig / p - 1.0  # interference a live link tolerates
-        killed = np.nonzero(level > kill_level[tv])[0]
-        level = np.minimum(level, kill_level[tv] + 1.0)
-        counts = np.bincount(tv, minlength=len(vr))
-        first_term = np.cumsum(counts) - counts
-        if mu is None:
-            # bincount adds in order, as ndarray.sum does below 8 terms; longer
-            # rows take ndarray.sum itself, so each big-M is the row-by-row float
-            total = np.bincount(tv, weights=level, minlength=len(vr))
-            for v in np.nonzero(counts >= 8)[0]:
-                total[v] = level[first_term[v]:first_term[v] + counts[v]].sum()
-            mu_v = p * (1.0 + total) * MU_SAFETY + 1.0
-        else:
-            mu_v = np.full(len(vr), float(mu))
-        scale = 1.0 / sig
-        kv = tv[killed]
-        rows.add(key(n, _SINR, kv), "<", 1.0, np.column_stack([x[kv], t_col[killed]]), 1.0,
-                 functools.partial(_sinr_names, n, n_b, vr[kv], vl[kv], killed - first_term[kv]))
+        # an interferer that alone exceeds the interference a live link
+        # tolerates is excluded pairwise and leaves the SINR row
+        kill = level > (sig / p - 1.0)[tv]
+        k = np.flatnonzero(kill)
+        # mutual killers give one row: keep the first of each unordered pair
+        a, b = x[tv[k]], t_col[k]
+        _, first = np.unique(np.minimum(a, b) * n_vars + np.maximum(a, b), return_index=True)
+        k = k[np.sort(first)]
+        kv = tv[k]
+        rows.add(key(n, _SINR, kv), "<", 1.0, np.column_stack([x[kv], t_col[k]]), 1.0,
+                 functools.partial(_sinr_names, n, n_b, vr[kv], vl[kv], (trp[k], tl[k])))
+        tv, t_col, level = tv[~kill], t_col[~kill], level[~kill]
         n_v = len(vr)
+        if mu is None:
+            mu_v = p * (1.0 + np.bincount(tv, weights=level, minlength=n_v)) * MU_SAFETY + 1.0
+        else:
+            mu_v = np.full(n_v, float(mu))
+        scale = 1.0 / sig
         rows.add(key(n, _SINR, np.arange(n_v)), ">", p * scale - mu_v * scale, np.concatenate([x, t_col]),
                  np.concatenate([sig * scale - mu_v * scale, -p[tv] * level * scale[tv]]),
                  functools.partial(_sinr_names, n, n_b, vr, vl), rows=np.concatenate([np.arange(n_v), tv]))

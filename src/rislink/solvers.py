@@ -38,6 +38,10 @@ class SolveResult:
     values: np.ndarray | None       # rounded 0/1 vector, present iff optimal
     runtime: float
     incumbent_objective: float | None = None
+    # HiGHS branch-and-bound statistics; None where the solver reports none
+    nodes: int | None = None
+    dual_bound: float | None = None
+    gap: float | None = None
 
 
 def _round_binary(x: np.ndarray) -> np.ndarray:
@@ -64,6 +68,11 @@ def solve(model: MilpModel, backend="highs", time_budget: float | None = None) -
     return _solve_highs(model, time_budget)
 
 
+def _stat(res, name, kind):
+    value = res.get(name)
+    return None if value is None else kind(value)
+
+
 def _solve_highs(model: MilpModel, time_budget) -> SolveResult:
     start = time.perf_counter()
     sense, rhs = model.row_sense, model.row_rhs
@@ -79,14 +88,16 @@ def _solve_highs(model: MilpModel, time_budget) -> SolveResult:
         options=options,
     )
     runtime = time.perf_counter() - start
+    stats = {"nodes": _stat(res, "mip_node_count", int), "dual_bound": _stat(res, "mip_dual_bound", float),
+             "gap": _stat(res, "mip_gap", float)}
     if res.status == 0:
         values = _round_binary(res.x)
-        return SolveResult("optimal", float(model.objective @ values), values, runtime)
+        return SolveResult("optimal", float(model.objective @ values), values, runtime, **stats)
     if res.status == 1:
         inc_obj = None if res.x is None else float(model.objective @ _round_binary(res.x))
-        return SolveResult("timeout", None, None, runtime, inc_obj)
+        return SolveResult("timeout", None, None, runtime, inc_obj, **stats)
     if res.status == 2:
-        return SolveResult("infeasible", None, None, runtime)
+        return SolveResult("infeasible", None, None, runtime, **stats)
     raise BackendError(f"HiGHS failed: status {res.status} ({res.message})")
 
 

@@ -26,8 +26,8 @@ SEEDS = int(os.environ.get("RISLINK_ACCEPT_SEEDS", "30"))
 BASELINE_SEEDS = int(os.environ.get("RISLINK_ACCEPT_BASELINE_SEEDS", "100"))
 # Per-solve budget.  A solve that runs out of it counts as infeasible, as in
 # any sweep.  The slowest solve that finishes in these sweeps takes about
-# 28 s on 2 CPUs; one delay-sweep instance (D=4, seed 2022) is still open
-# after 300 s, so a longer budget only adds waiting, not results.
+# 23 s on 2 CPUs (D=4, seed 2026); one delay-sweep instance (D=4, seed 2022)
+# is still open after 300 s, so a longer budget only adds waiting, not results.
 TIMEOUT = float(os.environ.get("RISLINK_ACCEPT_TIMEOUT", "60"))
 WORKERS = int(os.environ.get("RISLINK_ACCEPT_WORKERS", "2"))
 

@@ -133,6 +133,7 @@ class TestExternalAdapter:
         assert round(external.objective) == round(highs.objective)
         bf_obj, _ = brute_force_optimum(t, s)
         assert round(external.objective) == bf_obj
+        assert external.nodes is external.dual_bound is external.gap is None
 
     def test_empty_command_rejected(self):
         with pytest.raises(ValueError, match="empty"):

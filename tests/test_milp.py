@@ -1,3 +1,4 @@
+import collections
 import itertools
 from dataclasses import replace
 
@@ -7,8 +8,8 @@ import pytest
 from rislink import solvers
 from rislink.allocation import AllocationSchedule, derive_history, validate
 from rislink.heuristic import allocate
-from rislink.milp import ModelError, brute_force_optimum, build_model, extract_schedule
-from rislink.scenario import ScenarioConfig, generate, precompute
+from rislink.milp import MU_SAFETY, ModelError, brute_force_optimum, build_model, extract_schedule
+from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
 
@@ -200,6 +201,103 @@ class TestBigMInertness:
                 assert float(coefs @ x[cols]) - model.row_rhs[k] >= slack_bound - 1e-6
             checked += 1
         assert checked
+
+
+def link_facts(tables):
+    """Conditioned signals (N, L, R) and interference levels (N, L, R sender, R victim), BS links first."""
+    lt = tables.tables
+    signal = np.concatenate([lt.p_direct, lt.p_ris], axis=1) * lt.gain_bs * lt.gain_robot / lt.noise
+    return signal, np.concatenate([lt.xi_bs, lt.xi_ris], axis=1) / lt.noise
+
+
+def sinr_rows(model, tables):
+    """The SINR rows of a built model, with their link facts read from the tables.
+
+    Returns (sig, psi, own) per SINR row, where ``own`` is the coefficient of
+    the row's own allocation bit, and (pos, level) per interference term,
+    where ``pos`` indexes the per-row arrays.
+    """
+    signal, levels = link_facts(tables)
+    link_of, robot_of = np.full(model.n_vars, -1), np.full(model.n_vars, -1)
+    for label, offset in (("Xb", 0), ("Xi", model.n_bs)):
+        l, r, _ = np.indices(model.columns[label].shape)
+        link_of[model.columns[label]], robot_of[model.columns[label]] = l + offset, r
+    rows, slot, victim = [], [], []
+    for k, name in enumerate(model.row_names):
+        if name.startswith("snr"):
+            idx, r, n = map(int, name[5:].split("_"))
+            rows.append(k)
+            slot.append(n)
+            victim.append(model.xb(idx, r, n) if name[3] == "B" else model.xi(idx, r, n))
+    slot, victim = np.array(slot), np.array(victim)
+    vr = robot_of[victim]
+    sub = model.matrix[rows]
+    pos = np.repeat(np.arange(len(rows)), np.diff(sub.indptr))
+    at_own = sub.indices == victim[pos]
+    own = np.zeros(len(rows))
+    own[pos[at_own]] = sub.data[at_own]
+    assert at_own.sum() == len(rows)
+    pos, col = pos[~at_own], sub.indices[~at_own]
+    level = levels[slot[pos], link_of[col], robot_of[col], vr[pos]]
+    return signal[slot, link_of[victim], vr], tables.psi_linear[vr], own, pos, level
+
+
+def killing_pairs(model, tables):
+    """Unordered column pairs (usable link, interferer) whose interference alone breaks the link."""
+    signal, levels = link_facts(tables)
+    covered = np.concatenate([tables.coverage.bs_robot, tables.coverage.ris_robot], axis=1)
+    cols = np.concatenate([model.columns["Xb"], model.columns["Xi"]], axis=0)   # (L, R, N)
+    n_b = model.n_bs
+    pairs = set()
+    for n, l, r in zip(*np.nonzero(covered & (signal >= tables.psi_linear))):
+        for lp, rp in zip(*np.nonzero(covered[n])):
+            same_surface = lp == l and l >= n_b
+            if rp != r and not same_surface and levels[n, lp, rp, r] > signal[n, l, r] / tables.psi_linear[r] - 1.0:
+                pairs.add(frozenset((int(cols[l, r, n]), int(cols[lp, rp, n]))))
+    return pairs
+
+
+class TestKillRows:
+    # A single interferer that alone breaks a usable link is excluded by one
+    # X + X' <= 1 row and left out of the link's SINR row.
+    # The tiny seeds are ones whose models have both interference terms and killers.
+    @pytest.fixture(scope="class", params=[3, 9, 16, 18, "r14"])
+    def case(self, request):
+        if request.param == "r14":
+            s = generate(replace(EXPERIMENT_CONFIG, n_robots=14), 1003)
+        else:
+            s = generate(tiny_config(), request.param)
+        t = precompute(s)
+        return build_model(t, s), t
+
+    def test_no_sinr_row_holds_a_killer(self, case):
+        model, t = case
+        sig, psi, _, pos, level = sinr_rows(model, t)
+        assert len(pos)
+        assert not (level > (sig / psi - 1.0)[pos]).any()
+
+    def test_each_killing_pair_is_excluded_once(self, case):
+        model, t = case
+        pairs = killing_pairs(model, t)
+        assert pairs
+        exclusions = collections.Counter(
+            frozenset(cols.tolist()) for cols, coefs, sense, rhs
+            in zip(model.row_cols, model.row_coefs, model.row_sense, model.row_rhs)
+            if len(cols) == 2 and sense == "<" and rhs == 1.0 and (coefs == 1.0).all())
+        assert all(exclusions[pair] == 1 for pair in pairs)
+        kill_rows = [frozenset(cols.tolist()) for name, cols in zip(model.row_names, model.row_cols)
+                     if name.startswith("kill")]
+        assert len(kill_rows) == len(pairs) and set(kill_rows) == pairs
+        assert len(set(model.row_names)) == model.n_rows
+
+    def test_big_m_is_sized_from_its_own_terms(self, case):
+        # The own coefficient is (sig - mu)/sig, so mu = (1 - own)*sig, which
+        # keeps about 7 digits where sig exceeds mu by 1e8 or more.  A killer
+        # left in the sum would add more than sig - psi to mu.
+        model, t = case
+        sig, psi, own, pos, level = sinr_rows(model, t)
+        total = np.bincount(pos, weights=level, minlength=len(sig))
+        np.testing.assert_allclose((1.0 - own) * sig, psi * (1.0 + total) * MU_SAFETY + 1.0, rtol=1e-6)
 
 
 class TestMatrix:

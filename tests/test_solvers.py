@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rislink import solvers
 from rislink.geometry import Obstacle
 from rislink.milp import build_model, extract_schedule
-from rislink.scenario import ScenarioConfig, generate, precompute
+from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
 
@@ -61,6 +63,27 @@ class TestBackendContract:
         model = build_model(precompute(s), s)
         with pytest.raises(ValueError, match="time budget"):
             solvers.solve(model, "highs", time_budget=budget)
+
+
+class TestSolverStatistics:
+    @pytest.fixture(scope="class")
+    def r14_model(self):
+        s = generate(replace(EXPERIMENT_CONFIG, n_robots=14), 1002)
+        return build_model(precompute(s), s)
+
+    def test_optimal_solve_closes_the_gap(self, r14_model):
+        res = solvers.solve(r14_model, "highs")
+        assert res.status == "optimal"
+        # the bound is an LP value: on some seeds it sits 3e-14 below the integer optimum
+        assert res.gap == pytest.approx(0.0, abs=1e-9)
+        assert res.dual_bound == pytest.approx(res.objective, abs=1e-9)
+        assert isinstance(res.nodes, int) and res.nodes >= 0
+
+    def test_timeout_bound_never_above_incumbent(self, r14_model):
+        res = solvers.solve(r14_model, "highs", time_budget=1e-9)
+        assert res.status == "timeout"
+        if res.dual_bound is not None and res.incumbent_objective is not None:
+            assert res.dual_bound <= res.incumbent_objective
 
 
 class TestRounding:
