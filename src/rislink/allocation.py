@@ -75,9 +75,6 @@ class AllocationSchedule:
             return "ris", int(self.index[r, n])
         return None, None
 
-    def is_outage(self, r: int, n: int) -> bool:
-        return self.kind[r, n] == OUTAGE
-
     def outage_matrix(self) -> np.ndarray:
         return (self.kind == OUTAGE).astype(int)
 

@@ -38,34 +38,20 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--capacity", type=int, help="override concurrent robots per surface")
 
 
+# config flag (argparse dest) -> ScenarioConfig field; --floor sets two fields
+_CONFIG_FLAGS = {
+    "robots": "n_robots", "slots": "n_slots", "bs": "n_bs", "ris": "n_ris",
+    "obstacles": "n_obstacles", "obstacle_size": "obstacle_size", "psi": "psi_range",
+    "k_window": "k_range", "d_reconfig": "d_reconfig", "capacity": "u_override",
+}
+
+
 def _config_from_args(args) -> scen.ScenarioConfig:
-    cfg = scen.ScenarioConfig()
-    overrides = {}
-    if args.robots is not None:
-        overrides["n_robots"] = args.robots
-    if args.slots is not None:
-        overrides["n_slots"] = args.slots
-    if args.bs is not None:
-        overrides["n_bs"] = args.bs
-    if args.ris is not None:
-        overrides["n_ris"] = args.ris
+    overrides = {name: tuple(value) if isinstance(value, list) else value
+                 for flag, name in _CONFIG_FLAGS.items() if (value := getattr(args, flag)) is not None}
     if args.floor is not None:
         overrides["floor_width"], overrides["floor_height"] = args.floor
-    if args.obstacles is not None:
-        overrides["n_obstacles"] = args.obstacles
-    if args.obstacle_size is not None:
-        overrides["obstacle_size"] = tuple(args.obstacle_size)
-    if args.psi is not None:
-        overrides["psi_range"] = tuple(args.psi)
-    if args.k_window is not None:
-        overrides["k_range"] = tuple(args.k_window)
-    if args.d_reconfig is not None:
-        overrides["d_reconfig"] = args.d_reconfig
-    if args.capacity is not None:
-        overrides["u_override"] = args.capacity
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return scen.ScenarioConfig(**overrides)
 
 
 def _parse_backend(value: str):

@@ -56,9 +56,6 @@ class Obstacle:
         if self.xmin > self.xmax or self.ymin > self.ymax:
             raise ValueError("obstacle min corner must be <= max corner componentwise")
 
-    def contains(self, p: Point2D) -> bool:
-        return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
-
 
 @dataclass(frozen=True)
 class RisMount:
@@ -288,16 +285,14 @@ def build_coverage(scenario) -> CoverageMap:
     )
 
 
-def build_conflicts(scenario, coverage: CoverageMap, conflict_angle: float | None = None) -> np.ndarray:
+def build_conflicts(scenario, coverage: CoverageMap) -> np.ndarray:
     """(N, I, R, R) mask of robot pairs angularly inseparable at a mount.
 
     ``[n, i, ra, rb]`` is True, only where ra < rb, when mount i covers both
     robots in slot n and the separation of the two mount-to-robot directions
-    is at most ``conflict_angle`` (the beamwidth unless overridden).  At most
-    one robot of such a pair may be scheduled through the mount.
+    is at most the beamwidth.  At most one robot of such a pair may be
+    scheduled through the mount.
     """
-    if conflict_angle is None:
-        conflict_angle = scenario.config.phys.theta
     ris_xy = np.array([[m.position.x, m.position.y] for m in scenario.ris_mounts],
                       dtype=float).reshape(-1, 2)
     vec = scenario.trajectories.transpose(1, 0, 2)[:, None] - ris_xy[None, :, None]   # (N, I, R, 2)
@@ -306,4 +301,4 @@ def build_conflicts(scenario, coverage: CoverageMap, conflict_angle: float | Non
         sep = np.arccos(np.clip(unit @ unit.swapaxes(2, 3), -1.0, 1.0))
     cov = coverage.ris_robot
     both = cov[..., :, None] & cov[..., None, :]
-    return np.triu(both & (sep <= conflict_angle + 1e-12), k=1)
+    return np.triu(both & (sep <= scenario.config.phys.theta + 1e-12), k=1)

@@ -127,19 +127,6 @@ class MilpModel:
     def row_coefs(self) -> list:
         return np.split(self.matrix.data, self.matrix.indptr[1:-1])
 
-    def xb(self, b: int, r: int, n: int) -> int:
-        return int(self.columns["Xb"][b, r, n])
-
-    def xi(self, i: int, r: int, n: int) -> int:
-        return int(self.columns["Xi"][i, r, n])
-
-    def o(self, r: int, n: int) -> int:
-        return int(self.columns["O"][r, n])
-
-    def fix(self, var: int, value: int) -> None:
-        self.lb[var] = value
-        self.ub[var] = value
-
 
 # Row sections of one slot, in row order; the outage windows follow the last slot.
 _ONE, _CAPACITY, _SINR, _HISTORY, _SERVE = range(5)

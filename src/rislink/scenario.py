@@ -18,7 +18,7 @@ from .channel import LinkPowerTables, PhysParams
 from .geometry import CoverageMap, Obstacle, Point2D, RisMount
 
 SCHEMA_NAME = "rislink-scenario"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 PLACEMENT_RETRIES = 1000
 STEP_RETRIES = 500
@@ -55,27 +55,18 @@ class ScenarioConfig:
     n_ris: int = 8
     n_robots: int = 6
     n_slots: int = 50
-    slot_duration: float = 1.0      # seconds; metadata only, enters no equation
     robot_step: float = 1.0         # meters advanced per slot
     n_obstacles: int = 6
     obstacle_size: tuple[float, float] = (3.0, 6.0)
-    n_ring_obstacles: int = 0       # machines ringed around the floor center
-    ring_radii: tuple[float, float] = (4.5, 7.5)
-    ring_size: tuple[float, float] | None = None  # ring machine sides; obstacle_size if None
     bs_clearance: float = 4.0       # obstacles keep this distance from BS masts
     wall_clearance: float = 0.0     # obstacles keep this distance from the walls
-    ris_placement: str = "stratified"  # "stratified" or "uniform" wall positions
     phys: PhysParams = field(default_factory=PhysParams)
-    psi_range: tuple[float, float] = (9.0, 10.0)
+    psi_range: tuple[float, float] = (9.0, 10.0)  # linear SINR thresholds, drawn as integers
     k_range: tuple[int, int] = (14, 15)
-    qos_draw: str = "integer"       # "integer" or "uniform"
     d_reconfig: int = 2             # slots a retargeted surface stays unavailable
     u_override: int | None = None   # concurrent robots per surface; derived from E if None
     ris_fov_half_angle: float = math.radians(60.0)
-    conflict_angle: float | None = None  # arrival-angle separation threshold; beamwidth if None
-    sinr_threshold_db: bool = False  # interpret psi values as dB instead of linear
     bs_positions: tuple | None = None  # explicit (x, y) pairs; quadrant-center default if None
-    seed: int = 0
 
     def __post_init__(self):
         if self.floor_width <= 0 or self.floor_height <= 0:
@@ -89,10 +80,6 @@ class ScenarioConfig:
             raise ValueError("psi_range and k_range must be non-empty")
         if self.k_range[0] < 1:
             raise ValueError("outage windows must be >= 1 slot")
-        if self.qos_draw not in ("integer", "uniform"):
-            raise ValueError("qos_draw must be 'integer' or 'uniform'")
-        if self.ris_placement not in ("stratified", "uniform"):
-            raise ValueError("ris_placement must be 'stratified' or 'uniform'")
         if self.bs_clearance < 0 or self.wall_clearance < 0:
             raise ValueError("clearances must be >= 0")
         if self.d_reconfig < 1:
@@ -131,20 +118,8 @@ class Scenario:
     ris_mounts: list    # of RisMount
     obstacles: list     # of Obstacle
     trajectories: np.ndarray  # (n_robots, n_slots, 2) meters
-    psi: np.ndarray     # per-robot SINR threshold as configured (linear or dB)
+    psi: np.ndarray     # per-robot linear SINR threshold
     k_out: np.ndarray   # per-robot consecutive-outage budget, slots
-
-    def robot_position(self, r: int, n: int) -> Point2D:
-        x, y = self.trajectories[r, n]
-        return Point2D(float(x), float(y))
-
-    def positions_at(self, n: int) -> np.ndarray:
-        return self.trajectories[:, n, :]
-
-    def psi_linear(self) -> np.ndarray:
-        if self.config.sinr_threshold_db:
-            return 10.0 ** (self.psi / 10.0)
-        return self.psi.astype(float)
 
     def __eq__(self, other):
         if not isinstance(other, Scenario):
@@ -169,10 +144,6 @@ class DerivedTables:
     tables: LinkPowerTables
     u_effective: int
     psi_linear: np.ndarray
-
-    @property
-    def noise(self) -> float:
-        return self.tables.noise
 
 
 def _default_bs_positions(config: ScenarioConfig, rng) -> list:
@@ -200,7 +171,7 @@ def _rect_distance(ob: Obstacle, p: Point2D) -> float:
 
 
 def _draw_obstacles(config: ScenarioConfig, rng, keep_clear: list) -> list:
-    """Ring machines around the floor center first, then scattered ones."""
+    """Machines scattered uniformly, clear of the walls and the masts."""
     w, h = config.floor_width, config.floor_height
     lo, hi = config.obstacle_size
     margin = max(config.wall_clearance, 1e-6)
@@ -212,22 +183,6 @@ def _draw_obstacles(config: ScenarioConfig, rng, keep_clear: list) -> list:
         if ob.xmax > w - margin or ob.ymax > h - margin:
             return False
         return all(_rect_distance(ob, p) >= config.bs_clearance for p in keep_clear)
-
-    ring_lo, ring_hi = config.ring_size if config.ring_size is not None else (lo, hi)
-    for _ in range(config.n_ring_obstacles):
-        for _ in range(PLACEMENT_RETRIES):
-            ow = rng.uniform(ring_lo, ring_hi)
-            oh = rng.uniform(ring_lo, ring_hi)
-            rho = rng.uniform(*config.ring_radii)
-            phi = rng.uniform(0.0, 2 * math.pi)
-            cx = w / 2 + rho * math.cos(phi)
-            cy = h / 2 + rho * math.sin(phi)
-            ob = Obstacle(cx - ow / 2, cy - oh / 2, cx + ow / 2, cy + oh / 2)
-            if admissible(ob):
-                obstacles.append(ob)
-                break
-        else:
-            raise GenerationError("could not place ring obstacle")
 
     for _ in range(config.n_obstacles):
         for _ in range(PLACEMENT_RETRIES):
@@ -248,15 +203,11 @@ def _draw_obstacles(config: ScenarioConfig, rng, keep_clear: list) -> list:
 
 def _draw_ris_mounts(config: ScenarioConfig, rng) -> list:
     w, h = config.floor_width, config.floor_height
-    perimeter = 2 * (w + h)
+    arc = 2 * (w + h) / max(config.n_ris, 1)
     mounts = []
     for idx in range(config.n_ris):
-        if config.ris_placement == "stratified":
-            # one mount per equal perimeter arc, jittered inside its arc
-            arc = perimeter / config.n_ris
-            s = (idx + rng.uniform(0.0, 1.0)) * arc
-        else:
-            s = rng.uniform(0.0, perimeter)
+        # one mount per equal perimeter arc, jittered inside its arc
+        s = (idx + rng.uniform(0.0, 1.0)) * arc
         if s < w:
             pos, normal = Point2D(s, 0.0), (0.0, 1.0)
         elif s < w + h:
@@ -324,10 +275,8 @@ def _walk(config: ScenarioConfig, rng, obstacles, start) -> np.ndarray:
     return pos
 
 
-def generate(config: ScenarioConfig, seed: int | None = None) -> Scenario:
+def generate(config: ScenarioConfig, seed: int) -> Scenario:
     """Draw placements, trajectories, and per-robot QoS for one random scenario."""
-    if seed is None:
-        seed = config.seed
     rng = np.random.default_rng(seed)
 
     if config.bs_positions is not None:
@@ -342,14 +291,9 @@ def generate(config: ScenarioConfig, seed: int | None = None) -> Scenario:
         start = _draw_start(config, rng, obstacles)
         trajectories[r] = _walk(config, rng, obstacles, start)
 
-    if config.qos_draw == "integer":
-        psi = rng.integers(int(config.psi_range[0]), int(config.psi_range[1]) + 1,
-                           size=config.n_robots).astype(float)
-        k_out = rng.integers(config.k_range[0], config.k_range[1] + 1, size=config.n_robots)
-    else:
-        psi = rng.uniform(config.psi_range[0], config.psi_range[1], size=config.n_robots)
-        k_out = np.round(rng.uniform(config.k_range[0], config.k_range[1],
-                                     size=config.n_robots)).astype(int)
+    psi = rng.integers(int(config.psi_range[0]), int(config.psi_range[1]) + 1,
+                       size=config.n_robots).astype(float)
+    k_out = rng.integers(config.k_range[0], config.k_range[1] + 1, size=config.n_robots)
 
     return Scenario(
         config=config,
@@ -373,7 +317,7 @@ def precompute(scenario: Scenario) -> DerivedTables:
     cfg = scenario.config
     phys = cfg.phys
     coverage = geometry.build_coverage(scenario)
-    conflicts = geometry.build_conflicts(scenario, coverage, cfg.conflict_angle)
+    conflicts = geometry.build_conflicts(scenario, coverage)
 
     n_b, n_i = cfg.n_bs, cfg.n_ris
     gain = channel.antenna_gain(phys.theta)
@@ -430,7 +374,7 @@ def precompute(scenario: Scenario) -> DerivedTables:
         conflicts=conflicts,
         tables=link_tables,
         u_effective=u_effective,
-        psi_linear=scenario.psi_linear(),
+        psi_linear=scenario.psi.astype(float),
     )
 
 
@@ -454,16 +398,11 @@ def _config_to_dict(cfg: ScenarioConfig) -> dict:
         "n_ris": cfg.n_ris,
         "n_robots": cfg.n_robots,
         "n_slots": cfg.n_slots,
-        "slot_duration_s": cfg.slot_duration,
         "robot_step_m": cfg.robot_step,
         "n_obstacles": cfg.n_obstacles,
         "obstacle_size_m": list(cfg.obstacle_size),
-        "n_ring_obstacles": cfg.n_ring_obstacles,
-        "ring_radii_m": list(cfg.ring_radii),
-        "ring_size_m": None if cfg.ring_size is None else list(cfg.ring_size),
         "bs_clearance_m": cfg.bs_clearance,
         "wall_clearance_m": cfg.wall_clearance,
-        "ris_placement": cfg.ris_placement,
         "phys": {
             "p_bs_w": cfg.phys.p_bs,
             "freq_hz": cfg.phys.freq,
@@ -476,62 +415,74 @@ def _config_to_dict(cfg: ScenarioConfig) -> dict:
         },
         "psi_range": list(cfg.psi_range),
         "k_range": list(cfg.k_range),
-        "qos_draw": cfg.qos_draw,
         "d_reconfig_slots": cfg.d_reconfig,
         "u_override": cfg.u_override,
         "ris_fov_half_angle_rad": cfg.ris_fov_half_angle,
-        "conflict_angle_rad": cfg.conflict_angle,
-        "sinr_threshold_db": cfg.sinr_threshold_db,
         "bs_positions_m": None if cfg.bs_positions is None else [list(p) for p in cfg.bs_positions],
-        "seed": cfg.seed,
     }
 
 
+def _real(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _int(v) -> int:
+    if not _real(v).is_integer():
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _pair(v, kind) -> tuple:
+    lo, hi = v
+    return kind(lo), kind(hi)
+
+
 def _config_from_dict(d: dict) -> ScenarioConfig:
+    """Read a config block; every key is consumed once, so a key left over is unknown."""
     try:
-        phys = d["phys"]
-        return ScenarioConfig(
-            floor_width=float(d["floor_m"][0]),
-            floor_height=float(d["floor_m"][1]),
-            n_bs=int(d["n_bs"]),
-            n_ris=int(d["n_ris"]),
-            n_robots=int(d["n_robots"]),
-            n_slots=int(d["n_slots"]),
-            slot_duration=float(d["slot_duration_s"]),
-            robot_step=float(d["robot_step_m"]),
-            n_obstacles=int(d["n_obstacles"]),
-            obstacle_size=(float(d["obstacle_size_m"][0]), float(d["obstacle_size_m"][1])),
-            n_ring_obstacles=int(d["n_ring_obstacles"]),
-            ring_radii=(float(d["ring_radii_m"][0]), float(d["ring_radii_m"][1])),
-            ring_size=None if d["ring_size_m"] is None
-            else (float(d["ring_size_m"][0]), float(d["ring_size_m"][1])),
-            bs_clearance=float(d["bs_clearance_m"]),
-            wall_clearance=float(d["wall_clearance_m"]),
-            ris_placement=str(d["ris_placement"]),
+        d = dict(d)
+        phys = dict(d.pop("phys"))
+        bs_positions = d.pop("bs_positions_m")
+        u_override = d.pop("u_override")
+        floor_width, floor_height = _pair(d.pop("floor_m"), _real)
+        config = ScenarioConfig(
+            floor_width=floor_width,
+            floor_height=floor_height,
+            n_bs=_int(d.pop("n_bs")),
+            n_ris=_int(d.pop("n_ris")),
+            n_robots=_int(d.pop("n_robots")),
+            n_slots=_int(d.pop("n_slots")),
+            robot_step=_real(d.pop("robot_step_m")),
+            n_obstacles=_int(d.pop("n_obstacles")),
+            obstacle_size=_pair(d.pop("obstacle_size_m"), _real),
+            bs_clearance=_real(d.pop("bs_clearance_m")),
+            wall_clearance=_real(d.pop("wall_clearance_m")),
             phys=PhysParams(
-                p_bs=float(phys["p_bs_w"]),
-                freq=float(phys["freq_hz"]),
-                theta=float(phys["beamwidth_rad"]),
-                n_elements=int(phys["n_elements"]),
-                temperature=float(phys["temperature_k"]),
-                bandwidth=float(phys["bandwidth_hz"]),
-                c=float(phys["light_speed_m_s"]),
-                k=float(phys["boltzmann_j_k"]),
+                p_bs=_real(phys.pop("p_bs_w")),
+                freq=_real(phys.pop("freq_hz")),
+                theta=_real(phys.pop("beamwidth_rad")),
+                n_elements=_int(phys.pop("n_elements")),
+                temperature=_real(phys.pop("temperature_k")),
+                bandwidth=_real(phys.pop("bandwidth_hz")),
+                c=_real(phys.pop("light_speed_m_s")),
+                k=_real(phys.pop("boltzmann_j_k")),
             ),
-            psi_range=(float(d["psi_range"][0]), float(d["psi_range"][1])),
-            k_range=(int(d["k_range"][0]), int(d["k_range"][1])),
-            qos_draw=str(d["qos_draw"]),
-            d_reconfig=int(d["d_reconfig_slots"]),
-            u_override=None if d["u_override"] is None else int(d["u_override"]),
-            ris_fov_half_angle=float(d["ris_fov_half_angle_rad"]),
-            conflict_angle=None if d["conflict_angle_rad"] is None else float(d["conflict_angle_rad"]),
-            sinr_threshold_db=bool(d["sinr_threshold_db"]),
-            bs_positions=None if d["bs_positions_m"] is None
-            else tuple((float(p[0]), float(p[1])) for p in d["bs_positions_m"]),
-            seed=int(d["seed"]),
+            psi_range=_pair(d.pop("psi_range"), _real),
+            k_range=_pair(d.pop("k_range"), _int),
+            d_reconfig=_int(d.pop("d_reconfig_slots")),
+            u_override=None if u_override is None else _int(u_override),
+            ris_fov_half_angle=_real(d.pop("ris_fov_half_angle_rad")),
+            bs_positions=None if bs_positions is None
+            else tuple(_pair(p, _real) for p in bs_positions),
         )
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad config block: {exc!r}") from exc
+    unknown = sorted(d) + [f"phys.{key}" for key in sorted(phys)]
+    if unknown:
+        raise ScenarioFormatError(f"unknown config keys: {', '.join(unknown)}")
+    return config
 
 
 def serialize(scenario: Scenario) -> str:

@@ -1,8 +1,8 @@
 """Solver backends behind a common contract.
 
 Two ways to solve a model: "highs" hands the matrix to the HiGHS MILP engine
-shipped with scipy; an ``ExternalBackend`` writes an interchange file and
-shells out to any solver command.  ``milp.brute_force_optimum`` is the
+shipped with scipy; an ``ExternalBackend`` writes an LP file and shells
+out to any solver command.  ``milp.brute_force_optimum`` is the
 independent ground truth both are tested against.
 """
 
@@ -107,7 +107,7 @@ def _solve_highs(model: MilpModel, time_budget) -> SolveResult:
 
 
 class ExternalBackend:
-    """Shells a model out to a solver command through interchange files.
+    """Shells a model out to a solver command through an LP file.
 
     ``command`` is a list of argv strings where "{model}" and "{solution}"
     are replaced by file paths.  The solver must write a solution file whose
@@ -115,19 +115,16 @@ class ExternalBackend:
     "name value" line per nonzero or listed variable.
     """
 
-    def __init__(self, command, file_format="lp"):
-        if file_format not in ("lp", "mps"):
-            raise ValueError("file_format must be 'lp' or 'mps'")
+    def __init__(self, command):
         self.command = list(command)
         if not self.command:
             raise ValueError("external solver command is empty")
-        self.file_format = file_format
 
     def solve(self, model: MilpModel, time_budget=None) -> SolveResult:
         start = time.perf_counter()
-        text = lpio.write_lp(model) if self.file_format == "lp" else lpio.write_mps(model)
+        text = lpio.write_lp(model)
         with tempfile.TemporaryDirectory(prefix="rislink-") as tmp:
-            model_path = os.path.join(tmp, "model." + self.file_format)
+            model_path = os.path.join(tmp, "model.lp")
             solution_path = os.path.join(tmp, "solution.txt")
             with open(model_path, "w") as fh:
                 fh.write(text)

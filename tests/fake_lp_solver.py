@@ -1,4 +1,4 @@
-"""Stand-in external solver: parses an LP/MPS file, solves it, writes a solution.
+"""Stand-in external solver: parses an LP file, solves it, writes a solution.
 
 Invoked as: python fake_lp_solver.py MODEL_PATH SOLUTION_PATH
 Exercises the whole file-based adapter path end to end.
@@ -12,14 +12,13 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 # a process of its own: find the package the way pytest's pythonpath does
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
-from rislink.lpio import parse_lp, parse_mps, write_solution  # noqa: E402
+from rislink.lpio import parse_lp, write_solution  # noqa: E402
 
 
 def main():
     model_path, solution_path = sys.argv[1], sys.argv[2]
     with open(model_path) as fh:
-        text = fh.read()
-    parsed = parse_mps(text) if model_path.endswith(".mps") else parse_lp(text)
+        parsed = parse_lp(fh.read())
 
     names = parsed.var_names
     index = {v: j for j, v in enumerate(names)}

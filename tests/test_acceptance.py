@@ -105,12 +105,13 @@ class TestCriterion4NarrativeInstance:
         assert validate(scenario, tables, sched).ok
         assert sched.assignment(0, 1) == ("ris", 0)
         assert sched.assignment(2, 1) == ("ris", 0)
-        assert sched.is_outage(1, 1)
+        assert sched.kind[1, 1] == channel.OUTAGE
 
     def test_blocking_the_forced_robot_is_infeasible(self, solved):
         scenario, tables, _, _ = solved
         model = build_model(tables, scenario)
-        model.fix(model.xi(0, 0, 1), 0)  # forbid robot 0 on surface 0 in slot 1
+        col = model.columns["Xi"][0, 0, 1]
+        model.lb[col] = model.ub[col] = 0  # forbid robot 0 on surface 0 in slot 1
         res = solvers.solve(model, "highs")
         assert res.status == "infeasible"
 

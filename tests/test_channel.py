@@ -220,7 +220,7 @@ def assert_batch_matches_scalar(tables, sched):
     for n in range(sched.n_slots):
         slot = sinr_batch(tables, sched.kind[:, n], sched.index[:, n], n)
         for r in range(sched.n_robots):
-            if sched.is_outage(r, n):
+            if sched.kind[r, n] == channel.OUTAGE:
                 assert np.isnan(whole[r, n]) and np.isnan(slot[r])
             else:
                 assert whole[r, n] == slot[r] == sinr(tables, sched, r, n)

@@ -166,6 +166,16 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_removed_config_key_is_error(self, tmp_path, capsys):
+        config = dict(_config_to_dict(ScenarioConfig(n_robots=2, n_slots=4)), sinr_threshold_db=False)
+        spec = {"format": "rislink-sweep", "version": 1, "axis": "robots", "values": [2],
+                "methods": ["heuristic"], "config": config}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run_cli("sweep", str(spec_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sinr_threshold_db" in err
+
     def test_full_axis_row_count(self, tmp_path):
         # seven robot counts, one cheap method: 7 rows plus the header
         cfg = ScenarioConfig(n_robots=2, n_slots=4, n_ris=2, n_obstacles=2, k_range=(3, 4))

@@ -224,7 +224,7 @@ class TestCoverage:
                    for m in s.ris_mounts] for p in s.bs_positions]
         assert np.array_equal(cov.bs_ris, bs_ris)
         for n in range(s.config.n_slots):
-            robots = [s.robot_position(r, n) for r in range(s.config.n_robots)]
+            robots = [Point2D(*xy) for xy in s.trajectories[:, n].tolist()]
             bs = [[points_differ(p, q) and not los_blocked(p, q, s.obstacles) for q in robots]
                   for p in s.bs_positions]
             sight = [[points_differ(m.position, q) and not los_blocked(m.position, q, s.obstacles)
@@ -242,7 +242,7 @@ class TestCoverage:
         for n in range(s.config.n_slots):
             for r in range(s.config.n_robots):
                 for b, bpos in enumerate(s.bs_positions):
-                    p = s.robot_position(r, n)
+                    p = Point2D(*s.trajectories[r, n].tolist())
                     if los_blocked(bpos, p, s.obstacles):
                         assert los_blocked(bpos, p, list(s.obstacles) + extra)
 
@@ -309,7 +309,7 @@ class TestConflicts:
         near_but_hidden = 0
         for n in range(s.config.n_slots):
             for i, m in enumerate(s.ris_mounts):
-                vec = s.positions_at(n) - (m.position.x, m.position.y)
+                vec = s.trajectories[:, n] - (m.position.x, m.position.y)
                 for ra in range(s.config.n_robots):
                     for rb in range(ra + 1, s.config.n_robots):
                         near = angle_between(*vec[ra], *vec[rb]) <= theta + 1e-12

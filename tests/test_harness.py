@@ -7,7 +7,7 @@ import pytest
 
 from rislink import harness
 from rislink.harness import SweepSpec, apply_axis, load_sweep_spec, run_sweep, run_trial, sweep_to_csv
-from rislink.scenario import ScenarioConfig, _config_to_dict
+from rislink.scenario import ScenarioConfig, ScenarioFormatError, _config_to_dict
 
 from conftest import tiny_config
 
@@ -176,6 +176,13 @@ class TestSweepSpecFile:
             "fractional-seed0", "boolean-seed0", "string-seed0"])
     def test_malformed_spec_rejected(self, doc):
         with pytest.raises(ValueError):
+            load_sweep_spec(json.dumps(doc))
+
+    def test_removed_config_key_rejected(self):
+        # a version-1 config could switch thresholds to dB; reading it as linear would be wrong
+        doc = _spec_doc()
+        doc["config"]["sinr_threshold_db"] = True
+        with pytest.raises(ScenarioFormatError, match="unknown config keys: sinr_threshold_db"):
             load_sweep_spec(json.dumps(doc))
 
     def test_timeout_validated(self):

@@ -69,7 +69,8 @@ class TestLinkDistances:
         for n in range(10):
             for r in range(8):
                 for link, src in enumerate(sources):
-                    want = src.distance_to(s.robot_position(r, n)) if covered[n, link, r] else math.inf
+                    robot = Point2D(*s.trajectories[r, n].tolist())
+                    want = src.distance_to(robot) if covered[n, link, r] else math.inf
                     assert dist[n, r, link] == want
 
 

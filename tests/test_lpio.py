@@ -122,13 +122,12 @@ class TestSolutionFormat:
 
 
 class TestExternalAdapter:
-    @pytest.mark.parametrize("fmt", ["lp", "mps"])
-    def test_cross_solver_objective_matches(self, fmt):
+    def test_cross_solver_objective_matches(self):
         s = generate(tiny_config(n_slots=3), 2)
         t = precompute(s)
         model = build_model(t, s)
         highs = solvers.solve(model, "highs")
-        external = solvers.solve(model, solvers.ExternalBackend(FAKE_SOLVER, file_format=fmt))
+        external = solvers.solve(model, solvers.ExternalBackend(FAKE_SOLVER))
         assert external.status == highs.status == "optimal"
         assert round(external.objective) == round(highs.objective)
         bf_obj, _ = brute_force_optimum(t, s)

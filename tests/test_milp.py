@@ -42,7 +42,7 @@ class TestBuildModel:
         s.obstacles = [Obstacle(0.5, 0.5, 24.5, 24.5)]
         t = precompute(s)
         model = build_model(t, s)
-        assert all(model.ub[model.xb(0, 0, n)] == 0 for n in range(3))
+        assert all(model.ub[model.columns["Xb"][0, 0, n]] == 0 for n in range(3))
         obj, res, _ = solve_objective(s, t)
         assert obj == 1 * 3
 
@@ -190,7 +190,7 @@ class TestBigMInertness:
             if not name.startswith(("snrB", "snrI")):
                 continue
             idx, r, n = map(int, name[5:].split("_"))
-            own = model.xb(idx, r, n) if name[3] == "B" else model.xi(idx, r, n)
+            own = model.columns["Xb" if name[3] == "B" else "Xi"][idx, r, n]
             cols, coefs = model.row_cols[k], model.row_coefs[k]
             others = cols != own
             assert others.sum() == len(cols) - 1
@@ -228,7 +228,7 @@ def sinr_rows(model, tables):
             idx, r, n = map(int, name[5:].split("_"))
             rows.append(k)
             slot.append(n)
-            victim.append(model.xb(idx, r, n) if name[3] == "B" else model.xi(idx, r, n))
+            victim.append(model.columns["Xb" if name[3] == "B" else "Xi"][idx, r, n])
     slot, victim = np.array(slot), np.array(victim)
     vr = robot_of[victim]
     sub = model.matrix[rows]
@@ -397,7 +397,8 @@ class TestExtractSchedule:
         s = generate(cfg, 0)
         model = build_model(precompute(s), s)
         bogus = np.zeros(model.n_vars)
-        bogus[[model.xb(0, 0, 0), model.xb(1, 0, 0)]] = 1  # served through both BSs
+        xb = model.columns["Xb"]
+        bogus[[xb[0, 0, 0], xb[1, 0, 0]]] = 1  # served through both BSs
         with pytest.raises(RuntimeError, match="inconsistent.* 2 allocation bits"):
             extract_schedule(model, bogus)
 
@@ -406,7 +407,8 @@ class TestExtractSchedule:
         s = generate(cfg, 0)
         model = build_model(precompute(s), s)
         values = np.zeros(model.n_vars)
-        values[[model.o(0, 0), model.xb(0, 0, 0), model.xb(1, 0, 0), model.xb(1, 0, 1)]] = 1
+        xb = model.columns["Xb"]
+        values[[model.columns["O"][0, 0], xb[0, 0, 0], xb[1, 0, 0], xb[1, 0, 1]]] = 1
         sched = extract_schedule(model, values)
         assert sched.assignment(0, 0) == (None, None)
         assert sched.assignment(0, 1) == ("bs", 1)

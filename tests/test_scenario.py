@@ -1,16 +1,19 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from rislink.channel import PhysParams
 from rislink.scenario import (
     DIRECTION_HOLD_SLOTS,
     GenerationError,
     Scenario,
     ScenarioConfig,
     ScenarioFormatError,
+    _config_from_dict,
+    _config_to_dict,
     deserialize,
     generate,
     precompute,
@@ -19,6 +22,16 @@ from rislink.scenario import (
 )
 
 CFG = ScenarioConfig(n_robots=5, n_slots=25, n_ris=4, n_obstacles=4)
+# every field, and every physical constant, away from its default
+OFF_DEFAULT = ScenarioConfig(
+    floor_width=30.0, floor_height=25.0, n_bs=3, n_ris=5, n_robots=4, n_slots=7,
+    robot_step=1.5, n_obstacles=2, obstacle_size=(1.0, 2.0),
+    bs_clearance=2.5, wall_clearance=1.0,
+    phys=PhysParams(p_bs=2e-3, freq=30e9, theta=0.2, n_elements=150, temperature=300.0,
+                    bandwidth=10e6, c=3e8, k=1.4e-23),
+    psi_range=(5.0, 6.0), k_range=(3, 4), d_reconfig=3, u_override=1,
+    ris_fov_half_angle=1.2, bs_positions=((1.0, 2.0), (3.0, 4.0), (5.0, 6.0)),
+)
 
 
 class TestGenerate:
@@ -94,7 +107,7 @@ class TestGenerate:
         full = np.isclose(lengths, CFG.robot_step, rtol=1e-9)
         assert full.mean() > 0.8
 
-    def test_qos_draw_means(self):
+    def test_qos_means(self):
         # 50 scenarios x 200 robots = 10^4 draws from {14,15} and {9,10}
         cfg = replace(CFG, n_robots=200, n_slots=2, n_obstacles=0)
         ks = []
@@ -110,10 +123,6 @@ class TestGenerate:
         s = generate(CFG, 11)
         assert set(np.unique(s.k_out)) <= {14, 15}
         assert set(np.unique(s.psi)) <= {9.0, 10.0}
-
-    def test_continuous_draw_mode(self):
-        s = generate(replace(CFG, qos_draw="uniform"), 11)
-        assert ((s.psi >= 9.0) & (s.psi <= 10.0)).all()
 
     def test_overcrowded_floor_fails(self):
         cfg = ScenarioConfig(floor_width=5.0, floor_height=5.0, n_obstacles=6,
@@ -155,11 +164,6 @@ class TestPrecompute:
         assert precompute(s).u_effective == 10
         s2 = generate(replace(CFG, u_override=2), 1)
         assert precompute(s2).u_effective == 2
-
-    def test_db_threshold_switch(self):
-        s = generate(replace(CFG, sinr_threshold_db=True), 1)
-        t = precompute(s)
-        assert t.psi_linear == pytest.approx(10 ** (s.psi / 10.0))
 
     def test_strip_ris(self):
         s = generate(CFG, 4)
@@ -211,10 +215,59 @@ class TestSerialization:
         with pytest.raises(ScenarioFormatError):
             deserialize(json.dumps(doc))
 
-    def test_negative_db_thresholds_accepted(self):
-        s = generate(replace(CFG, sinr_threshold_db=True, psi_range=(-3.0, -1.0), qos_draw="uniform"), 1)
-        assert (s.psi < 0).all()
+    def test_version_1_file_rejected(self):
+        doc = json.loads(serialize(generate(CFG, 1)))
+        doc["version"] = 1
+        with pytest.raises(ScenarioFormatError, match="version"):
+            deserialize(json.dumps(doc))
+
+    def test_config_off_defaults_round_trips(self):
+        default = ScenarioConfig()
+        assert all(getattr(OFF_DEFAULT, f.name) != getattr(default, f.name) for f in fields(ScenarioConfig))
+        assert all(getattr(OFF_DEFAULT.phys, f.name) != getattr(default.phys, f.name) for f in fields(PhysParams))
+        assert _config_from_dict(json.loads(json.dumps(_config_to_dict(OFF_DEFAULT)))) == OFF_DEFAULT
+        s = generate(OFF_DEFAULT, 3)
         assert deserialize(serialize(s)) == s
+
+    def test_reader_reads_exactly_the_written_keys(self):
+        # the reader needs every key the writer writes, and refuses any other
+        written = _config_to_dict(CFG)
+        for key in written:
+            d = dict(written)
+            del d[key]
+            with pytest.raises(ScenarioFormatError, match=key):
+                _config_from_dict(d)
+        for key in written["phys"]:
+            d = dict(written, phys=dict(written["phys"]))
+            del d["phys"][key]
+            with pytest.raises(ScenarioFormatError, match=key):
+                _config_from_dict(d)
+        with pytest.raises(ScenarioFormatError, match="unknown config keys: extra_m$"):
+            _config_from_dict(dict(written, extra_m=1.0))
+        with pytest.raises(ScenarioFormatError, match="unknown config keys: phys.gain_db$"):
+            _config_from_dict(dict(written, phys=dict(written["phys"], gain_db=3.0)))
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_slots", "x"),
+        ("n_slots", 0),
+        ("n_slots", 3.7),
+        ("n_robots", True),
+        ("u_override", 99),
+        ("k_range", [0, 1]),
+        ("k_range", [14, 15.5]),
+        ("k_range", [14]),
+        ("psi_range", ["9", "10"]),
+        ("floor_m", None),
+        ("bs_positions_m", [[1.0, 2.0, 3.0]]),
+        ("phys", {}),
+    ], ids=["string-slots", "zero-slots", "fractional-slots", "boolean-robots", "u-above-cap",
+            "zero-window", "fractional-window", "short-window", "string-thresholds",
+            "null-floor", "triple-position", "empty-phys"])
+    def test_malformed_config_value_rejected(self, key, value):
+        doc = json.loads(serialize(generate(CFG, 1)))
+        doc["config"][key] = value
+        with pytest.raises(ScenarioFormatError, match="config"):
+            deserialize(json.dumps(doc))
 
     def test_minimal_hand_written_fixture(self, tmp_path):
         with open("tests/data/minimal_scenario.json") as fh:
