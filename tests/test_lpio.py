@@ -1,13 +1,15 @@
+import hashlib
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rislink import solvers
 from rislink.lpio import export_model, parse_lp, parse_mps, parse_solution, write_lp, write_mps, write_solution
-from rislink.milp import build_model, brute_force_optimum
+from rislink.milp import MilpModel, build_model, brute_force_optimum
 from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
@@ -32,6 +34,85 @@ def model_multiset(model):
 def small_model():
     s = generate(tiny_config(), 5)
     return build_model(precompute(s), s)
+
+
+def hand_built_model():
+    """Eight columns Xb_0_0_0 .. O_0_1 and four rows covering the writers' edge cases:
+    a row with no terms, a column with neither entries nor objective (and an
+    objective of -0.0), columns with an objective only, -0.0 as a coefficient
+    and as a right-hand side, negative leading coefficients and right-hand
+    sides, unsorted column indices, and variables fixed at 1, 0 and -0.0."""
+    matrix = sp.csr_matrix((
+        np.array([-1.5, 0.1, -0.0, 1e-08, 3.0, 2.0]),
+        np.array([0, 2, 3, 4, 0, 1]),
+        np.array([0, 3, 3, 5, 6]),
+    ), shape=(4, 8))
+    lb, ub = np.zeros(8), np.ones(8)
+    lb[1] = 1.0
+    ub[4] = 0.0
+    lb[6], ub[6] = -0.0, 0.0
+    return MilpModel(
+        n_bs=1, n_ris=1, n_robots=1, n_slots=2, lb=lb, ub=ub,
+        objective=np.array([-2.0, 0.0, 0.0, 0.0, 0.0, -0.0, 1.0, 0.25]), matrix=matrix,
+        row_sense=np.array([">", "<", "=", "<"]), row_rhs=np.array([-2.25, -0.0, 1.0, 0.0]),
+        make_row_names=lambda: ["a", "empty", "b", "c"])
+
+
+def empty_model():
+    s = generate(ScenarioConfig(n_bs=0, n_ris=0, n_robots=0, n_slots=1, n_obstacles=0), 0)
+    return build_model(precompute(s), s)
+
+
+def experiment_model():
+    s = generate(replace(EXPERIMENT_CONFIG, n_robots=14), 1000)
+    return build_model(precompute(s), s)
+
+
+class TestGoldenText:
+    """sha256 of the exported text, pinned from the per-row writers the
+    array writers replaced; any change to a byte of either format fails."""
+
+    DIGESTS = {
+        ("small", "lp"):
+            "e94d6609b1a13aa02da14d6ec10ac7d2e2292807ef3ee344d97e311e58605e31",
+        ("small", "mps"):
+            "aaf6cef0800e399c1b3c17d5a7c1f670eb45e28b8d61d661013bb07fbdaaf9a0",
+        ("empty", "lp"):
+            "051ca5e7118a92605bdc2da8aae7836cf650004f81a2396139a1f12ee5d90176",
+        ("empty", "mps"):
+            "1354686fe52f2f535fe8a90e914bddf225c0085bcaa914233e8af28379a54816",
+        ("experiment", "lp"):
+            "e489bba204bc140ee0e56feb1f0bd4a893b70eed4a18323b1309642c47e4ceec",
+        ("experiment", "mps"):
+            "982b7945e992cb47e3041b9692e0a14f76af755c65a716a73e823d9a2a0cc532",
+        ("hand_built", "lp"):
+            "b5fe0ad2c2aeb0fb0151d7e1f222fb8e00b6aa1bfdeafb8d1fd1f6b4001d9db6",
+        ("hand_built", "mps"):
+            "74a269f24b8248ff291055ceeeb8b786c13f1449d0902f1f5b71da95048344dd",
+    }
+
+    @pytest.fixture(scope="class")
+    def models(self, small_model):
+        return {"small": small_model, "empty": empty_model(), "experiment": experiment_model(),
+                "hand_built": hand_built_model()}
+
+    @pytest.mark.parametrize("case, fmt", list(DIGESTS))
+    def test_text_matches_pinned_digest(self, models, case, fmt):
+        text = export_model(models[case], fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[case, fmt]
+
+    def test_hand_built_text(self):
+        model = hand_built_model()
+        lp, mps = write_lp(model), write_mps(model)
+        assert " obj: - 2.0 Xb_0_0_0 + 1.0 O_0_0 + 0.25 O_0_1\n" in lp
+        assert " a: - 1.5 Xb_0_0_0 + 0.1 Xi_0_0_0 + 0.0 Xi_0_0_1 >= -2.25\n" in lp
+        assert " empty: 0 <= -0.0\n" in lp
+        assert " b: 1e-08 Y_0_0_0 + 3.0 Xb_0_0_0 = 1.0\n" in lp
+        assert " Xi_0_0_1 a -0.0\n" in mps
+        assert " Y_0_0_1 obj 0.0\n" in mps
+        assert " O_0_0 obj 1.0\n" in mps
+        assert " FX BND O_0_0 -0.0\n" in mps
+        assert " RHS empty" not in mps
 
 
 class TestLpRoundTrip:
@@ -77,8 +158,7 @@ class TestMpsRoundTrip:
 
 class TestExperimentScaleRoundTrip:
     def test_lp_and_mps_parse_back_alike(self):
-        s = generate(replace(EXPERIMENT_CONFIG, n_robots=14), 1000)
-        model = build_model(precompute(s), s)
+        model = experiment_model()
         lp = parse_lp(write_lp(model))
         mps = parse_mps(write_mps(model))
         assert lp.coefficient_multiset() == mps.coefficient_multiset() == [
@@ -92,9 +172,7 @@ class TestExperimentScaleRoundTrip:
 
 class TestEmptyModel:
     def test_empty_scenario_exports(self):
-        cfg = ScenarioConfig(n_bs=0, n_ris=0, n_robots=0, n_slots=1, n_obstacles=0)
-        s = generate(cfg, 0)
-        model = build_model(precompute(s), s)
+        model = empty_model()
         lp = export_model(model, "lp")
         mps = export_model(model, "mps")
         assert "Minimize" in lp and "End" in lp
