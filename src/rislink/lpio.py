@@ -1,9 +1,13 @@
 """Model interchange: LP and MPS writers, matching parsers, solution files.
 
 Writers emit full-precision coefficients (``repr`` round-trips floats), so an
-exported file reconstructs the exact model.  The parsers cover the subset the
-writers produce, which is enough for round-trip checks and for driving an
-external solver through files.
+exported file reconstructs the exact model.  Their text is stable to the
+byte: each distinct value, told apart by its bit pattern (so -0.0 keeps its
+sign), is formatted with ``repr`` once, and each section is one table of
+text pieces built from the model's CSR/CSC arrays and joined once.  They
+read ``model.row_names``, which the model makes only on demand.  The parsers
+cover the subset the writers produce, which is enough for round-trip checks
+and for driving an external solver through files.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ __all__ = [
     "parse_solution",
 ]
 
-_SENSE_TO_LP = {"<": "<=", ">": ">=", "=": "="}
-_SENSE_TO_MPS = {"<": "L", ">": "G", "=": "E"}
+_LP_SENSE = {"<": " <= ", ">": " >= ", "=": " = "}
+_MPS_SENSE = {"<": " L ", ">": " G ", "=": " E "}
 
 
 @dataclass
@@ -52,37 +56,52 @@ def export_model(model, file_format: str) -> str:
     raise ValueError(f"unknown model format {file_format!r}; use 'lp' or 'mps'")
 
 
-def _lp_terms(cols, coefs, names) -> str:
-    parts = []
-    for j, coef in zip(cols, coefs):
-        sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {repr(abs(float(coef)))} {names[j]}")
-    if not parts:
-        return "0"
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else text
+def _texts(values, fmt=repr) -> np.ndarray:
+    """``fmt`` of every element, as an object array, called once per distinct
+    element.  Floats are told apart by bit pattern, so -0.0 keeps its sign."""
+    values = np.ascontiguousarray(values)
+    keys = values.view(np.int64) if values.dtype == np.float64 else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array([fmt(v) for v in distinct.view(values.dtype).tolist()], dtype=object)[inverse]
+
+
+def _join(*columns) -> str:
+    """Text of a table of pieces, read row by row: one row per line or term,
+    one column per piece.  A string column repeats on every row."""
+    table = np.empty((max(len(c) for c in columns if not isinstance(c, str)), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        table[:, j] = column
+    return "".join(table.ravel().tolist())
+
+
+def _lp_lines(heads, ends, indptr, cols, coefs, names) -> str:
+    """Lines ``head a x + b y - c z end`` of compressed rows; a row without terms reads ``head 0 end``."""
+    counts = np.diff(indptr)
+    width = np.maximum(counts, 1)
+    stop = np.cumsum(width)
+    term = np.repeat(counts > 0, width)
+    minus = np.zeros(len(term), dtype=np.intp)
+    minus[term] = coefs < 0
+    lead = np.array([" + ", " - "], dtype=object)[minus]
+    number, name = np.full(len(term), "0", dtype=object), np.full(len(term), "", dtype=object)
+    lead[stop - width] = heads + np.array(["", "- "], dtype=object)[minus[stop - width]]
+    number[term], name[term] = _texts(np.abs(coefs)), names[cols]
+    name[stop - 1] += ends
+    return _join(lead, number, name)
 
 
 def write_lp(model) -> str:
-    names = model.var_names
-    lines = ["\\ binary allocation program", "Minimize"]
-    obj_cols = np.nonzero(model.objective)[0]
-    lines.append(" obj: " + _lp_terms(obj_cols.tolist(), model.objective[obj_cols].tolist(), names))
-    lines.append("Subject To")
-    a = model.matrix
-    cols, coefs, bounds = a.indices.tolist(), a.data.tolist(), a.indptr.tolist()
-    for name, lo, hi, sense, rhs in zip(model.row_names, bounds[:-1], bounds[1:],
-                                        model.row_sense.tolist(), model.row_rhs.tolist()):
-        lines.append(f" {name}: {_lp_terms(cols[lo:hi], coefs[lo:hi], names)} {_SENSE_TO_LP[sense]} {rhs!r}")
+    names = " " + np.array(model.var_names, dtype=object)
+    a, obj_cols = model.matrix, np.flatnonzero(model.objective)
+    ends = _texts(model.row_sense, _LP_SENSE.__getitem__) + _texts(model.row_rhs, "{!r}\n".format)
     fixed = np.flatnonzero(model.lb == model.ub)
-    if len(fixed):
-        lines.append("Bounds")
-        values = model.lb[fixed].astype(int).tolist()
-        lines.extend(f" {names[j]} = {value}" for j, value in zip(fixed.tolist(), values))
-    lines.append("Binaries")
-    lines.extend(f" {name}" for name in names)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    return "".join([
+        "\\ binary allocation program\nMinimize\n",
+        _lp_lines(" obj: ", "\n", [0, len(obj_cols)], obj_cols, model.objective[obj_cols], names),
+        "Subject To\n",
+        _lp_lines(" " + np.array(model.row_names, dtype=object) + ": ", ends, a.indptr, a.indices, a.data, names),
+        "Bounds\n" + _join(names[fixed], _texts(model.lb[fixed].astype(int), " = {}\n".format)) if len(fixed) else "",
+        "Binaries\n", _join(names, "\n"), "End\n"])
 
 
 def _parse_expression(tokens):
@@ -248,31 +267,23 @@ def _retokenize(body: str):
 
 
 def write_mps(model) -> str:
-    names = model.var_names
-    row_names = model.row_names
-    lines = ["NAME model", "ROWS", " N obj"]
-    lines.extend(f" {_SENSE_TO_MPS[sense]} {name}" for sense, name in zip(model.row_sense.tolist(), row_names))
-    # column-major, straight from the compressed columns
-    csc = model.matrix.tocsc()
-    rows, coefs, bounds = csc.indices.tolist(), csc.data.tolist(), csc.indptr.tolist()
-    objective = model.objective.tolist()
-    lines.append("COLUMNS")
-    lines.append(" MARKER M1 'MARKER' 'INTORG'")
-    for j, name in enumerate(names):
-        lo, hi = bounds[j], bounds[j + 1]
-        if objective[j]:
-            lines.append(f" {name} obj {objective[j]!r}")
-        lines.extend(f" {name} {row_names[k]} {coef!r}" for k, coef in zip(rows[lo:hi], coefs[lo:hi]))
-        if not objective[j] and lo == hi:
-            lines.append(f" {name} obj 0.0")
-    lines.append(" MARKER M2 'MARKER' 'INTEND'")
-    lines.append("RHS")
-    lines.extend(f" RHS {name} {rhs!r}" for name, rhs in zip(row_names, model.row_rhs.tolist()) if rhs)
-    lines.append("BOUNDS")
-    for name, lo, hi in zip(names, model.lb.tolist(), model.ub.tolist()):
-        lines.append(f" FX BND {name} {lo!r}" if lo == hi else f" BV BND {name}")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    names, rows = np.array(model.var_names, dtype=object), np.array(model.row_names, dtype=object)
+    csc, objective = model.matrix.tocsc(), model.objective
+    counts = np.diff(csc.indptr)
+    # a column opens with its objective entry, or with "obj 0.0" when it has no other entry
+    opens = (objective != 0) | (counts == 0)
+    col = np.concatenate([np.flatnonzero(opens), np.repeat(np.arange(len(counts)), counts)])
+    order = np.argsort(col, kind="stable")
+    row = np.concatenate([np.full(np.count_nonzero(opens), "obj ", dtype=object), (rows + " ")[csc.indices]])
+    value = np.concatenate([np.where(objective != 0, objective, 0.0)[opens], csc.data])
+    rhs, fixed = np.flatnonzero(model.row_rhs), model.lb == model.ub
+    bound = np.where(fixed, _texts(model.lb, " {!r}\n".format), "\n")
+    return "".join([
+        "NAME model\nROWS\n N obj\n", _join(_texts(model.row_sense, _MPS_SENSE.__getitem__), rows, "\n"),
+        "COLUMNS\n MARKER M1 'MARKER' 'INTORG'\n",
+        _join((" " + names + " ")[col[order]], row[order], _texts(value, "{!r}\n".format)[order]),
+        " MARKER M2 'MARKER' 'INTEND'\nRHS\n", _join(" RHS ", rows[rhs], _texts(model.row_rhs[rhs], " {!r}\n".format)),
+        "BOUNDS\n", _join(np.where(fixed, " FX BND ", " BV BND "), names, bound), "ENDATA\n"])
 
 
 def parse_mps(text: str) -> ParsedModel:

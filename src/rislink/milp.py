@@ -147,7 +147,7 @@ class _Rows:
         self.senses = []   # (sense, row count) of each family
         self.names = []    # per family, a callable that makes its row names
 
-    def add(self, key, sense: str, rhs, cols, coefs, names: Callable[[], list], rows=None) -> None:
+    def add(self, key, sense: str, rhs, cols, coefs, names: Callable[[], np.ndarray], rows=None) -> None:
         """Append one row per line of the 2-D ``cols``, or, when ``rows`` gives
         each nonzero's row within the family, ``len(rhs)`` rows of any length.
         ``key``, ``rhs`` and ``coefs`` broadcast."""
@@ -179,27 +179,34 @@ class _Rows:
 
 
 def _ordered_names(parts, order) -> list:
-    names = [name for part in parts for name in part()]
-    return [names[k] for k in order.tolist()]
+    return np.concatenate([part() for part in parts])[order].tolist()
 
 
-def _slot_names(label: str, n_slots: int, n_inner: int) -> Callable[[], list]:
+def _names(head: str, *indices) -> np.ndarray:
+    """``head_i_j...`` for every position of the index arrays, as an object array."""
+    numerals = np.array([f"_{k}" for k in range(max(np.max(i, initial=0) for i in indices) + 1)], dtype=object)
+    for index in indices:
+        head = head + numerals[index]
+    return head
+
+
+def _slot_names(label: str, n_slots: int, n_inner: int) -> Callable[[], np.ndarray]:
     """Names ``label_j_n`` of a family with one row per slot n and index j, slot-major."""
-    return lambda: [f"{label}_{j}_{n}" for n in range(n_slots) for j in range(n_inner)]
+    return lambda: _names(label, *np.divmod(np.arange(n_slots * n_inner), max(n_inner, 1))[::-1])
 
 
-def _link_labels(n_bs, robots, links, suffix="") -> list:
-    return [f"B_{l}_{r}{suffix}" if l < n_bs else f"I_{l - n_bs}_{r}{suffix}"
-            for r, l in zip(robots.tolist(), links.tolist())]
+@functools.lru_cache(maxsize=8)
+def _link_labels(*dims) -> tuple:
+    """Labels ``B_b_r_n`` and ``I_i_r_n`` of the allocation bits, by column, and the same without ``_n``."""
+    grids = [np.indices(_family_shapes(*dims)[label]).reshape(3, -1) for label in ("Xb", "Xi")]
+    return tuple(np.concatenate([_names(head, *grid[:k]) for head, grid in zip("BI", grids)]) for k in (3, 2))
 
 
-def _sinr_names(n, n_bs, robots, links, killers=None) -> list:
-    """Names of a slot's SINR rows, or, when ``killers`` gives the interfering
-    (robots, links), of its kill rows ``kill<victim link>_<interfering link>``."""
-    labels = _link_labels(n_bs, robots, links, f"_{n}")
-    if killers is None:
-        return ["snr" + label for label in labels]
-    return [f"kill{label}_{other}" for label, other in zip(labels, _link_labels(n_bs, *killers))]
+def _sinr_names(dims, links, killers=None) -> np.ndarray:
+    """Names ``snr<link>`` of a slot's SINR rows, whose own allocation bits are
+    ``links``, or, given each row's interfering bit, ``kill<link>_<interfering link>``."""
+    labels, unslotted = _link_labels(*dims)
+    return "snr" + labels[links] if killers is None else "kill" + labels[links] + "_" + unslotted[killers]
 
 
 def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
@@ -286,7 +293,7 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
     pairs = np.argwhere(tables.conflicts)  # (n, i, ra, rb) rows
     pn, pi, pa, pb = pairs.T
     rows.add(key(pn, _CAPACITY, pi), "<", 1.0, np.column_stack([xi[pi, pa, pn], xi[pi, pb, pn]]), 1.0,
-             lambda: [f"confl_{i}_{ra}_{rb}_{n}" for n, i, ra, rb in pairs.tolist()])
+             lambda: _names("confl", pi, pa, pb, pn))
     if n_r:
         rows.add(key(slot_of_ni, _CAPACITY, surface_of_ni), "<", u, xi.transpose(2, 0, 1).reshape(-1, n_r),
                  1.0, _slot_names("cap", n_n, n_i))
@@ -324,7 +331,7 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
         k = k[np.sort(first)]
         kv = tv[k]
         rows.add(key(n, _SINR, kv), "<", 1.0, np.column_stack([x[kv], t_col[k]]), 1.0,
-                 functools.partial(_sinr_names, n, n_b, vr[kv], vl[kv], (trp[k], tl[k])))
+                 functools.partial(_sinr_names, dims, x[kv], t_col[k]))
         tv, t_col, level = tv[~kill], t_col[~kill], level[~kill]
         n_v = len(vr)
         if mu is None:
@@ -334,7 +341,7 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
         scale = 1.0 / sig
         rows.add(key(n, _SINR, np.arange(n_v)), ">", p * scale - mu_v * scale, np.concatenate([x, t_col]),
                  np.concatenate([sig * scale - mu_v * scale, -p[tv] * level * scale[tv]]),
-                 functools.partial(_sinr_names, n, n_b, vr, vl), rows=np.concatenate([np.arange(n_v), tv]))
+                 functools.partial(_sinr_names, dims, x), rows=np.concatenate([np.arange(n_v), tv]))
     weak = np.concatenate(weak) if weak else np.zeros(0, dtype=np.int64)
     lb[weak] = ub[weak] = 0
 
@@ -345,8 +352,7 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
     hn, hi, hr, hk = np.nonzero((ub[window_x] > 0) & (window >= 0)[:, None, None, :])
     rows.add(key(hn, _HISTORY, hi), "<", 0.0,
              np.column_stack([window_x[hn, hi, hr, hk], y_nir[hn, hi, hr]]), [1.0, -1.0],
-             lambda: [f"used_{i}_{r}_{window[n, k]}_{n}"
-                      for n, i, r, k in zip(hn.tolist(), hi.tolist(), hr.tolist(), hk.tolist())])
+             lambda: _names("used", hi, hr, window[hn, hk], hn))
     # readiness: at most U distinct robots per usage window
     if n_r:
         rows.add(key(slot_of_ni, _HISTORY, surface_of_ni), "<", u, y_nir.reshape(-1, n_r), 1.0,
@@ -360,7 +366,7 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
     back = np.arange(max(k_out, default=0))
     wr, wn, wb = np.nonzero((slots[None, :, None] >= back) & (back < k_out[:, None, None]))
     rows.add(key(n_n, _ONE), "<", np.repeat(k_out - 1.0, n_n), o[wr, wn - wb], 1.0,
-             lambda: [f"win_{r}_{n}" for r in range(n_r) for n in range(n_n)], rows=wr * n_n + wn)
+             lambda: _names("win", *np.divmod(np.arange(n_r * n_n), n_n)), rows=wr * n_n + wn)
 
     matrix, sense, rhs, row_names = rows.finish()
     return MilpModel(n_bs=n_b, n_ris=n_i, n_robots=n_r, n_slots=n_n, lb=lb, ub=ub, objective=objective,

@@ -434,6 +434,16 @@ def _int(v) -> int:
     return int(v)
 
 
+def _numbers(doc, key, dtype=float) -> np.ndarray:
+    """``doc[key]``, JSON numbers nested to any depth (integers only for an int
+    ``dtype``), as an array of ``dtype``; strings and booleans are refused."""
+    value = np.array(doc[key], dtype=object)
+    found = set(map(type, value.ravel().tolist())) - ({int} if dtype is int else {int, float})
+    if found:
+        raise TypeError(f"{key} holds {', '.join(sorted(t.__name__ for t in found))} values")
+    return value.astype(dtype)
+
+
 def _pair(v, kind) -> tuple:
     lo, hi = v
     return kind(lo), kind(hi)
@@ -538,10 +548,10 @@ def deserialize(text: str) -> Scenario:
         ]
         obstacles = [Obstacle(float(o[0]), float(o[1]), float(o[2]), float(o[3]))
                      for o in doc["obstacles_m"]]
-        trajectories = np.array(doc["trajectories_m"], dtype=float)
-        psi = np.array(doc["sinr_thresholds"], dtype=float)
-        k_out = np.array(doc["outage_window_slots"], dtype=int)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        trajectories = _numbers(doc, "trajectories_m")
+        psi = _numbers(doc, "sinr_thresholds")
+        k_out = _numbers(doc, "outage_window_slots", int)
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad scenario body: {exc!r}") from exc
 
     if len(bs_positions) != config.n_bs:

@@ -215,6 +215,17 @@ class TestSerialization:
         with pytest.raises(ScenarioFormatError):
             deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, edit, found", [
+        ("outage_window_slots", lambda v: v.__setitem__(slice(0, 2), [14.7, 3.2]), "float"),
+        ("sinr_thresholds", lambda v: v.__setitem__(slice(0, 2), ["9", True]), "bool, str"),
+        ("trajectories_m", lambda v: v[1][2].__setitem__(0, "1.5"), "str"),
+    ], ids=["fractional-window", "string-and-boolean-thresholds", "string-coordinate"])
+    def test_non_numeric_robot_data_rejected(self, key, edit, found):
+        doc = json.loads(serialize(generate(CFG, 1)))
+        edit(doc[key])
+        with pytest.raises(ScenarioFormatError, match=f"{key} holds {found} values"):
+            deserialize(json.dumps(doc))
+
     def test_version_1_file_rejected(self):
         doc = json.loads(serialize(generate(CFG, 1)))
         doc["version"] = 1
