@@ -7,6 +7,7 @@ scenario into the coverage/conflict/power tables every solver consumes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -434,14 +435,18 @@ def _int(v) -> int:
     return int(v)
 
 
-def _numbers(doc, key, dtype=float) -> np.ndarray:
-    """``doc[key]``, JSON numbers nested to any depth (integers only for an int
-    ``dtype``), as an array of ``dtype``; strings and booleans are refused."""
-    value = np.array(doc[key], dtype=object)
-    found = set(map(type, value.ravel().tolist())) - ({int} if dtype is int else {int, float})
+def _numbers(doc, key, shape, dtype=float) -> np.ndarray:
+    """``doc[key]``, JSON numbers in lists nested as ``shape`` (integers only
+    for an int ``dtype``), as an array; strings and booleans are refused."""
+    items = [doc[key]]
+    for size in shape:
+        if set(map(len, items)) - {size}:
+            raise ValueError(f"{key} is not nested as {shape}")
+        items = list(itertools.chain.from_iterable(items))
+    found = set(map(type, items)) - ({int} if dtype is int else {int, float})
     if found:
         raise TypeError(f"{key} holds {', '.join(sorted(t.__name__ for t in found))} values")
-    return value.astype(dtype)
+    return np.array(items, dtype=dtype).reshape(shape)
 
 
 def _pair(v, kind) -> tuple:
@@ -548,9 +553,9 @@ def deserialize(text: str) -> Scenario:
         ]
         obstacles = [Obstacle(float(o[0]), float(o[1]), float(o[2]), float(o[3]))
                      for o in doc["obstacles_m"]]
-        trajectories = _numbers(doc, "trajectories_m")
-        psi = _numbers(doc, "sinr_thresholds")
-        k_out = _numbers(doc, "outage_window_slots", int)
+        trajectories = _numbers(doc, "trajectories_m", (config.n_robots, config.n_slots, 2))
+        psi = _numbers(doc, "sinr_thresholds", (config.n_robots,))
+        k_out = _numbers(doc, "outage_window_slots", (config.n_robots,), int)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad scenario body: {exc!r}") from exc
 
@@ -558,13 +563,6 @@ def deserialize(text: str) -> Scenario:
         raise ScenarioFormatError("bs_positions_m length disagrees with config n_bs")
     if len(ris_mounts) != config.n_ris:
         raise ScenarioFormatError("ris_mounts length disagrees with config n_ris")
-    expected = (config.n_robots, config.n_slots, 2)
-    if trajectories.shape != expected and config.n_robots > 0:
-        raise ScenarioFormatError(f"trajectories shape {trajectories.shape} != {expected}")
-    if config.n_robots == 0:
-        trajectories = np.zeros(expected)
-    if psi.shape != (config.n_robots,) or k_out.shape != (config.n_robots,):
-        raise ScenarioFormatError("per-robot QoS arrays disagree with config n_robots")
     # per-robot data that generate could never produce
     if not (np.isfinite(trajectories).all() and np.isfinite(psi).all()):
         raise ScenarioFormatError("trajectories and SINR thresholds must be finite")

@@ -226,6 +226,18 @@ class TestSerialization:
         with pytest.raises(ScenarioFormatError, match=f"{key} holds {found} values"):
             deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, edit", [
+        ("trajectories_m", lambda v: v[0].pop()),
+        ("trajectories_m", lambda v: v[2][1].append(1.0)),
+        ("sinr_thresholds", lambda v: v.pop()),
+        ("outage_window_slots", lambda v: v.append(14)),
+    ], ids=["short-trajectory", "three-coordinate-point", "short-thresholds", "long-windows"])
+    def test_misshapen_robot_data_rejected(self, key, edit):
+        doc = json.loads(serialize(generate(CFG, 1)))
+        edit(doc[key])
+        with pytest.raises(ScenarioFormatError, match=f"{key} is not nested as"):
+            deserialize(json.dumps(doc))
+
     def test_version_1_file_rejected(self):
         doc = json.loads(serialize(generate(CFG, 1)))
         doc["version"] = 1
