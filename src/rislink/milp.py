@@ -11,8 +11,10 @@ constraint rows.  The SINR row of an unused link is switched off by a big-M
 term on the link's own allocation bit: ``sig*X - psi*I >= psi`` is written
 ``(sig - M)*X - psi*I >= psi - M``, which holds at every admissible
 interference level I once X = 0.  An interferer that alone breaks a link
-gets a pairwise exclusion row instead of a term in the link's SINR row, so
-M covers only the terms that can be on together with the link.
+is excluded with it instead of being a term in the link's SINR row, so M
+covers only the terms that can be on together with the link.  Such killing
+pairs and the arrival-angle conflict pairs share exclusion rows
+``sum_S X + sum_T X' <= 1``, one per slot, robot pair and set T.
 
 Surface readiness is a cap rather than a flag: the distinct robots of every
 usage window stay at U or fewer, which no valid schedule breaks (see
@@ -196,17 +198,15 @@ def _slot_names(label: str, n_slots: int, n_inner: int) -> Callable[[], np.ndarr
 
 
 @functools.lru_cache(maxsize=8)
-def _link_labels(*dims) -> tuple:
-    """Labels ``B_b_r_n`` and ``I_i_r_n`` of the allocation bits, by column, and the same without ``_n``."""
-    grids = [np.indices(_family_shapes(*dims)[label]).reshape(3, -1) for label in ("Xb", "Xi")]
-    return tuple(np.concatenate([_names(head, *grid[:k]) for head, grid in zip("BI", grids)]) for k in (3, 2))
+def _link_labels(*dims) -> np.ndarray:
+    """Labels ``B_b_r_n`` and ``I_i_r_n`` of the allocation bits, by column."""
+    return np.concatenate([_names(head, *np.indices(_family_shapes(*dims)[label]).reshape(3, -1))
+                           for head, label in (("B", "Xb"), ("I", "Xi"))])
 
 
-def _sinr_names(dims, links, killers=None) -> np.ndarray:
-    """Names ``snr<link>`` of a slot's SINR rows, whose own allocation bits are
-    ``links``, or, given each row's interfering bit, ``kill<link>_<interfering link>``."""
-    labels, unslotted = _link_labels(*dims)
-    return "snr" + labels[links] if killers is None else "kill" + labels[links] + "_" + unslotted[killers]
+def _sinr_names(dims, links) -> np.ndarray:
+    """Names ``snr<link>`` of a slot's SINR rows, whose own allocation bits are ``links``."""
+    return "snr" + _link_labels(*dims)[links]
 
 
 def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
@@ -215,12 +215,23 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
     The SINR row of link X with interference terms I reads
     ``(sig - mu)*X - psi*I >= psi - mu``: the served row when X = 1, slack
     at every admissible interference level when X = 0.  An interferer X'
-    whose level alone drives X below threshold gets ``X + X' <= 1``, one row
-    per unordered pair, and no term in X's row.  That is exact: with X = 1
-    the pairwise rows turn every such X' off, so the row is the SINR
-    requirement itself.  Each row is rescaled by its signal coefficient, so
-    no entry exceeds about 10 in magnitude (weak interference still gives
-    entries near 1e-8).  With ``mu=None`` each row's big-M is
+    whose level alone drives X below threshold is excluded with X and is
+    no term in X's row.  That is exact: with X = 1 the exclusion rows turn
+    every such X' off, so the row is the SINR requirement itself.
+
+    Killing pairs and arrival-angle conflict pairs are both links of two
+    robots ra < rb in one slot n that exclude each other.  The links S of
+    ra that exclude the same links T of rb share the row
+    ``sum_S X + sum_T X' <= 1``.  It has the integer points of the pairwise
+    rows it covers, and an LP relaxation at least as tight: any two links
+    of S (or of T) already exclude each other through the robot's one row,
+    and every pair across S and T is a killing or conflict pair.  Each pair
+    lies in exactly one such row, named ``excl_ra_rb_n_j`` with j counting
+    the rows of the robot pair in slot n.
+
+    Each SINR row is rescaled by its signal coefficient, so no entry
+    exceeds about 10 in magnitude (weak interference still gives entries
+    near 1e-8).  With ``mu=None`` each row's big-M is
     ``psi*(1 + sum of its kept levels)*MU_SAFETY + 1``; an explicit ``mu``
     must be finite and exceed the worst denominator with every interferer
     on, else it is rejected with the offending magnitude.
@@ -289,11 +300,7 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
     if n_l:
         rows.add(key(slot_of_nr, _ONE), "<", 1.0, links.reshape(-1, n_l), 1.0, _slot_names("one", n_n, n_r))
 
-    # angular conflicts and surface capacity
-    pairs = np.argwhere(tables.conflicts)  # (n, i, ra, rb) rows
-    pn, pi, pa, pb = pairs.T
-    rows.add(key(pn, _CAPACITY, pi), "<", 1.0, np.column_stack([xi[pi, pa, pn], xi[pi, pb, pn]]), 1.0,
-             lambda: _names("confl", pi, pa, pb, pn))
+    # surface capacity
     if n_r:
         rows.add(key(slot_of_ni, _CAPACITY, surface_of_ni), "<", u, xi.transpose(2, 0, 1).reshape(-1, n_r),
                  1.0, _slot_names("cap", n_n, n_i))
@@ -301,7 +308,7 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
     # SINR rows, per slot: every covered link of every victim robot hears the
     # covered links of every other robot (same-surface links are nulled)
     robots = np.arange(n_r)
-    weak = []
+    weak, killers = [], []
     for n in range(n_n):
         # levels[r, rp, l] = interference victim r hears when robot rp uses link l
         levels = np.concatenate([xi_bs[n].transpose(2, 1, 0), xi_ris[n].transpose(2, 1, 0)], axis=2)
@@ -322,16 +329,9 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
         x = links[n, vr, vl]
         t_col = links[n, trp, tl]
         # an interferer that alone exceeds the interference a live link
-        # tolerates is excluded pairwise and leaves the SINR row
+        # tolerates goes to the exclusion rows and leaves the SINR row
         kill = level > (sig / p - 1.0)[tv]
-        k = np.flatnonzero(kill)
-        # mutual killers give one row: keep the first of each unordered pair
-        a, b = x[tv[k]], t_col[k]
-        _, first = np.unique(np.minimum(a, b) * n_vars + np.maximum(a, b), return_index=True)
-        k = k[np.sort(first)]
-        kv = tv[k]
-        rows.add(key(n, _SINR, kv), "<", 1.0, np.column_stack([x[kv], t_col[k]]), 1.0,
-                 functools.partial(_sinr_names, dims, x[kv], t_col[k]))
+        killers.append(np.stack([x[tv[kill]], t_col[kill]]))
         tv, t_col, level = tv[~kill], t_col[~kill], level[~kill]
         n_v = len(vr)
         if mu is None:
@@ -344,6 +344,35 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
                  functools.partial(_sinr_names, dims, x), rows=np.concatenate([np.arange(n_v), tv]))
     weak = np.concatenate(weak) if weak else np.zeros(0, dtype=np.int64)
     lb[weak] = ub[weak] = 0
+
+    # exclusion rows over the killing and arrival-angle conflict pairs; link l
+    # of robot r in slot n is column (l*R + r)*N + n.  Each pair's first column
+    # is on the lower robot ra.  A group is a first column and the other robot
+    # rb, and T the links of rb it excludes; the first columns S of ra in slot
+    # n with the same rb and T share the row sum_S X + sum_T X' <= 1
+    pn, pi, pa, pb = np.nonzero(tables.conflicts)
+    a, b = np.concatenate([np.stack([xi[pi, pa, pn], xi[pi, pb, pn]])] + killers, axis=1)
+    a, b = np.where(a // n_n % n_r < b // n_n % n_r, [a, b], [b, a])
+    group_key, group = np.unique(a * n_r + b // n_n % n_r, return_inverse=True)
+    first, rb = np.divmod(group_key, n_r)
+    pair = (first % n_n * n_r + first // n_n % n_r) * n_r + rb                 # (n, ra, rb)
+    excluded = np.zeros((len(group_key), n_l), dtype=bool)                      # T by group
+    excluded[group, b // (n_r * n_n)] = True
+    # a row starts wherever (n, ra, rb) or T changes in the groups sorted by both
+    packed = np.packbits(excluded, axis=1)
+    order = np.lexsort((*packed.T[::-1], pair))
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (np.diff(pair[order]) != 0) | (np.diff(packed[order], axis=0) != 0).any(axis=1)
+    row = np.empty_like(order)
+    row[order] = np.cumsum(starts) - 1
+    head = order[starts]
+    ex_pair = pair[head]
+    ex_n, ex_ra, ex_rb = ex_pair // (n_r * n_r), ex_pair // n_r % n_r, ex_pair % n_r
+    tj, tl = np.nonzero(excluded[head])
+    nth = np.arange(len(head)) - np.searchsorted(ex_pair, ex_pair)
+    rows.add(key(ex_n, _ONE), "<", np.ones(len(head)),
+             np.concatenate([first, (tl * n_r + ex_rb[tj]) * n_n + ex_n[tj]]), 1.0,
+             lambda: _names("excl", ex_ra, ex_rb, ex_n, nth), rows=np.concatenate([row, tj]))
 
     # usage history: one X <= Y row per live link of the window
     window = slots[:, None] - d_reconfig + 1 + np.arange(d_reconfig)      # (N, D), oldest first

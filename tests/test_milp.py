@@ -257,9 +257,25 @@ def killing_pairs(model, tables):
     return pairs
 
 
+def conflict_pairs(model, tables):
+    """Unordered column pairs of two robots whose arrival angles at a surface conflict."""
+    xi = model.columns["Xi"]
+    return {frozenset((int(xi[i, ra, n]), int(xi[i, rb, n]))) for n, i, ra, rb in np.argwhere(tables.conflicts)}
+
+
+def allocation_cells(model):
+    """Slot and robot of every column, -1 for the columns that are not allocation bits."""
+    slot, robot = np.full(model.n_vars, -1), np.full(model.n_vars, -1)
+    for label in ("Xb", "Xi"):
+        _, r, n = np.indices(model.columns[label].shape)
+        slot[model.columns[label]], robot[model.columns[label]] = n, r
+    return slot, robot
+
+
 class TestKillRows:
-    # A single interferer that alone breaks a usable link is excluded by one
-    # X + X' <= 1 row and left out of the link's SINR row.
+    # A single interferer that alone breaks a usable link is left out of the
+    # link's SINR row; it and every arrival-angle conflict pair lie in one
+    # exclusion row sum_S X + sum_T X' <= 1.
     # The tiny seeds are ones whose models have both interference terms and killers.
     @pytest.fixture(scope="class", params=[3, 9, 16, 18, "r14"])
     def case(self, request):
@@ -276,18 +292,27 @@ class TestKillRows:
         assert len(pos)
         assert not (level > (sig / psi - 1.0)[pos]).any()
 
-    def test_each_killing_pair_is_excluded_once(self, case):
+    def test_each_excluded_pair_lies_in_one_clique_row(self, case):
+        # Two columns of one robot and slot exclude each other through its
+        # one row, so a row over a clique of these pairs has the integer
+        # points of the pairwise rows it covers.
         model, t = case
-        pairs = killing_pairs(model, t)
-        assert pairs
-        exclusions = collections.Counter(
-            frozenset(cols.tolist()) for cols, coefs, sense, rhs
-            in zip(model.row_cols, model.row_coefs, model.row_sense, model.row_rhs)
-            if len(cols) == 2 and sense == "<" and rhs == 1.0 and (coefs == 1.0).all())
-        assert all(exclusions[pair] == 1 for pair in pairs)
-        kill_rows = [frozenset(cols.tolist()) for name, cols in zip(model.row_names, model.row_cols)
-                     if name.startswith("kill")]
-        assert len(kill_rows) == len(pairs) and set(kill_rows) == pairs
+        kills = killing_pairs(model, t)
+        assert kills
+        pairs = kills | conflict_pairs(model, t)
+        slot, robot = allocation_cells(model)
+        covered = collections.Counter()
+        for name, cols, coefs, sense, rhs in zip(model.row_names, model.row_cols, model.row_coefs,
+                                                 model.row_sense, model.row_rhs):
+            if not name.startswith("excl"):
+                continue
+            assert sense == "<" and rhs == 1.0 and (coefs == 1.0).all()
+            assert len(set(slot[cols])) == 1 and slot[cols[0]] >= 0
+            for c, d in itertools.combinations(cols.tolist(), 2):
+                if robot[c] != robot[d]:
+                    assert frozenset((c, d)) in pairs
+                    covered[frozenset((c, d))] += 1
+        assert set(covered) == pairs and set(covered.values()) == {1}
         assert len(set(model.row_names)) == model.n_rows
 
     def test_big_m_is_sized_from_its_own_terms(self, case):
@@ -298,6 +323,18 @@ class TestKillRows:
         sig, psi, own, pos, level = sinr_rows(model, t)
         total = np.bincount(pos, weights=level, minlength=len(sig))
         np.testing.assert_allclose((1.0 - own) * sig, psi * (1.0 + total) * MU_SAFETY + 1.0, rtol=1e-6)
+
+
+class TestCalibratedOptima:
+    # Statuses and objectives of the calibrated floor at R=14, pinned from the
+    # model that had one row per killing pair and per conflict pair.
+    @pytest.mark.parametrize("seed, optimum", [(1000, 117), (1001, 172), (1002, 117), (1003, 161)])
+    def test_optimum_is_pinned_and_valid(self, seed, optimum):
+        s = generate(replace(EXPERIMENT_CONFIG, n_robots=14), seed)
+        t = precompute(s)
+        obj, res, model = solve_objective(s, t)
+        assert obj == optimum
+        assert validate(s, t, extract_schedule(model, res.values)).ok
 
 
 class TestMatrix:
