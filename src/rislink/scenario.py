@@ -542,27 +542,22 @@ def deserialize(text: str) -> Scenario:
 
     config = _config_from_dict(doc["config"])
     try:
-        bs_positions = [Point2D(float(p[0]), float(p[1])) for p in doc["bs_positions_m"]]
-        ris_mounts = [
-            RisMount(
-                Point2D(float(m["position_m"][0]), float(m["position_m"][1])),
-                (float(m["normal"][0]), float(m["normal"][1])),
-                float(m["fov_half_angle_rad"]),
-            )
-            for m in doc["ris_mounts"]
-        ]
-        obstacles = [Obstacle(float(o[0]), float(o[1]), float(o[2]), float(o[3]))
-                     for o in doc["obstacles_m"]]
+        bs_positions = list(itertools.starmap(Point2D, _numbers(doc, "bs_positions_m", (config.n_bs, 2)).tolist()))
+        mounts = {key: [m[key] for m in doc["ris_mounts"]] for key in ("position_m", "normal", "fov_half_angle_rad")}
+        ris_mounts = list(map(
+            RisMount,
+            itertools.starmap(Point2D, _numbers(mounts, "position_m", (config.n_ris, 2)).tolist()),
+            map(tuple, _numbers(mounts, "normal", (config.n_ris, 2)).tolist()),
+            _numbers(mounts, "fov_half_angle_rad", (config.n_ris,)).tolist(),
+        ))
+        obstacles = list(itertools.starmap(
+            Obstacle, _numbers(doc, "obstacles_m", (len(doc["obstacles_m"]), 4)).tolist()))
         trajectories = _numbers(doc, "trajectories_m", (config.n_robots, config.n_slots, 2))
         psi = _numbers(doc, "sinr_thresholds", (config.n_robots,))
         k_out = _numbers(doc, "outage_window_slots", (config.n_robots,), int)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad scenario body: {exc!r}") from exc
 
-    if len(bs_positions) != config.n_bs:
-        raise ScenarioFormatError("bs_positions_m length disagrees with config n_bs")
-    if len(ris_mounts) != config.n_ris:
-        raise ScenarioFormatError("ris_mounts length disagrees with config n_ris")
     # per-robot data that generate could never produce
     if not (np.isfinite(trajectories).all() and np.isfinite(psi).all()):
         raise ScenarioFormatError("trajectories and SINR thresholds must be finite")

@@ -238,6 +238,26 @@ class TestSerialization:
         with pytest.raises(ScenarioFormatError, match=f"{key} is not nested as"):
             deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["bs_positions_m"][1].__setitem__(1, True), "bs_positions_m holds bool values"),
+        (lambda d: d["bs_positions_m"][0].append(0.0), "bs_positions_m is not nested as"),
+        (lambda d: d["bs_positions_m"].pop(), "bs_positions_m is not nested as"),
+        (lambda d: d["ris_mounts"][0]["position_m"].append(1.0), "position_m is not nested as"),
+        (lambda d: d["ris_mounts"][1]["normal"].__setitem__(0, "0.0"), "normal holds str values"),
+        (lambda d: d["ris_mounts"][2].__setitem__("fov_half_angle_rad", "0.5"), "fov_half_angle_rad holds str values"),
+        (lambda d: d["ris_mounts"].pop(), "position_m is not nested as"),
+        (lambda d: d["obstacles_m"][0].__setitem__(2, "3.0"), "obstacles_m holds str values"),
+        (lambda d: d["obstacles_m"][3].__setitem__(0, False), "obstacles_m holds bool values"),
+        (lambda d: d["obstacles_m"][1].append(1.0), "obstacles_m is not nested as"),
+    ], ids=["boolean-mast-coordinate", "three-coordinate-mast", "missing-mast", "three-coordinate-mount",
+            "string-normal", "string-field-of-view", "missing-mount", "string-obstacle-corner",
+            "boolean-obstacle-corner", "five-value-obstacle"])
+    def test_malformed_geometry_rejected(self, edit, message):
+        doc = json.loads(serialize(generate(CFG, 1)))
+        edit(doc)
+        with pytest.raises(ScenarioFormatError, match=message):
+            deserialize(json.dumps(doc))
+
     def test_version_1_file_rejected(self):
         doc = json.loads(serialize(generate(CFG, 1)))
         doc["version"] = 1
