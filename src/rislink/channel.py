@@ -13,12 +13,20 @@ add up the interferers in robot order, so they agree to the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 BOLTZMANN = 1.380649e-23  # J/K
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+
+# Table II of the paper: the physical layer of every scenario.
+P_BS = 1e-3                    # BS transmit power, W
+FREQ = 28e9                    # carrier frequency, Hz
+THETA = math.radians(10.0)     # beamwidth, rad
+N_ELEMENTS = 200               # reflecting elements per surface
+TEMPERATURE = 290.0            # K
+BANDWIDTH = 20e6               # Hz
 
 # Near-field guard: path model diverges at d -> 0, clamp below this range.
 MIN_DISTANCE = 0.1
@@ -27,7 +35,6 @@ MIN_DISTANCE = 0.1
 OUTAGE, BS, RIS = 0, 1, 2
 
 __all__ = [
-    "PhysParams",
     "LinkPowerTables",
     "antenna_gain",
     "path_gain",
@@ -41,29 +48,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysParams:
-    """Physical-layer constants of one deployment."""
-
-    p_bs: float = 1e-3          # BS transmit power, W
-    freq: float = 28e9          # carrier frequency, Hz
-    theta: float = math.radians(10.0)  # beamwidth, rad
-    n_elements: int = 200       # reflecting elements per surface
-    temperature: float = 290.0  # K
-    bandwidth: float = 20e6     # Hz
-    c: float = SPEED_OF_LIGHT
-    k: float = BOLTZMANN
-
-    def __post_init__(self):
-        for name in ("p_bs", "freq", "theta", "temperature", "bandwidth", "c", "k"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.n_elements < 1:
-            raise ValueError("n_elements must be >= 1")
-        if not self.theta < math.pi:
-            raise ValueError("beamwidth must be below pi")
-
-
 def antenna_gain(theta: float) -> float:
     """Directivity gain of a conical beam of width ``theta``: 2 / (1 - cos(theta/2))."""
     if not 0.0 < theta < math.pi:
@@ -71,36 +55,36 @@ def antenna_gain(theta: float) -> float:
     return 2.0 / (1.0 - math.cos(theta / 2.0))
 
 
-def path_gain(f: float, d: float, c: float = SPEED_OF_LIGHT) -> float:
+def path_gain(f: float, d: float) -> float:
     """Free-space amplitude transfer c / (4 pi f d), clamped to d >= MIN_DISTANCE."""
     if f <= 0:
         raise ValueError("frequency must be positive")
     if d <= 0:
         raise ValueError("distance must be positive")
-    return c / (4.0 * math.pi * f * max(d, MIN_DISTANCE))
+    return SPEED_OF_LIGHT / (4.0 * math.pi * f * max(d, MIN_DISTANCE))
 
 
-def noise_power(temperature: float, bandwidth: float, k: float = BOLTZMANN) -> float:
+def noise_power(temperature: float, bandwidth: float) -> float:
     """Thermal noise power k*T*V in watts."""
     if temperature <= 0 or bandwidth <= 0:
         raise ValueError("temperature and bandwidth must be positive")
-    return k * temperature * bandwidth
+    return BOLTZMANN * temperature * bandwidth
 
 
-def direct_power(params: PhysParams, d: float) -> float:
+def direct_power(d: float) -> float:
     """Received power (before antenna gains) of a direct BS link at range ``d``."""
-    h = path_gain(params.freq, d, params.c)
-    return params.p_bs * h * h
+    h = path_gain(FREQ, d)
+    return P_BS * h * h
 
 
-def ris_power(params: PhysParams, d1: float, d2: float) -> float:
+def ris_power(d1: float, d2: float) -> float:
     """Received power (before antenna gains) of a relayed link.
 
     ``d1`` is BS-to-surface range, ``d2`` surface-to-robot range; the E
     elements add coherently, so the amplitude scales with E.
     """
-    h = path_gain(params.freq, d1, params.c) * params.n_elements * path_gain(params.freq, d2, params.c)
-    return params.p_bs * h * h
+    h = path_gain(FREQ, d1) * N_ELEMENTS * path_gain(FREQ, d2)
+    return P_BS * h * h
 
 
 def max_concurrent(n_elements: int) -> int:

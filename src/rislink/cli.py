@@ -100,7 +100,7 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     scenario = _load_scenario(args.scenario)
     tables = scen.precompute(scenario)
-    model = milp.build_model(tables, scenario, mu=args.mu)
+    model = milp.build_model(tables, scenario)
     result = solvers.solve(model, backend=args.backend, time_budget=args.timeout)
     if result.status == "infeasible":
         print("infeasible: no schedule satisfies the outage windows", file=sys.stderr)
@@ -145,7 +145,7 @@ def cmd_sweep(args) -> int:
 def cmd_export_model(args) -> int:
     scenario = _load_scenario(args.scenario)
     tables = scen.precompute(scenario)
-    model = milp.build_model(tables, scenario, mu=args.mu)
+    model = milp.build_model(tables, scenario)
     _write_output(lpio.export_model(model, args.format), args.output)
     return EXIT_OK
 
@@ -167,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--backend", type=_parse_backend, default="highs")
     p.add_argument("--timeout", type=float, default=600.0)
-    p.add_argument("--mu", type=float, default=None, help="explicit big-M constant")
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_solve)
 
@@ -186,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-model", help="write the model in LP or MPS form")
     p.add_argument("scenario")
     p.add_argument("--format", choices=("lp", "mps"), default="lp")
-    p.add_argument("--mu", type=float, default=None)
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_export_model)
 
@@ -197,8 +195,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, scen.ScenarioFormatError, scen.GenerationError, milp.ModelError,
-            solvers.BackendError, ValueError, OSError) as exc:
+    except (UsageError, scen.ScenarioFormatError, scen.GenerationError, solvers.BackendError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

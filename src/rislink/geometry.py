@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import channel
+
 LOS_BATCH_CELLS = 1 << 16  # rows x obstacles per block of los_blocked_batch
 
 __all__ = [
@@ -301,4 +303,4 @@ def build_conflicts(scenario, coverage: CoverageMap) -> np.ndarray:
         sep = np.arccos(np.clip(unit @ unit.swapaxes(2, 3), -1.0, 1.0))
     cov = coverage.ris_robot
     both = cov[..., :, None] & cov[..., None, :]
-    return np.triu(both & (sep <= scenario.config.phys.theta + 1e-12), k=1)
+    return np.triu(both & (sep <= channel.THETA + 1e-12), k=1)

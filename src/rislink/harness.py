@@ -23,6 +23,7 @@ CSV_HEADER = "axis_name,axis_value,method,trials,feasible_pct,mean_outage_pct,ci
 
 KNOWN_METHODS = ("ilp", "heuristic", "no-ris")
 AXES = ("robots", "delay", "k_window", "sinr_threshold", "capacity")
+INTEGER_AXES = ("robots", "delay", "k_window", "capacity")
 
 __all__ = [
     "MethodResult",
@@ -73,6 +74,11 @@ class SweepSpec:
             raise ValueError(f"axis must be one of {AXES}")
         if not self.values:
             raise ValueError("axis values must be non-empty")
+        if self.axis in INTEGER_AXES and not all(float(v).is_integer() for v in np.ravel(self.values)):
+            raise ValueError(f"axis {self.axis!r} takes integers, got {self.values!r}")
+        labels = [axis_label(self.axis, v) for v in self.values]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"axis values {self.values!r} share a CSV label {labels!r}")
         for name in ("trials", "seed0"):
             value = getattr(self, name)
             if not (isinstance(value, int) and not isinstance(value, bool)):

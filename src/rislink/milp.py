@@ -24,11 +24,6 @@ ready-surface flag equals Xi at every integer point.
 Each constraint family is emitted as numpy COO triplets, over all slots at
 once or slot by slot, and the model holds the rows as one CSR matrix.  Row
 and variable names are made only when something reads them.
-
-``brute_force_optimum`` is an independent oracle for tiny instances: it
-enumerates assignments slot by slot, re-deriving SINR, conflict, capacity,
-readiness, and outage-window feasibility straight from the channel module
-rather than from the constraint rows.
 """
 
 from __future__ import annotations
@@ -46,11 +41,7 @@ from .allocation import BS, RIS, AllocationSchedule
 
 MU_SAFETY = 1.01
 
-__all__ = ["MilpModel", "ModelError", "build_model", "extract_schedule", "brute_force_optimum"]
-
-
-class ModelError(ValueError):
-    """Model construction failed (e.g. an insufficient big-M constant)."""
+__all__ = ["MilpModel", "build_model", "extract_schedule"]
 
 
 def _family_shapes(n_bs, n_ris, n_robots, n_slots) -> dict:
@@ -209,11 +200,11 @@ def _sinr_names(dims, links) -> np.ndarray:
     return "snr" + _link_labels(*dims)[links]
 
 
-def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
+def build_model(tables, scenario) -> MilpModel:
     """Emit the full allocation program for one scenario.
 
     The SINR row of link X with interference terms I reads
-    ``(sig - mu)*X - psi*I >= psi - mu``: the served row when X = 1, slack
+    ``(sig - M)*X - psi*I >= psi - M``: the served row when X = 1, slack
     at every admissible interference level when X = 0.  An interferer X'
     whose level alone drives X below threshold is excluded with X and is
     no term in X's row.  That is exact: with X = 1 the exclusion rows turn
@@ -231,10 +222,8 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
 
     Each SINR row is rescaled by its signal coefficient, so no entry
     exceeds about 10 in magnitude (weak interference still gives entries
-    near 1e-8).  With ``mu=None`` each row's big-M is
-    ``psi*(1 + sum of its kept levels)*MU_SAFETY + 1``; an explicit ``mu``
-    must be finite and exceed the worst denominator with every interferer
-    on, else it is rejected with the offending magnitude.
+    near 1e-8).  Each row's big-M is
+    ``psi*(1 + sum of its kept levels)*MU_SAFETY + 1``.
 
     Usage history is one ``X <= Y`` row per live link and window slot, and
     readiness caps the distinct robots of every usage window at U
@@ -267,17 +256,6 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
     sig_ris = lt.p_ris * g2 / noise          # (N, I, R)
     xi_bs = lt.xi_bs / noise                 # (N, B, R, R)
     xi_ris = lt.xi_ris / noise               # (N, I, R, R)
-
-    if mu is not None:
-        # an explicit big-M must dominate the worst admissible denominator,
-        # one source link per interfering robot
-        worst = np.maximum(xi_bs.max(axis=1, initial=0.0), xi_ris.max(axis=1, initial=0.0)).sum(axis=1)
-        needed = float((psi[:, None] * (1.0 + worst.T)).max(initial=0.0))
-        if not (math.isfinite(mu) and float(mu) > needed):
-            raise ModelError(
-                f"big-M constant {mu:g} is insufficient: it must be finite and exceed "
-                f"the worst conditioned denominator {needed:g}"
-            )
 
     # per slot, robot and link (every BS, then every surface): the link's
     # allocation bit, its coverage, and its conditioned signal
@@ -334,10 +312,7 @@ def build_model(tables, scenario, mu: float | None = None) -> MilpModel:
         killers.append(np.stack([x[tv[kill]], t_col[kill]]))
         tv, t_col, level = tv[~kill], t_col[~kill], level[~kill]
         n_v = len(vr)
-        if mu is None:
-            mu_v = p * (1.0 + np.bincount(tv, weights=level, minlength=n_v)) * MU_SAFETY + 1.0
-        else:
-            mu_v = np.full(n_v, float(mu))
+        mu_v = p * (1.0 + np.bincount(tv, weights=level, minlength=n_v)) * MU_SAFETY + 1.0
         scale = 1.0 / sig
         rows.add(key(n, _SINR, np.arange(n_v)), ">", p * scale - mu_v * scale, np.concatenate([x, t_col]),
                  np.concatenate([sig * scale - mu_v * scale, -p[tv] * level * scale[tv]]),
@@ -425,137 +400,3 @@ def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule
         sched.kind[hit] = kind
         sched.index[hit] = np.tensordot(np.arange(len(bits_of)), bits_of, axes=1)[hit]
     return sched
-
-
-GUARD_LIMITS = {"n_robots": 3, "n_slots": 4, "n_bs": 2, "n_ris": 2}
-
-
-def brute_force_optimum(tables, scenario):
-    """Exhaustive outage minimum for guarded tiny instances.
-
-    Returns (objective, schedule); (None, None) when no schedule satisfies
-    the outage windows.  Feasibility of every slot combination is evaluated
-    through the channel model, independently of the constraint rows.
-    """
-    cfg = scenario.config
-    for attr, limit in GUARD_LIMITS.items():
-        if getattr(cfg, attr) > limit:
-            raise ValueError(f"brute force guard exceeded: {attr} > {limit}")
-
-    n_r, n_n, n_i = cfg.n_robots, cfg.n_slots, cfg.n_ris
-    lt = tables.tables
-    g2 = lt.gain_bs * lt.gain_robot
-    psi = tables.psi_linear
-    u = tables.u_effective
-    d_reconfig = cfg.d_reconfig
-    k_out = scenario.k_out.astype(int)
-
-    if n_r == 0:
-        return 0, AllocationSchedule.all_outage(0, n_n)
-
-    def slot_combos(n):
-        options = []
-        for r in range(n_r):
-            opts = [None]
-            opts += [("bs", b) for b in np.flatnonzero(tables.coverage.bs_robot[n, :, r]).tolist()]
-            opts += [("ris", i) for i in np.flatnonzero(tables.coverage.ris_robot[n, :, r]).tolist()]
-            options.append(opts)
-        feasible = []
-        for combo in itertools.product(*options):
-            per_ris = {}
-            for r, a in enumerate(combo):
-                if a is not None and a[0] == "ris":
-                    per_ris.setdefault(a[1], set()).add(r)
-            if any(len(s) > u for s in per_ris.values()):
-                continue
-            if any(tables.conflicts[n, i][np.ix_(list(s), list(s))].any() for i, s in per_ris.items()):
-                continue
-            ok = True
-            for r, a in enumerate(combo):
-                if a is None:
-                    continue
-                if a[0] == "bs":
-                    signal = lt.p_direct[n, a[1], r]
-                    own = None
-                else:
-                    signal = lt.p_ris[n, a[1], r]
-                    own = a[1]
-                interference = 0.0
-                for rp, ap in enumerate(combo):
-                    if rp == r or ap is None:
-                        continue
-                    if ap[0] == "bs":
-                        interference += lt.xi_bs[n, ap[1], rp, r]
-                    elif ap[1] != own:
-                        interference += lt.xi_ris[n, ap[1], rp, r]
-                if signal * g2 / (lt.noise + interference) < psi[r]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            outages = sum(1 for a in combo if a is None)
-            use = tuple(frozenset(per_ris.get(i, ())) for i in range(n_i))
-            feasible.append((combo, outages, use))
-        return feasible
-
-    combos = [slot_combos(n) for n in range(n_n)]
-    empty_hist = tuple(tuple(frozenset() for _ in range(n_i)) for _ in range(max(d_reconfig - 1, 0)))
-    best = {"obj": None, "path": None}
-    memo = {}
-
-    def search(n, runs, hist, acc, path):
-        if best["obj"] is not None and acc >= best["obj"]:
-            return
-        if n == n_n:
-            best["obj"] = acc
-            best["path"] = list(path)
-            return
-        key = (n, runs, hist)
-        seen = memo.get(key)
-        if seen is not None and seen <= acc:
-            return
-        memo[key] = acc
-        for combo, outages, use in combos[n]:
-            ok = True
-            new_runs = []
-            for r, a in enumerate(combo):
-                if a is None:
-                    run = runs[r] + 1
-                    if run >= k_out[r]:
-                        ok = False
-                        break
-                    new_runs.append(run)
-                else:
-                    new_runs.append(0)
-            if not ok:
-                continue
-            # readiness: serving through a surface whose D-window saw > U robots
-            for i in range(n_i):
-                if not use[i]:
-                    continue
-                distinct = set(use[i])
-                for past in hist:
-                    distinct |= past[i]
-                if len(distinct) > u:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            new_hist = (hist + (use,))[1:] if hist else ()
-            path.append(combo)
-            search(n + 1, tuple(new_runs), new_hist, acc + outages, path)
-            path.pop()
-
-    search(0, (0,) * n_r, empty_hist, 0, [])
-    if best["obj"] is None:
-        return None, None
-    sched = AllocationSchedule.all_outage(n_r, n_n)
-    for n, combo in enumerate(best["path"]):
-        for r, a in enumerate(combo):
-            if a is None:
-                continue
-            if a[0] == "bs":
-                sched.assign_bs(r, n, a[1])
-            else:
-                sched.assign_ris(r, n, a[1])
-    return best["obj"], sched

@@ -10,16 +10,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import channel, geometry
-from .channel import LinkPowerTables, PhysParams
+from .channel import LinkPowerTables
 from .geometry import CoverageMap, Obstacle, Point2D, RisMount
 
 SCHEMA_NAME = "rislink-scenario"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 PLACEMENT_RETRIES = 1000
 STEP_RETRIES = 500
@@ -61,7 +61,6 @@ class ScenarioConfig:
     obstacle_size: tuple[float, float] = (3.0, 6.0)
     bs_clearance: float = 4.0       # obstacles keep this distance from BS masts
     wall_clearance: float = 0.0     # obstacles keep this distance from the walls
-    phys: PhysParams = field(default_factory=PhysParams)
     psi_range: tuple[float, float] = (9.0, 10.0)  # linear SINR thresholds, drawn as integers
     k_range: tuple[int, int] = (14, 15)
     d_reconfig: int = 2             # slots a retargeted surface stays unavailable
@@ -70,6 +69,10 @@ class ScenarioConfig:
     bs_positions: tuple | None = None  # explicit (x, y) pairs; quadrant-center default if None
 
     def __post_init__(self):
+        for name in ("floor_width", "floor_height", "robot_step", "obstacle_size", "bs_clearance",
+                     "wall_clearance", "psi_range", "ris_fov_half_angle", "bs_positions"):
+            if not np.isfinite(np.asarray(getattr(self, name) or (), dtype=float)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.floor_width <= 0 or self.floor_height <= 0:
             raise ValueError("floor dimensions must be positive")
         for name in ("n_bs", "n_ris", "n_robots", "n_obstacles"):
@@ -85,10 +88,9 @@ class ScenarioConfig:
             raise ValueError("clearances must be >= 0")
         if self.d_reconfig < 1:
             raise ValueError("d_reconfig must be >= 1")
-        if self.u_override is not None:
-            cap = channel.max_concurrent(self.phys.n_elements)
-            if not 1 <= self.u_override <= cap:
-                raise ValueError(f"u_override must be in [1, {cap}] for E={self.phys.n_elements}")
+        cap = channel.max_concurrent(channel.N_ELEMENTS)
+        if self.u_override is not None and not 1 <= self.u_override <= cap:
+            raise ValueError(f"u_override must be in [1, {cap}] for E={channel.N_ELEMENTS}")
         if self.bs_positions is not None and len(self.bs_positions) != self.n_bs:
             raise ValueError("bs_positions length must equal n_bs")
 
@@ -316,13 +318,12 @@ def _pair_dots(v: np.ndarray) -> np.ndarray:
 def precompute(scenario: Scenario) -> DerivedTables:
     """Build coverage, conflicts, and all link-power tables for a scenario."""
     cfg = scenario.config
-    phys = cfg.phys
     coverage = geometry.build_coverage(scenario)
     conflicts = geometry.build_conflicts(scenario, coverage)
 
     n_b, n_i = cfg.n_bs, cfg.n_ris
-    gain = channel.antenna_gain(phys.theta)
-    noise = channel.noise_power(phys.temperature, phys.bandwidth, phys.k)
+    gain = channel.antenna_gain(channel.THETA)
+    noise = channel.noise_power(channel.TEMPERATURE, channel.BANDWIDTH)
 
     bs_xy = np.array([[p.x, p.y] for p in scenario.bs_positions], dtype=float).reshape(n_b, 2)
     ris_xy = np.array([[m.position.x, m.position.y] for m in scenario.ris_mounts], dtype=float).reshape(n_i, 2)
@@ -331,20 +332,20 @@ def precompute(scenario: Scenario) -> DerivedTables:
     for i, serving in enumerate(coverage.serving_bs.tolist()):
         if serving >= 0:
             d1 = scenario.bs_positions[serving].distance_to(scenario.ris_mounts[i].position)
-            feed[i] = phys.c / (4.0 * math.pi * phys.freq * max(d1, channel.MIN_DISTANCE))
+            feed[i] = channel.SPEED_OF_LIGHT / (4.0 * math.pi * channel.FREQ * max(d1, channel.MIN_DISTANCE))
 
     # all slots at once: (N, S, ...) arrays over the sources S of one kind
     pos = scenario.trajectories.transpose(1, 0, 2)                 # (N, R, 2)
-    half_theta = phys.theta / 2.0
+    half_theta = channel.THETA / 2.0
 
     def links(src_xy, covered, sight, relay=None):
         """Gainless powers (N, S, R) of covered links and beam interference (N, S, rp, r)."""
         vec = pos[:, None, :, :] - src_xy[None, :, None, :]       # (N, S, R, 2)
         dist = np.linalg.norm(vec, axis=3)
-        amp = phys.c / (4.0 * math.pi * phys.freq * np.maximum(dist, channel.MIN_DISTANCE))
+        amp = channel.SPEED_OF_LIGHT / (4.0 * math.pi * channel.FREQ * np.maximum(dist, channel.MIN_DISTANCE))
         if relay is not None:  # BS -> surface -> robot cascade
             amp = relay[None, :, None] * amp
-        power = phys.p_bs * amp * amp
+        power = channel.P_BS * amp * amp
         # Beam-cone gating: victim r hears the beam s->rp when its direction
         # is within theta/2 of the axis with clear sight.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -358,7 +359,7 @@ def precompute(scenario: Scenario) -> DerivedTables:
 
     # a BS has clear sight of a robot exactly when it covers it
     p_direct, xi_bs = links(bs_xy, coverage.bs_robot, coverage.bs_robot)
-    p_ris, xi_ris = links(ris_xy, coverage.ris_robot, coverage.ris_sight, feed * phys.n_elements)
+    p_ris, xi_ris = links(ris_xy, coverage.ris_robot, coverage.ris_sight, feed * channel.N_ELEMENTS)
 
     link_tables = LinkPowerTables(
         p_direct=p_direct,
@@ -369,7 +370,7 @@ def precompute(scenario: Scenario) -> DerivedTables:
         gain_robot=gain,
         noise=noise,
     )
-    u_effective = cfg.u_override if cfg.u_override is not None else channel.max_concurrent(phys.n_elements)
+    u_effective = cfg.u_override if cfg.u_override is not None else channel.max_concurrent(channel.N_ELEMENTS)
     return DerivedTables(
         coverage=coverage,
         conflicts=conflicts,
@@ -404,16 +405,6 @@ def _config_to_dict(cfg: ScenarioConfig) -> dict:
         "obstacle_size_m": list(cfg.obstacle_size),
         "bs_clearance_m": cfg.bs_clearance,
         "wall_clearance_m": cfg.wall_clearance,
-        "phys": {
-            "p_bs_w": cfg.phys.p_bs,
-            "freq_hz": cfg.phys.freq,
-            "beamwidth_rad": cfg.phys.theta,
-            "n_elements": cfg.phys.n_elements,
-            "temperature_k": cfg.phys.temperature,
-            "bandwidth_hz": cfg.phys.bandwidth,
-            "light_speed_m_s": cfg.phys.c,
-            "boltzmann_j_k": cfg.phys.k,
-        },
         "psi_range": list(cfg.psi_range),
         "k_range": list(cfg.k_range),
         "d_reconfig_slots": cfg.d_reconfig,
@@ -458,7 +449,6 @@ def _config_from_dict(d: dict) -> ScenarioConfig:
     """Read a config block; every key is consumed once, so a key left over is unknown."""
     try:
         d = dict(d)
-        phys = dict(d.pop("phys"))
         bs_positions = d.pop("bs_positions_m")
         u_override = d.pop("u_override")
         floor_width, floor_height = _pair(d.pop("floor_m"), _real)
@@ -474,16 +464,6 @@ def _config_from_dict(d: dict) -> ScenarioConfig:
             obstacle_size=_pair(d.pop("obstacle_size_m"), _real),
             bs_clearance=_real(d.pop("bs_clearance_m")),
             wall_clearance=_real(d.pop("wall_clearance_m")),
-            phys=PhysParams(
-                p_bs=_real(phys.pop("p_bs_w")),
-                freq=_real(phys.pop("freq_hz")),
-                theta=_real(phys.pop("beamwidth_rad")),
-                n_elements=_int(phys.pop("n_elements")),
-                temperature=_real(phys.pop("temperature_k")),
-                bandwidth=_real(phys.pop("bandwidth_hz")),
-                c=_real(phys.pop("light_speed_m_s")),
-                k=_real(phys.pop("boltzmann_j_k")),
-            ),
             psi_range=_pair(d.pop("psi_range"), _real),
             k_range=_pair(d.pop("k_range"), _int),
             d_reconfig=_int(d.pop("d_reconfig_slots")),
@@ -494,9 +474,8 @@ def _config_from_dict(d: dict) -> ScenarioConfig:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad config block: {exc!r}") from exc
-    unknown = sorted(d) + [f"phys.{key}" for key in sorted(phys)]
-    if unknown:
-        raise ScenarioFormatError(f"unknown config keys: {', '.join(unknown)}")
+    if d:
+        raise ScenarioFormatError(f"unknown config keys: {', '.join(sorted(d))}")
     return config
 
 

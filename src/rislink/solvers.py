@@ -2,8 +2,8 @@
 
 Two ways to solve a model: "highs" hands the matrix to the HiGHS MILP engine
 shipped with scipy; an ``ExternalBackend`` writes an LP file and shells
-out to any solver command.  ``milp.brute_force_optimum`` is the
-independent ground truth both are tested against.
+out to any solver command.  Both are tested against the brute-force
+oracle in ``tests/oracle.py``.
 """
 
 from __future__ import annotations

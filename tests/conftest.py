@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from rislink.channel import PhysParams
 from rislink.geometry import Obstacle, Point2D, RisMount
 from rislink.scenario import Scenario, ScenarioConfig, precompute
 
@@ -25,7 +24,6 @@ def build_showcase_scenario() -> Scenario:
         n_slots=2,
         n_obstacles=2,
         obstacle_size=(3.0, 14.0),
-        phys=PhysParams(),
         psi_range=(9.0, 10.0),
         k_range=(2, 15),
         d_reconfig=2,

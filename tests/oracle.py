@@ -1,0 +1,147 @@
+"""Brute-force oracle for tiny allocation instances.
+
+``brute_force_optimum`` enumerates assignments slot by slot, re-deriving
+SINR, conflict, capacity, readiness, and outage-window feasibility straight
+from the link tables rather than from the constraint rows of
+``rislink.milp``, so it is the independent ground truth the solvers are
+tested against.
+"""
+
+import itertools
+
+import numpy as np
+
+from rislink.allocation import AllocationSchedule
+
+GUARD_LIMITS = {"n_robots": 3, "n_slots": 4, "n_bs": 2, "n_ris": 2}
+
+
+def brute_force_optimum(tables, scenario):
+    """Exhaustive outage minimum for guarded tiny instances.
+
+    Returns (objective, schedule); (None, None) when no schedule satisfies
+    the outage windows.  Feasibility of every slot combination is evaluated
+    through the channel model, independently of the constraint rows.
+    """
+    cfg = scenario.config
+    for attr, limit in GUARD_LIMITS.items():
+        if getattr(cfg, attr) > limit:
+            raise ValueError(f"brute force guard exceeded: {attr} > {limit}")
+
+    n_r, n_n, n_i = cfg.n_robots, cfg.n_slots, cfg.n_ris
+    lt = tables.tables
+    g2 = lt.gain_bs * lt.gain_robot
+    psi = tables.psi_linear
+    u = tables.u_effective
+    d_reconfig = cfg.d_reconfig
+    k_out = scenario.k_out.astype(int)
+
+    if n_r == 0:
+        return 0, AllocationSchedule.all_outage(0, n_n)
+
+    def slot_combos(n):
+        options = []
+        for r in range(n_r):
+            opts = [None]
+            opts += [("bs", b) for b in np.flatnonzero(tables.coverage.bs_robot[n, :, r]).tolist()]
+            opts += [("ris", i) for i in np.flatnonzero(tables.coverage.ris_robot[n, :, r]).tolist()]
+            options.append(opts)
+        feasible = []
+        for combo in itertools.product(*options):
+            per_ris = {}
+            for r, a in enumerate(combo):
+                if a is not None and a[0] == "ris":
+                    per_ris.setdefault(a[1], set()).add(r)
+            if any(len(s) > u for s in per_ris.values()):
+                continue
+            if any(tables.conflicts[n, i][np.ix_(list(s), list(s))].any() for i, s in per_ris.items()):
+                continue
+            ok = True
+            for r, a in enumerate(combo):
+                if a is None:
+                    continue
+                if a[0] == "bs":
+                    signal = lt.p_direct[n, a[1], r]
+                    own = None
+                else:
+                    signal = lt.p_ris[n, a[1], r]
+                    own = a[1]
+                interference = 0.0
+                for rp, ap in enumerate(combo):
+                    if rp == r or ap is None:
+                        continue
+                    if ap[0] == "bs":
+                        interference += lt.xi_bs[n, ap[1], rp, r]
+                    elif ap[1] != own:
+                        interference += lt.xi_ris[n, ap[1], rp, r]
+                if signal * g2 / (lt.noise + interference) < psi[r]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            outages = sum(1 for a in combo if a is None)
+            use = tuple(frozenset(per_ris.get(i, ())) for i in range(n_i))
+            feasible.append((combo, outages, use))
+        return feasible
+
+    combos = [slot_combos(n) for n in range(n_n)]
+    empty_hist = tuple(tuple(frozenset() for _ in range(n_i)) for _ in range(max(d_reconfig - 1, 0)))
+    best = {"obj": None, "path": None}
+    memo = {}
+
+    def search(n, runs, hist, acc, path):
+        if best["obj"] is not None and acc >= best["obj"]:
+            return
+        if n == n_n:
+            best["obj"] = acc
+            best["path"] = list(path)
+            return
+        key = (n, runs, hist)
+        seen = memo.get(key)
+        if seen is not None and seen <= acc:
+            return
+        memo[key] = acc
+        for combo, outages, use in combos[n]:
+            ok = True
+            new_runs = []
+            for r, a in enumerate(combo):
+                if a is None:
+                    run = runs[r] + 1
+                    if run >= k_out[r]:
+                        ok = False
+                        break
+                    new_runs.append(run)
+                else:
+                    new_runs.append(0)
+            if not ok:
+                continue
+            # readiness: serving through a surface whose D-window saw > U robots
+            for i in range(n_i):
+                if not use[i]:
+                    continue
+                distinct = set(use[i])
+                for past in hist:
+                    distinct |= past[i]
+                if len(distinct) > u:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            new_hist = (hist + (use,))[1:] if hist else ()
+            path.append(combo)
+            search(n + 1, tuple(new_runs), new_hist, acc + outages, path)
+            path.pop()
+
+    search(0, (0,) * n_r, empty_hist, 0, [])
+    if best["obj"] is None:
+        return None, None
+    sched = AllocationSchedule.all_outage(n_r, n_n)
+    for n, combo in enumerate(best["path"]):
+        for r, a in enumerate(combo):
+            if a is None:
+                continue
+            if a[0] == "bs":
+                sched.assign_bs(r, n, a[1])
+            else:
+                sched.assign_ris(r, n, a[1])
+    return best["obj"], sched

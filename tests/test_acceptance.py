@@ -16,10 +16,11 @@ import pytest
 from rislink import channel, harness, heuristic, solvers
 from rislink.allocation import AllocationSchedule, validate
 from rislink.geometry import footprint_diameter
-from rislink.milp import brute_force_optimum, build_model, extract_schedule
+from rislink.milp import build_model, extract_schedule
 from rislink.scenario import EXPERIMENT_CONFIG, generate, precompute
 
 from conftest import build_showcase_scenario, tiny_config
+from oracle import brute_force_optimum
 
 SEEDS = int(os.environ.get("RISLINK_ACCEPT_SEEDS", "30"))
 # the no-RIS models are tiny, so that baseline always runs at full size

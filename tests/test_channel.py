@@ -10,7 +10,6 @@ from rislink.allocation import AllocationSchedule
 from rislink.channel import (
     BOLTZMANN,
     LinkPowerTables,
-    PhysParams,
     antenna_gain,
     direct_power,
     interference_sum,
@@ -24,9 +23,6 @@ from rislink.channel import (
 from rislink.scenario import ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
-
-PARAMS = PhysParams()  # 1 mW, 28 GHz, 10 degrees, 200 elements, 290 K, 20 MHz
-
 
 class TestAntennaGain:
     def test_ten_degrees(self):
@@ -75,38 +71,29 @@ class TestNoisePower:
 
 class TestReceivedPowers:
     def test_direct_reference(self):
-        assert direct_power(PARAMS, 10.0) == pytest.approx(7.261e-12, rel=5e-3)
+        assert direct_power(10.0) == pytest.approx(7.261e-12, rel=5e-3)
 
     def test_inverse_square(self):
-        assert direct_power(PARAMS, 20.0) == pytest.approx(direct_power(PARAMS, 10.0) / 4, rel=1e-12)
-
-    def test_linear_in_transmit_power(self):
-        # vanishing transmit power drives the received power to zero
-        p = PhysParams(p_bs=1e-30)
-        assert direct_power(p, 10.0) == pytest.approx(1e-27 * direct_power(PARAMS, 10.0), rel=1e-12)
+        assert direct_power(20.0) == pytest.approx(direct_power(10.0) / 4, rel=1e-12)
 
     def test_ris_reference(self):
-        assert ris_power(PARAMS, 10.0, 5.0) == pytest.approx(8.44e-15, rel=2e-3)
-
-    def test_quadratic_in_elements(self):
-        doubled = PhysParams(n_elements=400)
-        assert ris_power(doubled, 10.0, 5.0) == pytest.approx(4 * ris_power(PARAMS, 10.0, 5.0), rel=1e-12)
+        assert ris_power(10.0, 5.0) == pytest.approx(8.44e-15, rel=2e-3)
 
     def test_symmetric_in_hops(self):
-        assert ris_power(PARAMS, 7.0, 13.0) == pytest.approx(ris_power(PARAMS, 13.0, 7.0), rel=1e-12)
+        assert ris_power(7.0, 13.0) == pytest.approx(ris_power(13.0, 7.0), rel=1e-12)
 
     @given(st.floats(0.2, 100), st.floats(0.2, 100))
     @settings(max_examples=100)
     def test_cascade_identity(self, d1, d2):
         # relayed power equals the product of the two hop powers times E^2/P_b
-        lhs = ris_power(PARAMS, d1, d2)
-        rhs = direct_power(PARAMS, d1) * direct_power(PARAMS, d2) * PARAMS.n_elements**2 / PARAMS.p_bs
+        lhs = ris_power(d1, d2)
+        rhs = direct_power(d1) * direct_power(d2) * channel.N_ELEMENTS**2 / channel.P_BS
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @given(st.floats(0.01, 200), st.floats(0.01, 200))
     @settings(max_examples=100)
     def test_powers_positive_and_finite(self, d1, d2):
-        for v in (direct_power(PARAMS, d1), ris_power(PARAMS, d1, d2)):
+        for v in (direct_power(d1), ris_power(d1, d2)):
             assert v > 0
             assert math.isfinite(v)
 
@@ -132,7 +119,7 @@ class TestMaxConcurrent:
 
 
 def hand_tables(n_bs=1, n_ris=0, n_robots=1, n_slots=1):
-    gain = antenna_gain(PARAMS.theta)
+    gain = antenna_gain(channel.THETA)
     return LinkPowerTables(
         p_direct=np.zeros((n_slots, n_bs, n_robots)),
         p_ris=np.zeros((n_slots, n_ris, n_robots)),
@@ -147,7 +134,7 @@ def hand_tables(n_bs=1, n_ris=0, n_robots=1, n_slots=1):
 class TestInterferenceAndSinr:
     def test_lone_robot_reference_sinr(self):
         t = hand_tables()
-        t.p_direct[0, 0, 0] = direct_power(PARAMS, 10.0)
+        t.p_direct[0, 0, 0] = direct_power(10.0)
         alloc = AllocationSchedule.all_outage(1, 1)
         alloc.assign_bs(0, 0, 0)
         assert interference_sum(t, alloc, 0, 0) == 0.0
@@ -155,7 +142,7 @@ class TestInterferenceAndSinr:
 
     def test_same_surface_robots_do_not_interfere(self):
         t = hand_tables(n_bs=0, n_ris=1, n_robots=2)
-        t.p_ris[0, 0, :] = ris_power(PARAMS, 15.0, 8.0)
+        t.p_ris[0, 0, :] = ris_power(15.0, 8.0)
         t.xi_ris[0, 0, 0, 1] = 1e-9
         t.xi_ris[0, 0, 1, 0] = 1e-9
         alloc = AllocationSchedule.all_outage(2, 1)
@@ -170,7 +157,7 @@ class TestInterferenceAndSinr:
         # symmetric pair served by one BS, each inside the other's beam
         t = hand_tables(n_bs=1, n_ris=0, n_robots=2)
         g2 = t.gain_bs * t.gain_robot
-        p = direct_power(PARAMS, 12.0)
+        p = direct_power(12.0)
         for r in (0, 1):
             t.p_direct[0, 0, r] = p
             t.xi_bs[0, 0, 1 - r, r] = p * g2
@@ -193,7 +180,7 @@ class TestInterferenceAndSinr:
     @settings(max_examples=50)
     def test_sinr_monotone_in_interference(self, extra):
         t = hand_tables(n_bs=1, n_ris=0, n_robots=2)
-        t.p_direct[0, 0, :] = direct_power(PARAMS, 10.0)
+        t.p_direct[0, 0, :] = direct_power(10.0)
         t.xi_bs[0, 0, 1, 0] = 1e-9
         alloc = AllocationSchedule.all_outage(2, 1)
         alloc.assign_bs(0, 0, 0)
@@ -204,7 +191,7 @@ class TestInterferenceAndSinr:
 
     def test_distinct_surfaces_no_bs_no_interference(self):
         t = hand_tables(n_bs=0, n_ris=2, n_robots=2)
-        t.p_ris[0, :, :] = ris_power(PARAMS, 15.0, 8.0)
+        t.p_ris[0, :, :] = ris_power(15.0, 8.0)
         alloc = AllocationSchedule.all_outage(2, 1)
         alloc.assign_ris(0, 0, 0)
         alloc.assign_ris(1, 0, 1)
@@ -275,7 +262,7 @@ class TestSinrBatch:
 
     def test_unallocated_is_nan(self):
         t = hand_tables(n_robots=2)
-        t.p_direct[0, 0, :] = direct_power(PARAMS, 10.0)
+        t.p_direct[0, 0, :] = direct_power(10.0)
         alloc = AllocationSchedule.all_outage(2, 1)
         alloc.assign_bs(1, 0, 0)
         value = sinr_batch(t, alloc.kind[:, 0], alloc.index[:, 0], 0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -53,7 +54,6 @@ class TestGenerateSolveValidate:
 
     @pytest.mark.parametrize("command, flag, value", [
         ("solve", "--timeout", "-1"), ("solve", "--timeout", "nan"),
-        ("solve", "--mu", "nan"), ("solve", "--mu", "inf"), ("export-model", "--mu", "nan"),
     ])
     def test_bad_numeric_option_is_error(self, scenario_file, command, flag, value, capsys):
         rc = run_cli(command, str(scenario_file), flag, value)
@@ -146,8 +146,12 @@ class TestSweepCommand:
         ({"trials": "2"}, []),
         ({"seed0": True}, []),
         ({"seed0": 0.5}, []),
+        ({"axis": "k_window", "values": [[1, 5], [3, 3]]}, []),
+        ({"values": [2.5]}, []),
+        ({"config": dict(_config_to_dict(ScenarioConfig(n_robots=2, n_slots=4)), robot_step_m=math.nan)}, []),
     ], ids=["string-timeout", "zero-workers", "negative-workers", "zero-workers-flag",
-            "fractional-trials", "string-trials", "boolean-seed0", "fractional-seed0"])
+            "fractional-trials", "string-trials", "boolean-seed0", "fractional-seed0",
+            "shared-midpoint", "fractional-robots", "nan-step"])
     def test_malformed_spec_is_error(self, tmp_path, capsys, fields, flags):
         spec = {
             "format": "rislink-sweep",

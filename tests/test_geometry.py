@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rislink import channel
 from rislink.geometry import (
     Obstacle,
     Point2D,
@@ -304,7 +305,7 @@ class TestConflicts:
         s = generate(replace(EXPERIMENT_CONFIG, n_robots=14, n_slots=6), seed)
         cov = build_coverage(s)
         conf = build_conflicts(s, cov)
-        theta = s.config.phys.theta
+        theta = channel.THETA
         expected = np.zeros_like(conf)
         near_but_hidden = 0
         for n in range(s.config.n_slots):
@@ -323,7 +324,6 @@ class TestConflicts:
 def _cfg_dict(cfg):
     from dataclasses import asdict
     d = asdict(cfg)
-    d["phys"] = cfg.phys
     d["obstacle_size"] = tuple(d["obstacle_size"])
     d["psi_range"] = tuple(d["psi_range"])
     d["k_range"] = tuple(d["k_range"])

@@ -191,6 +191,31 @@ class TestSweepSpecFile:
             with pytest.raises(ValueError, match="timeout"):
                 SweepSpec(base=FAST_CFG, axis="robots", values=[1], timeout=bad)
 
+    @pytest.mark.parametrize("axis, values", [
+        ("k_window", [(1, 5), (3, 3)]),
+        ("sinr_threshold", [(8.0, 10.0), (9.0, 9.0)]),
+        ("robots", [3, 3.0]),
+    ])
+    def test_values_sharing_a_label_rejected(self, axis, values):
+        # a CSV row names its point by the label alone, and trial results
+        # are keyed by it, so one point's results would stand for both
+        with pytest.raises(ValueError, match="share a CSV label"):
+            SweepSpec(base=FAST_CFG, axis=axis, values=values)
+
+    @pytest.mark.parametrize("axis, values", [
+        ("robots", [2.5]),
+        ("delay", [2, 1.5]),
+        ("capacity", [math.inf]),
+        ("k_window", [(3, 4.5)]),
+    ])
+    def test_fractional_value_on_integer_axis_rejected(self, axis, values):
+        with pytest.raises(ValueError, match="takes integers"):
+            SweepSpec(base=FAST_CFG, axis=axis, values=values)
+
+    def test_integral_float_on_integer_axis_accepted(self):
+        spec = load_sweep_spec(json.dumps(_spec_doc(axis="robots", values=[2.0, 3])))
+        assert [apply_axis(spec.base, spec.axis, v).n_robots for v in spec.values] == [2, 3]
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             SweepSpec(base=FAST_CFG, axis="power", values=[1])

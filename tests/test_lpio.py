@@ -9,10 +9,11 @@ import scipy.sparse as sp
 
 from rislink import solvers
 from rislink.lpio import export_model, parse_lp, parse_mps, parse_solution, write_lp, write_mps, write_solution
-from rislink.milp import MilpModel, build_model, brute_force_optimum
+from rislink.milp import MilpModel, build_model
 from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
+from oracle import brute_force_optimum
 
 HERE = os.path.dirname(__file__)
 FAKE_SOLVER = [sys.executable, os.path.join(HERE, "fake_lp_solver.py"), "{model}", "{solution}"]

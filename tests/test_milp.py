@@ -8,10 +8,11 @@ import pytest
 from rislink import solvers
 from rislink.allocation import AllocationSchedule, derive_history, validate
 from rislink.heuristic import allocate
-from rislink.milp import MU_SAFETY, ModelError, brute_force_optimum, build_model, extract_schedule
+from rislink.milp import MU_SAFETY, build_model, extract_schedule
 from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
+from oracle import brute_force_optimum
 
 
 def solve_objective(scenario, tables):
@@ -54,23 +55,6 @@ class TestBuildModel:
         t = precompute(s)
         obj, res, _ = solve_objective(s, t)
         assert obj is None
-
-    def test_insufficient_big_m_rejected(self):
-        s = generate(tiny_config(), 3)
-        t = precompute(s)
-        for mu in (1e-3, float("nan"), float("inf")):
-            with pytest.raises(ModelError, match="insufficient"):
-                build_model(t, s, mu=mu)
-
-    def test_explicit_big_m_accepted_when_large(self):
-        for seed in range(8):
-            s = generate(tiny_config(), seed)
-            t = precompute(s)
-            auto = solvers.solve(build_model(t, s), "highs")
-            explicit = solvers.solve(build_model(t, s, mu=1e16), "highs")
-            assert explicit.status == auto.status
-            if auto.status == "optimal":
-                assert round(explicit.objective) == round(auto.objective)
 
     def test_ready_rows_cut_off_no_ready_schedule(self):
         # The model caps the distinct robots of every usage window at U in

@@ -5,7 +5,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from rislink.channel import PhysParams
 from rislink.scenario import (
     DIRECTION_HOLD_SLOTS,
     GenerationError,
@@ -22,16 +21,20 @@ from rislink.scenario import (
 )
 
 CFG = ScenarioConfig(n_robots=5, n_slots=25, n_ris=4, n_obstacles=4)
-# every field, and every physical constant, away from its default
+# every field away from its default
 OFF_DEFAULT = ScenarioConfig(
     floor_width=30.0, floor_height=25.0, n_bs=3, n_ris=5, n_robots=4, n_slots=7,
     robot_step=1.5, n_obstacles=2, obstacle_size=(1.0, 2.0),
     bs_clearance=2.5, wall_clearance=1.0,
-    phys=PhysParams(p_bs=2e-3, freq=30e9, theta=0.2, n_elements=150, temperature=300.0,
-                    bandwidth=10e6, c=3e8, k=1.4e-23),
     psi_range=(5.0, 6.0), k_range=(3, 4), d_reconfig=3, u_override=1,
     ris_fov_half_angle=1.2, bs_positions=((1.0, 2.0), (3.0, 4.0), (5.0, 6.0)),
 )
+# the physical-layer block of a version-2 config; Table II is fixed in rislink.channel
+V2_PHYS = {
+    "bandwidth_hz": 20e6, "beamwidth_rad": math.radians(10.0), "boltzmann_j_k": 1.380649e-23,
+    "freq_hz": 28e9, "light_speed_m_s": 299792458.0, "n_elements": 200, "p_bs_w": 1e-3,
+    "temperature_k": 290.0,
+}
 
 
 class TestGenerate:
@@ -264,10 +267,16 @@ class TestSerialization:
         with pytest.raises(ScenarioFormatError, match="version"):
             deserialize(json.dumps(doc))
 
+    def test_version_2_file_rejected(self):
+        doc = json.loads(serialize(generate(CFG, 1)))
+        doc["version"] = 2
+        doc["config"]["phys"] = dict(V2_PHYS)
+        with pytest.raises(ScenarioFormatError, match="unsupported version 2"):
+            deserialize(json.dumps(doc))
+
     def test_config_off_defaults_round_trips(self):
         default = ScenarioConfig()
         assert all(getattr(OFF_DEFAULT, f.name) != getattr(default, f.name) for f in fields(ScenarioConfig))
-        assert all(getattr(OFF_DEFAULT.phys, f.name) != getattr(default.phys, f.name) for f in fields(PhysParams))
         assert _config_from_dict(json.loads(json.dumps(_config_to_dict(OFF_DEFAULT)))) == OFF_DEFAULT
         s = generate(OFF_DEFAULT, 3)
         assert deserialize(serialize(s)) == s
@@ -280,15 +289,10 @@ class TestSerialization:
             del d[key]
             with pytest.raises(ScenarioFormatError, match=key):
                 _config_from_dict(d)
-        for key in written["phys"]:
-            d = dict(written, phys=dict(written["phys"]))
-            del d["phys"][key]
-            with pytest.raises(ScenarioFormatError, match=key):
-                _config_from_dict(d)
         with pytest.raises(ScenarioFormatError, match="unknown config keys: extra_m$"):
             _config_from_dict(dict(written, extra_m=1.0))
-        with pytest.raises(ScenarioFormatError, match="unknown config keys: phys.gain_db$"):
-            _config_from_dict(dict(written, phys=dict(written["phys"], gain_db=3.0)))
+        with pytest.raises(ScenarioFormatError, match="unknown config keys: phys$"):
+            _config_from_dict(dict(written, phys=dict(V2_PHYS)))
 
     @pytest.mark.parametrize("key, value", [
         ("n_slots", "x"),
@@ -303,9 +307,18 @@ class TestSerialization:
         ("floor_m", None),
         ("bs_positions_m", [[1.0, 2.0, 3.0]]),
         ("phys", {}),
+        ("robot_step_m", math.nan),
+        ("floor_m", [math.inf, 40.0]),
+        ("psi_range", [math.nan, 10.0]),
+        ("obstacle_size_m", [3.0, math.inf]),
+        ("wall_clearance_m", math.nan),
+        ("ris_fov_half_angle_rad", -math.inf),
+        ("bs_positions_m", [[5.0, math.nan], [10.0, 10.0]]),
     ], ids=["string-slots", "zero-slots", "fractional-slots", "boolean-robots", "u-above-cap",
             "zero-window", "fractional-window", "short-window", "string-thresholds",
-            "null-floor", "triple-position", "empty-phys"])
+            "null-floor", "triple-position", "empty-phys", "nan-step", "infinite-floor",
+            "nan-threshold", "infinite-obstacle-size", "nan-clearance", "infinite-field-of-view",
+            "nan-position"])
     def test_malformed_config_value_rejected(self, key, value):
         doc = json.loads(serialize(generate(CFG, 1)))
         doc["config"][key] = value
