@@ -24,6 +24,7 @@ from rislink.scenario import ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
 
+
 class TestAntennaGain:
     def test_ten_degrees(self):
         assert antenna_gain(math.radians(10)) == pytest.approx(525.58, abs=0.01)
