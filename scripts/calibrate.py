@@ -4,10 +4,11 @@ Each candidate is ``rislink.scenario.EXPERIMENT_CONFIG`` (Table II on the
 calibrated floor) with its floor fields replaced.  On seeds disjoint from the
 acceptance suite's (those start at 1000) the script reports, per candidate:
 
-* without solving, at R=8 and R=14: the share of scenarios holding a coverage
-  blackout (some robot has no BS and no surface link for K_r slots in a row,
-  so no schedule exists at any U) and the share of robot-slots with no BS in
-  sight;
+* without solving, at R=8 and R=14: the share of scenarios holding a
+  blackout (some robot has no live link, one that is covered and whose
+  signal alone meets its threshold, for K_r slots in a row; this is
+  ``rislink.milp.dark_run``, so no schedule exists at any U) and the share
+  of robot-slots with no BS in sight;
 * with ``--solve``, the band metrics at the acceptance points: ILP, heuristic
   and no-RIS feasibility and mean outage at R=8 and R=14 with U=2, ILP
   feasibility at R=14 with U=3, the timeout count and the slowest solve.
@@ -15,7 +16,7 @@ acceptance suite's (those start at 1000) the script reports, per candidate:
   R=14 >= 90 (U=2) and >= 95 (U=3), heuristic feasibility at R=14 <= 80.
 
 Usage:
-    python scripts/calibrate.py                        # coverage scan, all candidates
+    python scripts/calibrate.py                        # blackout scan, all candidates
     python scripts/calibrate.py --solve chosen dense64  # band metrics too
     python scripts/calibrate.py --seeds 40 --seed0 0 --timeout 120 --workers 2
 """
@@ -27,8 +28,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from rislink import geometry, harness
-from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate
+from rislink import harness, milp
+from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 FLOOR_FIELDS = ("bs_positions", "n_obstacles", "obstacle_size", "robot_step",
                 "ris_fov_half_angle", "bs_clearance", "wall_clearance")
@@ -57,24 +58,12 @@ CANDIDATES = {
 }
 
 
-def dark_runs(mask: np.ndarray, k_out) -> bool:
-    """True iff some row of ``mask`` (robot x slot) holds a run of at least K_r."""
-    for r, row in enumerate(mask):
-        run = 0
-        for dark in row:
-            run = run + 1 if dark else 0
-            if run >= k_out[r]:
-                return True
-    return False
-
-
 def coverage_probe(args):
     cfg, seed = args
     scenario = generate(cfg, seed)
-    cov = geometry.build_coverage(scenario)
-    bs = cov.bs_robot.any(axis=1).T     # (robot, slot)
-    ris = cov.ris_robot.any(axis=1).T
-    return dark_runs(~(bs | ris), scenario.k_out), 100.0 * (1.0 - bs.mean())
+    tables = precompute(scenario)
+    bs = tables.coverage.bs_robot.any(axis=1)     # (slot, robot)
+    return milp.dark_run(tables.live, scenario.k_out) is not None, 100.0 * (1.0 - bs.mean())
 
 
 def band(ok: bool) -> str:

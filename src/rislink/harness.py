@@ -92,6 +92,8 @@ class SweepSpec:
             raise ValueError(f"timeout must be None or a positive finite number of seconds, got {self.timeout!r}")
         if not (isinstance(self.workers, int) and not isinstance(self.workers, bool) and self.workers >= 1):
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        for value in self.values:
+            apply_axis(self.base, self.axis, value)  # a point's config checks its own numbers
 
 
 @dataclass
@@ -137,6 +139,10 @@ def axis_label(axis: str, value) -> float:
 
 
 def _solve_ilp(scenario, tables, timeout) -> MethodResult:
+    # a robot without a live link for K_r slots in a row proves infeasibility
+    t0 = time.perf_counter()
+    if milp.dark_run(tables.live, scenario.k_out) is not None:
+        return MethodResult(False, None, time.perf_counter() - t0)
     model = milp.build_model(tables, scenario)
     result = solvers.solve(model, time_budget=timeout)
     if result.status == "optimal":

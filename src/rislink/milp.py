@@ -6,8 +6,10 @@ objective counts outage slots.  Its columns are the allocation bits Xb
 bits O.  The SINR requirement of a served link is affine once the ratio is
 multiplied through by its denominator, and every row is divided by the
 noise power and then by the link's signal coefficient so coefficients stay
-in a sane range.  Coverage is applied as variable fixing rather than
-constraint rows.  The SINR row of an unused link is switched off by a big-M
+in a sane range.  Only a live link (``DerivedTables.live``: covered, and its
+signal alone meets the robot's threshold) keeps a free allocation bit; the
+others are fixed at 0 rather than given rows.  Each robot and slot has the
+row ``O + sum X = 1``.  The SINR row of an unused link is switched off by a big-M
 term on the link's own allocation bit: ``sig*X - psi*I >= psi`` is written
 ``(sig - M)*X - psi*I >= psi - M``, which holds at every admissible
 interference level I once X = 0.  An interferer that alone breaks a link
@@ -15,6 +17,11 @@ is excluded with it instead of being a term in the link's SINR row, so M
 covers only the terms that can be on together with the link.  Such killing
 pairs and the arrival-angle conflict pairs share exclusion rows
 ``sum_S X + sum_T X' <= 1``, one per slot, robot pair and set T.
+
+The model emits no row that its other rows or the 0/1 box already imply:
+no per-slot surface capacity row, and no SINR row that holds with every one
+of its columns at 1.  ``dark_run`` finds a robot with no live link for K_r
+slots in a row, which proves the program infeasible without building it.
 
 Surface readiness is a cap rather than a flag: the distinct robots of every
 usage window stay at U or fewer, which no valid schedule breaks (see
@@ -41,7 +48,7 @@ from .allocation import BS, RIS, AllocationSchedule
 
 MU_SAFETY = 1.01
 
-__all__ = ["MilpModel", "build_model", "extract_schedule"]
+__all__ = ["MilpModel", "build_model", "extract_schedule", "dark_run"]
 
 
 def _family_shapes(n_bs, n_ris, n_robots, n_slots) -> dict:
@@ -122,7 +129,7 @@ class MilpModel:
 
 
 # Row sections of one slot, in row order; the outage windows follow the last slot.
-_ONE, _CAPACITY, _SINR, _HISTORY, _SERVE = range(5)
+_SERVE, _SINR, _HISTORY = range(3)
 
 
 class _Rows:
@@ -201,7 +208,7 @@ def _sinr_names(dims, links) -> np.ndarray:
 
 
 def build_model(tables, scenario) -> MilpModel:
-    """Emit the full allocation program for one scenario.
+    """Emit the allocation program for one scenario.
 
     The SINR row of link X with interference terms I reads
     ``(sig - M)*X - psi*I >= psi - M``: the served row when X = 1, slack
@@ -215,7 +222,7 @@ def build_model(tables, scenario) -> MilpModel:
     ra that exclude the same links T of rb share the row
     ``sum_S X + sum_T X' <= 1``.  It has the integer points of the pairwise
     rows it covers, and an LP relaxation at least as tight: any two links
-    of S (or of T) already exclude each other through the robot's one row,
+    of S (or of T) already exclude each other through the robot's serve row,
     and every pair across S and T is a killing or conflict pair.  Each pair
     lies in exactly one such row, named ``excl_ra_rb_n_j`` with j counting
     the rows of the robot pair in slot n.
@@ -223,16 +230,24 @@ def build_model(tables, scenario) -> MilpModel:
     Each SINR row is rescaled by its signal coefficient, so no entry
     exceeds about 10 in magnitude (weak interference still gives entries
     near 1e-8).  Each row's big-M is
-    ``psi*(1 + sum of its kept levels)*MU_SAFETY + 1``.
+    ``psi*(1 + sum of its kept levels)*MU_SAFETY + 1``.  A row whose kept
+    levels sum to at most ``sig/psi - 1`` holds with all its columns at 1,
+    and so at every point of the box, since it is linear and holds at X = 0
+    for any interference; about 95 % of the rows are such and none of them
+    is emitted.  This leaves the LP relaxation as it is.
 
     Usage history is one ``X <= Y`` row per live link and window slot, and
     readiness caps the distinct robots of every usage window at U
     (``sum_r Y <= U``).  No valid schedule breaks that cap: a surface
     serving in slot n had at most U distinct robots in the window of its
     last serving slot, which covers the rest of window n.  So the paper's
-    busy flag never rises and a robot is served by ``O + sum Xi + sum Xb
-    >= 1``.  The cap only cuts off stray allocation bits on busy surfaces,
-    which ``extract_schedule`` discards anyway.
+    busy flag never rises and a robot is in outage or served by exactly
+    one link, ``O + sum Xb + sum Xi = 1``.  That row joins the robot's
+    single-assignment row and its served row ``O + sum X >= 1``; since the
+    objective and the ``<=`` outage windows only ever push O down, no
+    optimum and no LP bound moves.  The window of slot n ends at n, so
+    ``Xi <= Y`` and the ready cap give ``sum_r Xi <= U`` in every slot, and
+    no capacity row is emitted.
     """
     cfg = scenario.config
     n_b, n_i, n_r, n_n = cfg.n_bs, cfg.n_ris, cfg.n_robots, cfg.n_slots
@@ -262,43 +277,35 @@ def build_model(tables, scenario) -> MilpModel:
     links = np.concatenate([xb.transpose(2, 1, 0), xi.transpose(2, 1, 0)], axis=2)          # (N, R, L)
     covered = np.concatenate([tables.coverage.bs_robot, tables.coverage.ris_robot], axis=1).transpose(0, 2, 1)
     signal = np.concatenate([sig_bs.transpose(0, 2, 1), sig_ris.transpose(0, 2, 1)], axis=2)
-    lb[links[~covered]] = ub[links[~covered]] = 0
+    live = tables.live
+    lb[links[~live]] = ub[links[~live]] = 0
 
     stride = n_r * n_l + n_i + 1  # room for every group key within a section
 
     def key(n, section, group=0):
-        return (np.asarray(n, dtype=np.int64) * 5 + section) * stride + group
+        return (np.asarray(n, dtype=np.int64) * 3 + section) * stride + group
 
     rows = _Rows(n_vars)
     slots = np.arange(n_n)
     slot_of_nr = np.repeat(slots, n_r)                     # rows (slot, robot)
     slot_of_ni, surface_of_ni = np.divmod(np.arange(n_n * n_i), max(n_i, 1))   # rows (slot, surface)
 
-    # single assignment per robot
-    if n_l:
-        rows.add(key(slot_of_nr, _ONE), "<", 1.0, links.reshape(-1, n_l), 1.0, _slot_names("one", n_n, n_r))
+    # each robot is in outage or served by exactly one link
+    serve = np.concatenate([o.T[:, :, None], links], axis=2)
+    rows.add(key(slot_of_nr, _SERVE), "=", 1.0, serve.reshape(-1, 1 + n_l), 1.0, _slot_names("serve", n_n, n_r))
 
-    # surface capacity
-    if n_r:
-        rows.add(key(slot_of_ni, _CAPACITY, surface_of_ni), "<", u, xi.transpose(2, 0, 1).reshape(-1, n_r),
-                 1.0, _slot_names("cap", n_n, n_i))
-
-    # SINR rows, per slot: every covered link of every victim robot hears the
+    # SINR rows, per slot: every live link of every victim robot hears the
     # covered links of every other robot (same-surface links are nulled)
     robots = np.arange(n_r)
-    weak, killers = [], []
+    killers = []
     for n in range(n_n):
         # levels[r, rp, l] = interference victim r hears when robot rp uses link l
         levels = np.concatenate([xi_bs[n].transpose(2, 1, 0), xi_ris[n].transpose(2, 1, 0)], axis=2)
         heard = (levels > 0.0) & covered[n]
         heard[robots, robots] = False
-        vr, vl = np.nonzero(covered[n])
+        vr, vl = np.nonzero(live[n])
         sig = signal[n, vr, vl]
         p = psi[vr]
-        # below threshold even alone: the link is unusable
-        usable = sig >= p
-        weak.append(links[n, vr[~usable], vl[~usable]])
-        vr, vl, sig, p = vr[usable], vl[usable], sig[usable], p[usable]
         mask = heard[vr]
         on_ris = np.nonzero(vl >= n_b)[0]
         mask[on_ris, :, vl[on_ris]] = False  # nulling removes same-surface interference
@@ -308,17 +315,22 @@ def build_model(tables, scenario) -> MilpModel:
         t_col = links[n, trp, tl]
         # an interferer that alone exceeds the interference a live link
         # tolerates goes to the exclusion rows and leaves the SINR row
-        kill = level > (sig / p - 1.0)[tv]
+        tolerated = sig / p - 1.0
+        kill = level > tolerated[tv]
         killers.append(np.stack([x[tv[kill]], t_col[kill]]))
         tv, t_col, level = tv[~kill], t_col[~kill], level[~kill]
-        n_v = len(vr)
-        mu_v = p * (1.0 + np.bincount(tv, weights=level, minlength=n_v)) * MU_SAFETY + 1.0
+        # a row that holds with all its terms on holds everywhere in the box
+        total = np.bincount(tv, weights=level, minlength=len(vr))
+        binds = total > tolerated
+        term = binds[tv]
+        tv, t_col, level = (np.cumsum(binds) - 1)[tv[term]], t_col[term], level[term]
+        x, sig, p, total = x[binds], sig[binds], p[binds], total[binds]
+        n_v = len(x)
+        mu_v = p * (1.0 + total) * MU_SAFETY + 1.0
         scale = 1.0 / sig
         rows.add(key(n, _SINR, np.arange(n_v)), ">", p * scale - mu_v * scale, np.concatenate([x, t_col]),
                  np.concatenate([sig * scale - mu_v * scale, -p[tv] * level * scale[tv]]),
                  functools.partial(_sinr_names, dims, x), rows=np.concatenate([np.arange(n_v), tv]))
-    weak = np.concatenate(weak) if weak else np.zeros(0, dtype=np.int64)
-    lb[weak] = ub[weak] = 0
 
     # exclusion rows over the killing and arrival-angle conflict pairs; link l
     # of robot r in slot n is column (l*R + r)*N + n.  Each pair's first column
@@ -345,7 +357,7 @@ def build_model(tables, scenario) -> MilpModel:
     ex_n, ex_ra, ex_rb = ex_pair // (n_r * n_r), ex_pair // n_r % n_r, ex_pair % n_r
     tj, tl = np.nonzero(excluded[head])
     nth = np.arange(len(head)) - np.searchsorted(ex_pair, ex_pair)
-    rows.add(key(ex_n, _ONE), "<", np.ones(len(head)),
+    rows.add(key(ex_n, _SERVE), "<", np.ones(len(head)),
              np.concatenate([first, (tl * n_r + ex_rb[tj]) * n_n + ex_n[tj]]), 1.0,
              lambda: _names("excl", ex_ra, ex_rb, ex_n, nth), rows=np.concatenate([row, tj]))
 
@@ -362,14 +374,11 @@ def build_model(tables, scenario) -> MilpModel:
         rows.add(key(slot_of_ni, _HISTORY, surface_of_ni), "<", u, y_nir.reshape(-1, n_r), 1.0,
                  _slot_names("ready", n_n, n_i))
 
-    serve = np.concatenate([o.T[:, :, None], xi.transpose(2, 1, 0), xb.transpose(2, 1, 0)], axis=2)
-    rows.add(key(slot_of_nr, _SERVE), ">", 1.0, serve.reshape(-1, 1 + n_i + n_b), 1.0, _slot_names("serve", n_n, n_r))
-
     # outage windows: strictly fewer than K_r outages per K_r-slot window
     k_out = scenario.k_out.astype(int)
     back = np.arange(max(k_out, default=0))
     wr, wn, wb = np.nonzero((slots[None, :, None] >= back) & (back < k_out[:, None, None]))
-    rows.add(key(n_n, _ONE), "<", np.repeat(k_out - 1.0, n_n), o[wr, wn - wb], 1.0,
+    rows.add(key(n_n, _SERVE), "<", np.repeat(k_out - 1.0, n_n), o[wr, wn - wb], 1.0,
              lambda: _names("win", *np.divmod(np.arange(n_r * n_n), n_n)), rows=wr * n_n + wn)
 
     matrix, sense, rhs, row_names = rows.finish()
@@ -380,23 +389,42 @@ def build_model(tables, scenario) -> MilpModel:
 def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule:
     """Map a 0/1 solution vector back to an allocation schedule.
 
-    An outage slot wins over any stray allocation bit (dropping a
-    transmission can only loosen every remaining constraint); a robot marked
-    served without exactly one allocation bit indicates a backend bug.
+    Every robot and slot is in outage or holds exactly one allocation bit
+    (``O + sum X = 1``); a solution that breaks this indicates a backend bug.
     """
     on = np.asarray(values) >= 0.5
-    served = ~on[model.columns["O"]]
+    outage = on[model.columns["O"]]
     via_bs, via_ris = on[model.columns["Xb"]], on[model.columns["Xi"]]
     bits = via_bs.sum(axis=0) + via_ris.sum(axis=0)
-    bad = np.argwhere(served & (bits != 1))
+    bad = np.argwhere(outage + bits != 1)
     if len(bad):
         r, n = bad[0]
         raise RuntimeError(
-            f"inconsistent solution: robot {r} slot {n} marked served "
+            f"inconsistent solution: robot {r} slot {n} marked {'in outage' if outage[r, n] else 'served'} "
             f"with {bits[r, n]} allocation bits")
     sched = AllocationSchedule.all_outage(model.n_robots, model.n_slots)
     for kind, bits_of in ((BS, via_bs), (RIS, via_ris)):
-        hit = served & bits_of.any(axis=0)
+        hit = bits_of.any(axis=0)
         sched.kind[hit] = kind
         sched.index[hit] = np.tensordot(np.arange(len(bits_of)), bits_of, axes=1)[hit]
     return sched
+
+
+def dark_run(live: np.ndarray, k_out) -> tuple | None:
+    """The first robot with no live link for K_r slots in a row, or None.
+
+    ``live`` is the (N, R, L) mask of ``scenario.precompute``.  Returns
+    (robot, first slot, last slot) of the run.  Every allocation bit of the
+    robot in those slots is fixed at 0, so it is in outage in all K_r of
+    them, which its outage window ending at the last slot forbids: no
+    schedule exists, and this proves it without a solver.
+    """
+    k_out = np.asarray(k_out)
+    dark = ~live.any(axis=2).T                                          # (R, N)
+    slots = np.arange(dark.shape[1])
+    last_live = np.maximum.accumulate(np.where(dark, -1, slots), axis=1)
+    hit = np.argwhere(slots - last_live >= k_out[:, None])
+    if not len(hit):
+        return None
+    r, last = hit[0].tolist()
+    return r, last - int(k_out[r]) + 1, last

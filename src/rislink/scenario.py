@@ -80,6 +80,9 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.n_slots < 1:
             raise ValueError("n_slots must be >= 1")
+        if not all(float(v).is_integer() for v in self.psi_range):
+            raise ValueError(f"psi_range ends must be whole numbers, as thresholds are drawn as integers, "
+                             f"got {self.psi_range!r}")
         if self.psi_range[0] > self.psi_range[1] or self.k_range[0] > self.k_range[1]:
             raise ValueError("psi_range and k_range must be non-empty")
         if self.k_range[0] < 1:
@@ -147,6 +150,7 @@ class DerivedTables:
     tables: LinkPowerTables
     u_effective: int
     psi_linear: np.ndarray
+    live: np.ndarray       # (N, R, L) bool: covered, and the signal alone meets psi; BS links first
 
 
 def _default_bs_positions(config: ScenarioConfig, rng) -> list:
@@ -371,12 +375,18 @@ def precompute(scenario: Scenario) -> DerivedTables:
         noise=noise,
     )
     u_effective = cfg.u_override if cfg.u_override is not None else channel.max_concurrent(channel.N_ELEMENTS)
+    psi = scenario.psi.astype(float)
+    # a link is live when it is covered and its signal over the noise alone
+    # meets the robot's threshold
+    covered = np.concatenate([coverage.bs_robot, coverage.ris_robot], axis=1)      # (N, L, R)
+    signal = np.concatenate([p_direct, p_ris], axis=1) * (gain * gain) / noise
     return DerivedTables(
         coverage=coverage,
         conflicts=conflicts,
         tables=link_tables,
         u_effective=u_effective,
-        psi_linear=scenario.psi.astype(float),
+        psi_linear=psi,
+        live=(covered & (signal >= psi)).transpose(0, 2, 1),
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from rislink.allocation import AllocationSchedule
 
-GUARD_LIMITS = {"n_robots": 3, "n_slots": 4, "n_bs": 2, "n_ris": 2}
+GUARD_LIMITS = {"n_robots": 4, "n_slots": 4, "n_bs": 2, "n_ris": 2}
 
 
 def brute_force_optimum(tables, scenario):

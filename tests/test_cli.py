@@ -92,6 +92,13 @@ class TestGenerateSolveValidate:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage:")
 
+    def test_fractional_threshold_range_is_error(self, tmp_path, capsys):
+        # thresholds are drawn as integers, so 9.5..9.9 would yield 9.0
+        out = tmp_path / "s.json"
+        assert run_cli("generate", "--psi", "9.5", "9.9", "--output", str(out)) == 1
+        assert "psi_range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_file_is_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{1 not json")
@@ -149,9 +156,10 @@ class TestSweepCommand:
         ({"axis": "k_window", "values": [[1, 5], [3, 3]]}, []),
         ({"values": [2.5]}, []),
         ({"config": dict(_config_to_dict(ScenarioConfig(n_robots=2, n_slots=4)), robot_step_m=math.nan)}, []),
+        ({"axis": "sinr_threshold", "values": [[9, 10], [9.5, 9.9]]}, []),
     ], ids=["string-timeout", "zero-workers", "negative-workers", "zero-workers-flag",
             "fractional-trials", "string-trials", "boolean-seed0", "fractional-seed0",
-            "shared-midpoint", "fractional-robots", "nan-step"])
+            "shared-midpoint", "fractional-robots", "nan-step", "fractional-threshold"])
     def test_malformed_spec_is_error(self, tmp_path, capsys, fields, flags):
         spec = {
             "format": "rislink-sweep",

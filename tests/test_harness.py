@@ -7,7 +7,7 @@ import pytest
 
 from rislink import harness
 from rislink.harness import SweepSpec, apply_axis, load_sweep_spec, run_sweep, run_trial, sweep_to_csv
-from rislink.scenario import ScenarioConfig, ScenarioFormatError, _config_to_dict
+from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, ScenarioFormatError, _config_to_dict
 
 from conftest import tiny_config
 
@@ -38,6 +38,16 @@ class TestRunTrial:
             tr = run_trial(FAST_CFG, seed, methods=("ilp", "heuristic"))
             if tr.methods["heuristic"].feasible:
                 assert tr.methods["ilp"].feasible
+
+
+    def test_dark_run_is_infeasible_without_a_model(self, monkeypatch):
+        # seed 1004 of the calibrated floor at R=14 holds a robot with no
+        # live link for K_r slots in a row
+        def build_model(*args):
+            raise AssertionError("build_model called on a certified instance")
+        monkeypatch.setattr(harness.milp, "build_model", build_model)
+        ilp = run_trial(replace(EXPERIMENT_CONFIG, n_robots=14), 1004, methods=("ilp",)).methods["ilp"]
+        assert not ilp.feasible and not ilp.timed_out and ilp.outage_pct is None
 
 
 class TestApplyAxis:
@@ -211,6 +221,11 @@ class TestSweepSpecFile:
     def test_fractional_value_on_integer_axis_rejected(self, axis, values):
         with pytest.raises(ValueError, match="takes integers"):
             SweepSpec(base=FAST_CFG, axis=axis, values=values)
+
+    def test_fractional_threshold_rejected(self):
+        # thresholds are drawn as integers, so (9.5, 9.9) would run at 9
+        with pytest.raises(ValueError, match="psi_range"):
+            SweepSpec(base=FAST_CFG, axis="sinr_threshold", values=[(9.0, 10.0), (9.5, 9.9)])
 
     def test_integral_float_on_integer_axis_accepted(self):
         spec = load_sweep_spec(json.dumps(_spec_doc(axis="robots", values=[2.0, 3])))

@@ -8,7 +8,7 @@ import pytest
 from rislink import solvers
 from rislink.allocation import AllocationSchedule, derive_history, validate
 from rislink.heuristic import allocate
-from rislink.milp import MU_SAFETY, build_model, extract_schedule
+from rislink.milp import MU_SAFETY, build_model, dark_run, extract_schedule
 from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
@@ -73,6 +73,10 @@ class TestBuildModel:
                         assert hist.y.sum(axis=1).max() <= u, (d_reconfig, u, pattern)
 
 
+# four robots in three slots: the models of these seeds keep SINR rows that
+# can bind, with interference terms and killing pairs
+SINR_CASES = [(tiny_config(n_robots=4, n_slots=3, k_range=(4, 5)), seed) for seed in (124, 139, 161, 204, 349)]
+
 ORACLE_CASES = [
     (tiny_config(
         n_bs=1 + seed % 2,
@@ -86,7 +90,7 @@ ORACLE_CASES = [
     # one or two of each source together, at the default capacity
     (tiny_config(n_bs=1 + k % 2, n_ris=1 + k % 2, d_reconfig=1 + k % 2, n_obstacles=2 + k % 2), 100 + k)
     for k in range(10)
-]
+] + SINR_CASES
 
 
 class TestOracleEquivalence:
@@ -94,13 +98,28 @@ class TestOracleEquivalence:
     def test_highs_matches_brute_force(self, cfg, seed):
         s = generate(cfg, seed)
         t = precompute(s)
-        bf_obj, bf_sched = brute_force_optimum(t, s)
+        # the oracle and the validator must not lean on the encoder's live-link mask
+        blind = replace(t, live=None)
+        bf_obj, bf_sched = brute_force_optimum(blind, s)
         obj, res, model = solve_objective(s, t)
         assert obj == bf_obj
+        if dark_run(t.live, s.k_out) is not None:
+            assert bf_obj is None
         if bf_obj is not None:
-            assert validate(s, t, bf_sched).ok
+            assert validate(s, blind, bf_sched).ok
             sched = extract_schedule(model, res.values)
-            assert validate(s, t, sched).ok
+            assert validate(s, blind, sched).ok
+
+    def test_suite_holds_binding_sinr_rows_and_dark_runs(self):
+        # without a kept SINR row the oracle never checks one; without a
+        # dark run the certificate check above never fires
+        sinr_rows = certified = 0
+        for cfg, seed in ORACLE_CASES:
+            s = generate(cfg, seed)
+            t = precompute(s)
+            sinr_rows += sum(name.startswith("snr") for name in build_model(t, s).row_names)
+            certified += dark_run(t.live, s.k_out) is not None
+        assert sinr_rows and certified
 
     def test_guard_rejects_large_instances(self):
         s = generate(tiny_config(n_robots=3, n_slots=5), 0)
@@ -160,11 +179,11 @@ class TestMonotonicity:
 
 
 class TestBigMInertness:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_deactivated_rows_have_slack(self, seed):
+    @pytest.mark.parametrize("cfg, seed", SINR_CASES, ids=[str(seed) for _, seed in SINR_CASES])
+    def test_deactivated_rows_have_slack(self, cfg, seed):
         # The SINR row of link X reads (sig - mu)*X - psi*I >= psi - mu.  With
         # X = 0 it must hold with slack even when every interferer is on.
-        s = generate(tiny_config(), seed)
+        s = generate(cfg, seed)
         t = precompute(s)
         model = build_model(t, s)
         res = solvers.solve(model, "highs")
@@ -260,13 +279,11 @@ class TestKillRows:
     # A single interferer that alone breaks a usable link is left out of the
     # link's SINR row; it and every arrival-angle conflict pair lie in one
     # exclusion row sum_S X + sum_T X' <= 1.
-    # The tiny seeds are ones whose models have both interference terms and killers.
-    @pytest.fixture(scope="class", params=[3, 9, 16, 18, "r14"])
+    # The tiny cases are ones whose models have both interference terms and killers.
+    @pytest.fixture(scope="class", params=SINR_CASES + [(replace(EXPERIMENT_CONFIG, n_robots=14), 1003)],
+                    ids=[str(seed) for _, seed in SINR_CASES] + ["r14"])
     def case(self, request):
-        if request.param == "r14":
-            s = generate(replace(EXPERIMENT_CONFIG, n_robots=14), 1003)
-        else:
-            s = generate(tiny_config(), request.param)
+        s = generate(*request.param)
         t = precompute(s)
         return build_model(t, s), t
 
@@ -278,7 +295,7 @@ class TestKillRows:
 
     def test_each_excluded_pair_lies_in_one_clique_row(self, case):
         # Two columns of one robot and slot exclude each other through its
-        # one row, so a row over a clique of these pairs has the integer
+        # serve row, so a row over a clique of these pairs has the integer
         # points of the pairwise rows it covers.
         model, t = case
         kills = killing_pairs(model, t)
@@ -307,6 +324,35 @@ class TestKillRows:
         sig, psi, own, pos, level = sinr_rows(model, t)
         total = np.bincount(pos, weights=level, minlength=len(sig))
         np.testing.assert_allclose((1.0 - own) * sig, psi * (1.0 + total) * MU_SAFETY + 1.0, rtol=1e-6)
+
+
+class TestDarkRunCertificate:
+    def test_finds_the_first_run_of_k_dark_slots(self):
+        live = np.ones((6, 3, 2), dtype=bool)          # (N, R, L)
+        live[1:3, 0] = False                            # robot 0: two dark slots
+        live[2:5, 2] = False                            # robot 2: three dark slots
+        assert dark_run(live, [3, 3, 4]) is None
+        assert dark_run(live, [3, 3, 3]) == (2, 2, 4)
+        assert dark_run(live, [2, 3, 3]) == (0, 1, 2)
+        live[5, 1] = False                              # one dark slot still counts at K=1
+        assert dark_run(live, [3, 1, 4]) == (1, 5, 5)
+        assert dark_run(np.zeros((4, 0, 2), dtype=bool), np.zeros(0, dtype=int)) is None
+        assert dark_run(np.zeros((4, 1, 0), dtype=bool), [4]) == (0, 0, 3)
+
+    def test_certified_instances_are_infeasible_to_highs(self):
+        # a certified instance that HiGHS solves would be an encoder bug
+        certified = []
+        for seed in range(1000, 1016):
+            s = generate(replace(EXPERIMENT_CONFIG, n_robots=14), seed)
+            t = precompute(s)
+            run = dark_run(t.live, s.k_out)
+            if run is None:
+                continue
+            r, first, last = run
+            assert last - first + 1 == s.k_out[r] and not t.live[first:last + 1, r].any()
+            assert solvers.solve(build_model(t, s), "highs").status == "infeasible"
+            certified.append(seed)
+        assert certified
 
 
 class TestCalibratedOptima:
@@ -423,13 +469,13 @@ class TestExtractSchedule:
         with pytest.raises(RuntimeError, match="inconsistent.* 2 allocation bits"):
             extract_schedule(model, bogus)
 
-    def test_outage_bit_wins_over_stray_allocation(self):
+    def test_outage_bit_beside_an_allocation_bit_raises(self):
+        # the model holds O + sum X = 1, so this point is not a solution of it
         cfg = ScenarioConfig(n_bs=2, n_ris=0, n_robots=1, n_slots=2, n_obstacles=0, k_range=(3, 3))
         s = generate(cfg, 0)
         model = build_model(precompute(s), s)
         values = np.zeros(model.n_vars)
         xb = model.columns["Xb"]
-        values[[model.columns["O"][0, 0], xb[0, 0, 0], xb[1, 0, 0], xb[1, 0, 1]]] = 1
-        sched = extract_schedule(model, values)
-        assert sched.assignment(0, 0) == (None, None)
-        assert sched.assignment(0, 1) == ("bs", 1)
+        values[[model.columns["O"][0, 0], xb[0, 0, 0], xb[1, 0, 1]]] = 1
+        with pytest.raises(RuntimeError, match="robot 0 slot 0 marked in outage with 1 allocation bits"):
+            extract_schedule(model, values)

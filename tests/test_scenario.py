@@ -310,6 +310,7 @@ class TestSerialization:
         ("robot_step_m", math.nan),
         ("floor_m", [math.inf, 40.0]),
         ("psi_range", [math.nan, 10.0]),
+        ("psi_range", [9.5, 9.9]),
         ("obstacle_size_m", [3.0, math.inf]),
         ("wall_clearance_m", math.nan),
         ("ris_fov_half_angle_rad", -math.inf),
@@ -317,8 +318,8 @@ class TestSerialization:
     ], ids=["string-slots", "zero-slots", "fractional-slots", "boolean-robots", "u-above-cap",
             "zero-window", "fractional-window", "short-window", "string-thresholds",
             "null-floor", "triple-position", "empty-phys", "nan-step", "infinite-floor",
-            "nan-threshold", "infinite-obstacle-size", "nan-clearance", "infinite-field-of-view",
-            "nan-position"])
+            "nan-threshold", "fractional-threshold", "infinite-obstacle-size", "nan-clearance",
+            "infinite-field-of-view", "nan-position"])
     def test_malformed_config_value_rejected(self, key, value):
         doc = json.loads(serialize(generate(CFG, 1)))
         doc["config"][key] = value
