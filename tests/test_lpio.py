@@ -73,21 +73,22 @@ class TestGoldenText:
     """sha256 of the exported text; any change to a byte of either format
     fails.  The hand_built and empty digests were pinned from the per-row
     writers the array writers replaced, the small and experiment ones from
-    the model with one exclusion row per robot pair and shared set of links."""
+    the lean model: one serve equality per robot and slot, no capacity rows
+    and no SINR row that holds with all its columns at 1."""
 
     DIGESTS = {
         ("small", "lp"):
-            "11dabc0f8da58ca7e6122d4fffdee0eb1f64e4f7f353c8d12f3d68fa7147745e",
+            "d9562a84581adbeeaabaf69bc344e2a311d1a73151d5d8dbabd53028b92e6fd2",
         ("small", "mps"):
-            "02ed0d4269af63b6f67f8a8f439d6bd0af21c4181f18a7547b8c4fb4e3085960",
+            "f029d38ee15261ad8868d2fc6b0ad4c8c2cc5fc58925d6f37776972e978e8c93",
         ("empty", "lp"):
             "051ca5e7118a92605bdc2da8aae7836cf650004f81a2396139a1f12ee5d90176",
         ("empty", "mps"):
             "1354686fe52f2f535fe8a90e914bddf225c0085bcaa914233e8af28379a54816",
         ("experiment", "lp"):
-            "99e07ea92a1990474f5b94b48bd4dbc5ff1c50c22e5a0137ca9278d08c335b7b",
+            "ef1976bbe5e134daff1e35cad3fb3d41ce83fdced0c152b43bb72a1dc5c3d06e",
         ("experiment", "mps"):
-            "ac5fb703f04bb0dc76feb3a0a5e1d53a7985eaca348d24d9c657221cc02ca30e",
+            "f3bdbfded6103b5168c8deabc83a91eead794640acc936ef53f7f7ee0455d143",
         ("hand_built", "lp"):
             "b5fe0ad2c2aeb0fb0151d7e1f222fb8e00b6aa1bfdeafb8d1fd1f6b4001d9db6",
         ("hand_built", "mps"):
