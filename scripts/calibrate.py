@@ -58,7 +58,7 @@ CANDIDATES = {
 }
 
 
-def coverage_probe(args):
+def blackout_probe(args):
     cfg, seed = args
     scenario = generate(cfg, seed)
     tables = precompute(scenario)
@@ -130,7 +130,7 @@ def main():
         for n_robots in (8, 14):
             jobs = [(replace(cfg, n_robots=n_robots), args.seed0 + t) for t in range(args.seeds)]
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                res = list(pool.map(coverage_probe, jobs))
+                res = list(pool.map(blackout_probe, jobs))
             dark = 100.0 * sum(d for d, _ in res) / len(res)
             blocked = float(np.mean([b for _, b in res]))
             print(f"  R={n_robots:<2} blackout {dark:.0f}% of scenarios | "

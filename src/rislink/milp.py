@@ -233,7 +233,7 @@ def build_model(tables, scenario) -> MilpModel:
     ``psi*(1 + sum of its kept levels)*MU_SAFETY + 1``.  A row whose kept
     levels sum to at most ``sig/psi - 1`` holds with all its columns at 1,
     and so at every point of the box, since it is linear and holds at X = 0
-    for any interference; about 95 % of the rows are such and none of them
+    for any interference; over 95 % of the rows are such and none of them
     is emitted.  This leaves the LP relaxation as it is.
 
     Usage history is one ``X <= Y`` row per live link and window slot, and

@@ -376,8 +376,6 @@ def precompute(scenario: Scenario) -> DerivedTables:
     )
     u_effective = cfg.u_override if cfg.u_override is not None else channel.max_concurrent(channel.N_ELEMENTS)
     psi = scenario.psi.astype(float)
-    # a link is live when it is covered and its signal over the noise alone
-    # meets the robot's threshold
     covered = np.concatenate([coverage.bs_robot, coverage.ris_robot], axis=1)      # (N, L, R)
     signal = np.concatenate([p_direct, p_ris], axis=1) * (gain * gain) / noise
     return DerivedTables(

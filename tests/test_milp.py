@@ -279,20 +279,26 @@ class TestKillRows:
     # A single interferer that alone breaks a usable link is left out of the
     # link's SINR row; it and every arrival-angle conflict pair lie in one
     # exclusion row sum_S X + sum_T X' <= 1.
-    # The tiny cases are ones whose models have both interference terms and killers.
-    @pytest.fixture(scope="class", params=SINR_CASES + [(replace(EXPERIMENT_CONFIG, n_robots=14), 1003)],
-                    ids=[str(seed) for _, seed in SINR_CASES] + ["r14"])
+    # The SINR cases have both interference terms and killers; the three-robot
+    # seeds have killers but no SINR row that can bind.
+    CASES = {str(seed): (cfg, seed) for cfg, seed in SINR_CASES}
+    CASES["r14"] = (replace(EXPERIMENT_CONFIG, n_robots=14), 1003)
+    THREE_ROBOTS = {str(seed): (tiny_config(), seed) for seed in (3, 9, 16, 18)}
+
+    @pytest.fixture(scope="class")
     def case(self, request):
-        s = generate(*request.param)
+        s = generate(*(self.CASES | self.THREE_ROBOTS)[request.param])
         t = precompute(s)
         return build_model(t, s), t
 
+    @pytest.mark.parametrize("case", CASES, indirect=True)
     def test_no_sinr_row_holds_a_killer(self, case):
         model, t = case
         sig, psi, _, pos, level = sinr_rows(model, t)
         assert len(pos)
         assert not (level > (sig / psi - 1.0)[pos]).any()
 
+    @pytest.mark.parametrize("case", list(THREE_ROBOTS) + list(CASES), indirect=True)
     def test_each_excluded_pair_lies_in_one_clique_row(self, case):
         # Two columns of one robot and slot exclude each other through its
         # serve row, so a row over a clique of these pairs has the integer
@@ -316,6 +322,7 @@ class TestKillRows:
         assert set(covered) == pairs and set(covered.values()) == {1}
         assert len(set(model.row_names)) == model.n_rows
 
+    @pytest.mark.parametrize("case", CASES, indirect=True)
     def test_big_m_is_sized_from_its_own_terms(self, case):
         # The own coefficient is (sig - mu)/sig, so mu = (1 - own)*sig, which
         # keeps about 7 digits where sig exceeds mu by 1e8 or more.  A killer
