@@ -7,8 +7,9 @@ acceptance suite's (those start at 1000) the script reports, per candidate:
 * without solving, at R=8 and R=14: the share of scenarios holding a
   blackout (some robot has no live link, one that is covered and whose
   signal alone meets its threshold, for K_r slots in a row; this is
-  ``rislink.milp.dark_run``, so no schedule exists at any U) and the share
-  of robot-slots with no BS in sight;
+  ``rislink.milp.dark_run``, so no schedule exists at any U), at the base
+  ``k_range`` and at the shortest budgets of the outage-budget sweep,
+  K=(4, 5), and the share of robot-slots with no BS in sight;
 * with ``--solve``, the band metrics at the acceptance points: ILP, heuristic
   and no-RIS feasibility and mean outage at R=8 and R=14 with U=2, ILP
   feasibility at R=14 with U=3, the timeout count and the slowest solve.
@@ -42,6 +43,8 @@ DENSE = dict(DEFAULT_FLOOR, obstacle_size=(0.8, 1.4), robot_step=2.2,
              ris_fov_half_angle=math.radians(90.0), bs_clearance=3.0, wall_clearance=2.0)
 MID = dict(DENSE, bs_positions=((20.0, 2.0), (20.0, 38.0)), wall_clearance=4.0)
 
+SHORT_K = (4, 5)  # the shortest budgets of the acceptance suite's outage-budget sweep
+
 CANDIDATES = {
     "chosen": {},  # EXPERIMENT_CONFIG itself: mid84-s2.6
     "default": DEFAULT_FLOOR,
@@ -59,11 +62,15 @@ CANDIDATES = {
 
 
 def blackout_probe(args):
+    """(blackout at the base budgets, blackout at K=(4, 5), % robot-slots with no BS in sight)."""
     cfg, seed = args
     scenario = generate(cfg, seed)
     tables = precompute(scenario)
+    # generate draws the budgets last, so the short-budget scenario differs in them alone
+    short = generate(replace(cfg, k_range=SHORT_K), seed).k_out
     bs = tables.coverage.bs_robot.any(axis=1)     # (slot, robot)
-    return milp.dark_run(tables.live, scenario.k_out) is not None, 100.0 * (1.0 - bs.mean())
+    return (milp.dark_run(tables.live, scenario.k_out) is not None,
+            milp.dark_run(tables.live, short) is not None, 100.0 * (1.0 - bs.mean()))
 
 
 def band(ok: bool) -> str:
@@ -131,9 +138,9 @@ def main():
             jobs = [(replace(cfg, n_robots=n_robots), args.seed0 + t) for t in range(args.seeds)]
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 res = list(pool.map(blackout_probe, jobs))
-            dark = 100.0 * sum(d for d, _ in res) / len(res)
-            blocked = float(np.mean([b for _, b in res]))
-            print(f"  R={n_robots:<2} blackout {dark:.0f}% of scenarios | "
+            dark, short, blocked = (float(np.mean(col)) for col in zip(*res))
+            print(f"  R={n_robots:<2} blackout {100 * dark:.0f}% of scenarios, "
+                  f"{100 * short:.0f}% at K={SHORT_K[0]}-{SHORT_K[1]} | "
                   f"BS blocked {blocked:.1f}% of robot-slots", flush=True)
         if args.solve:
             solve_scan(cfg, args)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -65,6 +66,13 @@ def _parse_backend(value: str):
     raise argparse.ArgumentTypeError("backend must be 'highs' or 'external:CMD {model} {solution}'")
 
 
+def _seconds(value: str) -> float:
+    seconds = float(value)
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive, finite number of seconds, got {value!r}")
+    return seconds
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -100,6 +108,10 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     scenario = _load_scenario(args.scenario)
     tables = scen.precompute(scenario)
+    run = milp.dark_run(tables.live, scenario.k_out)
+    if run is not None:
+        print("infeasible: robot {} has no live link in slots {}-{}".format(*run), file=sys.stderr)
+        return EXIT_INFEASIBLE
     model = milp.build_model(tables, scenario)
     result = solvers.solve(model, backend=args.backend, time_budget=args.timeout)
     if result.status == "infeasible":
@@ -166,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a scenario to optimality")
     p.add_argument("scenario")
     p.add_argument("--backend", type=_parse_backend, default="highs")
-    p.add_argument("--timeout", type=float, default=600.0)
+    p.add_argument("--timeout", type=_seconds, default=600.0)
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_solve)
 

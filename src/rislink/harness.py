@@ -50,6 +50,7 @@ class MethodResult:
     runtime_s: float
     timed_out: bool = False
     objective: float | None = None
+    dark_run: tuple | None = None   # (robot, first slot, last slot) that proves the ILP infeasible
 
 
 @dataclass
@@ -141,8 +142,9 @@ def axis_label(axis: str, value) -> float:
 def _solve_ilp(scenario, tables, timeout) -> MethodResult:
     # a robot without a live link for K_r slots in a row proves infeasibility
     t0 = time.perf_counter()
-    if milp.dark_run(tables.live, scenario.k_out) is not None:
-        return MethodResult(False, None, time.perf_counter() - t0)
+    run = milp.dark_run(tables.live, scenario.k_out)
+    if run is not None:
+        return MethodResult(False, None, time.perf_counter() - t0, dark_run=run)
     model = milp.build_model(tables, scenario)
     result = solvers.solve(model, time_budget=timeout)
     if result.status == "optimal":

@@ -6,31 +6,38 @@ objective counts outage slots.  Its columns are the allocation bits Xb
 bits O.  The SINR requirement of a served link is affine once the ratio is
 multiplied through by its denominator, and every row is divided by the
 noise power and then by the link's signal coefficient so coefficients stay
-in a sane range.  Only a live link (``DerivedTables.live``: covered, and its
-signal alone meets the robot's threshold) keeps a free allocation bit; the
-others are fixed at 0 rather than given rows.  Each robot and slot has the
-row ``O + sum X = 1``.  The SINR row of an unused link is switched off by a big-M
+in a sane range.  The model emits only live columns: an allocation bit only
+for a live link (``DerivedTables.live``: covered, and its signal alone meets
+the robot's threshold), every outage bit, and a usage bit only where some
+live Xi of its surface and robot lies in its usage window.  Each robot and
+slot with two or more live links has the row ``O + sum X = 1``, one with a
+single live link ``O + X >= 1``, and one with none no row and its O fixed
+at 1.  The SINR row of an unused link is switched off by a big-M
 term on the link's own allocation bit: ``sig*X - psi*I >= psi`` is written
 ``(sig - M)*X - psi*I >= psi - M``, which holds at every admissible
 interference level I once X = 0.  An interferer that alone breaks a link
-is excluded with it instead of being a term in the link's SINR row, so M
-covers only the terms that can be on together with the link.  Such killing
+is excluded with it instead of being a term in the link's SINR row, and M
+leaves its level out.  Such killing
 pairs and the arrival-angle conflict pairs share exclusion rows
 ``sum_S X + sum_T X' <= 1``, one per slot, robot pair and set T.
 
 The model emits no row that its other rows or the 0/1 box already imply:
-no per-slot surface capacity row, and no SINR row that holds with every one
-of its columns at 1.  ``dark_run`` finds a robot with no live link for K_r
-slots in a row, which proves the program infeasible without building it.
+no per-slot surface capacity row, no ready row over U or fewer usage bits,
+and no SINR row that holds with every one of its columns at 1.
+``dark_run`` finds a robot with no live link for K_r slots in a row, which
+proves the program infeasible without building it.
 
 Surface readiness is a cap rather than a flag: the distinct robots of every
 usage window stay at U or fewer, which no valid schedule breaks (see
 ``build_model``), so the paper's busy flag is zero and its served-through-a-
 ready-surface flag equals Xi at every integer point.
 
-Each constraint family is emitted as numpy COO triplets, over all slots at
-once or slot by slot, and the model holds the rows as one CSR matrix.  Row
-and variable names are made only when something reads them.
+Each constraint family is emitted as numpy COO triplets on the dense index
+of every family (``_family_columns``), over all slots at once or slot by
+slot.  One dense-to-emitted map then renumbers the columns, keeping the
+family order and the order within each family, and the model holds the
+rows as one CSR matrix.  Row and variable names are made only when
+something reads them.
 """
 
 from __future__ import annotations
@@ -72,10 +79,11 @@ def _family_columns(*dims) -> dict:
 
 
 @functools.lru_cache(maxsize=8)
-def _variable_names(*dims) -> tuple:
-    return tuple(label + "_" + "_".join(map(str, idx))
-                 for label, shape in _family_shapes(*dims).items()
-                 for idx in itertools.product(*map(range, shape)))
+def _variable_names(*dims) -> np.ndarray:
+    """Names ``label_i_j...`` of every dense column, in column order."""
+    return np.array([label + "_" + "_".join(map(str, idx))
+                     for label, shape in _family_shapes(*dims).items()
+                     for idx in itertools.product(*map(range, shape))], dtype=object)
 
 
 @dataclass
@@ -83,13 +91,16 @@ class MilpModel:
     """Binary program over named variable families and one CSR row matrix.
 
     Senses are "<", ">", or "=".  Variable bounds equal to each other pin a
-    variable.
+    variable.  The families span a dense index (``_family_columns``) of which
+    only some positions are emitted as columns; ``dense`` holds, in
+    ascending order, the dense position of each column.
     """
 
     n_bs: int
     n_ris: int
     n_robots: int
     n_slots: int
+    dense: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     objective: np.ndarray
@@ -108,12 +119,16 @@ class MilpModel:
 
     @functools.cached_property
     def columns(self) -> dict:
-        """Column indices of each variable family ("Xb", "Xi", "Y", "O")."""
-        return _family_columns(self.n_bs, self.n_ris, self.n_robots, self.n_slots)
+        """Column of each variable family ("Xb", "Xi", "Y", "O"), shaped like
+        its index space; -1 where the bit is not emitted."""
+        dense = _family_columns(self.n_bs, self.n_ris, self.n_robots, self.n_slots)
+        emitted = np.full(sum(cols.size for cols in dense.values()), -1)
+        emitted[self.dense] = np.arange(len(self.dense))
+        return {label: emitted[cols] for label, cols in dense.items()}
 
-    @property
+    @functools.cached_property
     def var_names(self) -> tuple:
-        return _variable_names(self.n_bs, self.n_ris, self.n_robots, self.n_slots)
+        return tuple(_variable_names(self.n_bs, self.n_ris, self.n_robots, self.n_slots)[self.dense].tolist())
 
     @functools.cached_property
     def row_names(self) -> list:
@@ -140,17 +155,15 @@ class _Rows:
     at once still lands slot by slot between the families around it.
     """
 
-    def __init__(self, n_vars: int):
-        self.n_vars = n_vars
+    def __init__(self):
         self.count = 0
-        self.keys, self.rows, self.cols, self.coefs, self.rhs = [], [], [], [], []
-        self.senses = []   # (sense, row count) of each family
+        self.keys, self.rows, self.cols, self.coefs, self.rhs, self.senses = [], [], [], [], [], []
         self.names = []    # per family, a callable that makes its row names
 
-    def add(self, key, sense: str, rhs, cols, coefs, names: Callable[[], np.ndarray], rows=None) -> None:
+    def add(self, key, sense, rhs, cols, coefs, names: Callable[[], np.ndarray], rows=None) -> None:
         """Append one row per line of the 2-D ``cols``, or, when ``rows`` gives
         each nonzero's row within the family, ``len(rhs)`` rows of any length.
-        ``key``, ``rhs`` and ``coefs`` broadcast."""
+        ``key``, ``sense``, ``rhs`` and ``coefs`` broadcast."""
         cols = np.asarray(cols, dtype=np.int64)
         if rows is None:
             rows = np.repeat(np.arange(len(cols)), cols.shape[1])
@@ -160,21 +173,27 @@ class _Rows:
         self.cols.append(cols.ravel())
         self.coefs.append(np.broadcast_to(np.asarray(coefs, dtype=float), cols.shape).ravel())
         self.rhs.append(np.broadcast_to(np.asarray(rhs, dtype=float), (m,)))
-        self.senses.append((sense, m))
+        self.senses.append(np.broadcast_to(np.asarray(sense, dtype="U1"), (m,)))
         self.names.append(names)
         self.count += m
 
-    def finish(self):
-        """(CSR matrix, senses, right-hand sides, row-name maker), rows in key order."""
+    def finish(self, emitted: np.ndarray, n_vars: int):
+        """(CSR matrix, senses, right-hand sides, row-name maker), rows in key order.
+
+        The rows index the dense columns; ``emitted`` maps each to its column
+        in the model, or to -1 where the column is not emitted, and those
+        nonzeros are dropped.
+        """
         order = np.argsort(np.concatenate(self.keys), kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(self.count)
+        cols = emitted[np.concatenate(self.cols)]
+        kept = cols >= 0
         matrix = sp.csr_matrix(
-            (np.concatenate(self.coefs), (rank[np.concatenate(self.rows)], np.concatenate(self.cols))),
-            shape=(self.count, self.n_vars),
+            (np.concatenate(self.coefs)[kept], (rank[np.concatenate(self.rows)[kept]], cols[kept])),
+            shape=(self.count, n_vars),
         )
-        sense = np.repeat([s for s, _ in self.senses], [m for _, m in self.senses]).astype("U1")
-        rhs = np.concatenate(self.rhs)
+        sense, rhs = np.concatenate(self.senses), np.concatenate(self.rhs)
         return matrix, sense[order], rhs[order], functools.partial(_ordered_names, tuple(self.names), order)
 
 
@@ -188,11 +207,6 @@ def _names(head: str, *indices) -> np.ndarray:
     for index in indices:
         head = head + numerals[index]
     return head
-
-
-def _slot_names(label: str, n_slots: int, n_inner: int) -> Callable[[], np.ndarray]:
-    """Names ``label_j_n`` of a family with one row per slot n and index j, slot-major."""
-    return lambda: _names(label, *np.divmod(np.arange(n_slots * n_inner), max(n_inner, 1))[::-1])
 
 
 @functools.lru_cache(maxsize=8)
@@ -236,16 +250,27 @@ def build_model(tables, scenario) -> MilpModel:
     for any interference; over 95 % of the rows are such and none of them
     is emitted.  This leaves the LP relaxation as it is.
 
+    Only live columns are emitted (see the module docstring).  The rows are
+    built on the dense index of every family and renumbered through one
+    dense-to-emitted map, which drops the nonzeros of bits that are not
+    emitted.  An interferer whose bit is not emitted is thus no term of a
+    SINR row, though its level still counts toward the row's big-M and
+    toward whether the row is emitted, so the LP relaxation is that of the
+    model with the bit fixed at 0.
+
     Usage history is one ``X <= Y`` row per live link and window slot, and
     readiness caps the distinct robots of every usage window at U
-    (``sum_r Y <= U``).  No valid schedule breaks that cap: a surface
-    serving in slot n had at most U distinct robots in the window of its
-    last serving slot, which covers the rest of window n.  So the paper's
+    (``sum_r Y <= U``); a window with U or fewer usage bits gets no row.
+    No valid schedule breaks that cap: a surface serving in slot n had at
+    most U distinct robots in the window of its last serving slot, which
+    covers the rest of window n.  So the paper's
     busy flag never rises and a robot is in outage or served by exactly
     one link, ``O + sum Xb + sum Xi = 1``.  That row joins the robot's
     single-assignment row and its served row ``O + sum X >= 1``; since the
     objective and the ``<=`` outage windows only ever push O down, no
-    optimum and no LP bound moves.  The window of slot n ends at n, so
+    optimum and no LP bound moves.  Over a single live link the row is
+    ``O + X >= 1``: its ``<= 1`` half is the box.  A robot with no live link
+    has no row and its O is fixed at 1.  The window of slot n ends at n, so
     ``Xi <= Y`` and the ready cap give ``sum_r Xi <= U`` in every slot, and
     no capacity row is emitted.
     """
@@ -255,9 +280,6 @@ def build_model(tables, scenario) -> MilpModel:
     dims = (n_b, n_i, n_r, n_n)
     col = _family_columns(*dims)
     xb, xi, y, o = (col[label] for label in ("Xb", "Xi", "Y", "O"))
-    n_vars = sum(a.size for a in col.values())
-    lb, ub, objective = np.zeros(n_vars), np.ones(n_vars), np.zeros(n_vars)
-    objective[o.ravel()] = 1.0
 
     lt = tables.tables
     noise = lt.noise
@@ -278,21 +300,28 @@ def build_model(tables, scenario) -> MilpModel:
     covered = np.concatenate([tables.coverage.bs_robot, tables.coverage.ris_robot], axis=1).transpose(0, 2, 1)
     signal = np.concatenate([sig_bs.transpose(0, 2, 1), sig_ris.transpose(0, 2, 1)], axis=2)
     live = tables.live
-    lb[links[~live]] = ub[links[~live]] = 0
+    n_live = live.sum(axis=2)                                                # (N, R)
+    # the dense columns that are emitted: each live allocation bit and each
+    # outage bit, and below each usage bit that a used_* row holds
+    emit = np.zeros(sum(a.size for a in col.values()), dtype=bool)
+    emit[links[live]] = emit[o] = True
 
     stride = n_r * n_l + n_i + 1  # room for every group key within a section
 
     def key(n, section, group=0):
         return (np.asarray(n, dtype=np.int64) * 3 + section) * stride + group
 
-    rows = _Rows(n_vars)
+    rows = _Rows()
     slots = np.arange(n_n)
-    slot_of_nr = np.repeat(slots, n_r)                     # rows (slot, robot)
-    slot_of_ni, surface_of_ni = np.divmod(np.arange(n_n * n_i), max(n_i, 1))   # rows (slot, surface)
 
-    # each robot is in outage or served by exactly one link
-    serve = np.concatenate([o.T[:, :, None], links], axis=2)
-    rows.add(key(slot_of_nr, _SERVE), "=", 1.0, serve.reshape(-1, 1 + n_l), 1.0, _slot_names("serve", n_n, n_r))
+    # each robot with a live link is in outage or served by exactly one; over
+    # a single link the row is O + X >= 1, whose <= 1 half is the box
+    sn, sr = np.nonzero(n_live)
+    ln, lr, ll = np.nonzero(live)
+    cell = np.arange(len(sn))
+    rows.add(key(sn, _SERVE), np.where(n_live[sn, sr] > 1, "=", ">"), np.ones(len(sn)),
+             np.concatenate([o[sr, sn], links[ln, lr, ll]]), 1.0, lambda: _names("serve", sr, sn),
+             rows=np.concatenate([cell, np.repeat(cell, n_live[sn, sr])]))
 
     # SINR rows, per slot: every live link of every victim robot hears the
     # covered links of every other robot (same-surface links are nulled)
@@ -365,14 +394,19 @@ def build_model(tables, scenario) -> MilpModel:
     window = slots[:, None] - d_reconfig + 1 + np.arange(d_reconfig)      # (N, D), oldest first
     window_x = xi[:, :, np.maximum(window, 0)].transpose(2, 0, 1, 3)     # (N, I, R, D)
     y_nir = y.transpose(2, 0, 1)                                          # (N, I, R)
-    hn, hi, hr, hk = np.nonzero((ub[window_x] > 0) & (window >= 0)[:, None, None, :])
+    hn, hi, hr, hk = np.nonzero(emit[window_x] & (window >= 0)[:, None, None, :])
     rows.add(key(hn, _HISTORY, hi), "<", 0.0,
              np.column_stack([window_x[hn, hi, hr, hk], y_nir[hn, hi, hr]]), [1.0, -1.0],
              lambda: _names("used", hi, hr, window[hn, hk], hn))
-    # readiness: at most U distinct robots per usage window
-    if n_r:
-        rows.add(key(slot_of_ni, _HISTORY, surface_of_ni), "<", u, y_nir.reshape(-1, n_r), 1.0,
-                 _slot_names("ready", n_n, n_i))
+    emit[y_nir[hn, hi, hr]] = True
+    # readiness: at most U distinct robots per usage window; the box implies
+    # the row of a window with U or fewer usage bits
+    used = emit[y_nir]
+    fill = used.sum(axis=2)                                               # (N, I)
+    rn, ri = np.nonzero(fill > u)
+    yn, yi, yr = np.nonzero(used & (fill > u)[:, :, None])
+    rows.add(key(rn, _HISTORY, ri), "<", np.full(len(rn), u), y_nir[yn, yi, yr], 1.0,
+             lambda: _names("ready", ri, rn), rows=np.repeat(np.arange(len(rn)), fill[rn, ri]))
 
     # outage windows: strictly fewer than K_r outages per K_r-slot window
     k_out = scenario.k_out.astype(int)
@@ -381,9 +415,16 @@ def build_model(tables, scenario) -> MilpModel:
     rows.add(key(n_n, _SERVE), "<", np.repeat(k_out - 1.0, n_n), o[wr, wn - wb], 1.0,
              lambda: _names("win", *np.divmod(np.arange(n_r * n_n), n_n)), rows=wr * n_n + wn)
 
-    matrix, sense, rhs, row_names = rows.finish()
-    return MilpModel(n_bs=n_b, n_ris=n_i, n_robots=n_r, n_slots=n_n, lb=lb, ub=ub, objective=objective,
-                     matrix=matrix, row_sense=sense, row_rhs=rhs, make_row_names=row_names)
+    dense = np.flatnonzero(emit)
+    emitted = np.full(len(emit), -1)
+    emitted[dense] = np.arange(len(dense))
+    matrix, sense, rhs, row_names = rows.finish(emitted, len(dense))
+    lb, ub, objective = np.zeros(len(dense)), np.ones(len(dense)), np.zeros(len(dense))
+    objective[emitted[o]] = 1.0
+    lb[emitted[o.T[n_live == 0]]] = 1.0   # a robot with no live link is in outage
+    return MilpModel(n_bs=n_b, n_ris=n_i, n_robots=n_r, n_slots=n_n, dense=dense, lb=lb, ub=ub,
+                     objective=objective, matrix=matrix, row_sense=sense, row_rhs=rhs,
+                     make_row_names=row_names)
 
 
 def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule:
@@ -391,8 +432,9 @@ def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule
 
     Every robot and slot is in outage or holds exactly one allocation bit
     (``O + sum X = 1``); a solution that breaks this indicates a backend bug.
+    A bit that is not emitted reads 0: its column -1 picks the appended 0.
     """
-    on = np.asarray(values) >= 0.5
+    on = np.append(np.asarray(values) >= 0.5, False)
     outage = on[model.columns["O"]]
     via_bs, via_ris = on[model.columns["Xb"]], on[model.columns["Xi"]]
     bits = via_bs.sum(axis=0) + via_ris.sum(axis=0)
@@ -414,8 +456,8 @@ def dark_run(live: np.ndarray, k_out) -> tuple | None:
     """The first robot with no live link for K_r slots in a row, or None.
 
     ``live`` is the (N, R, L) mask of ``scenario.precompute``.  Returns
-    (robot, first slot, last slot) of the run.  Every allocation bit of the
-    robot in those slots is fixed at 0, so it is in outage in all K_r of
+    (robot, first slot, last slot) of the run.  The robot has no allocation
+    bit in those slots, so it is in outage in all K_r of
     them, which its outage window ending at the last slot forbids: no
     schedule exists, and this proves it without a solver.
     """

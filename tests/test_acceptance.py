@@ -220,6 +220,28 @@ def monotone(values, cis, direction, what):
             assert b <= a + slack, f"{what} not {direction}: {values}"
 
 
+def assert_nested(spec, table, tightening):
+    """Per seed, the ILP result along the axis values in ``tightening`` order.
+
+    Each step only adds or tightens constraints of the same scenario, so a
+    seed's optimum never falls and its feasibility never comes back.  A
+    timed-out trial proves nothing and is skipped.
+    """
+    for seed in range(spec.seed0, spec.seed0 + spec.trials):
+        last = None
+        for value in tightening:
+            ilp = table.trials[(harness.axis_label(spec.axis, value), seed)].methods["ilp"]
+            if ilp.timed_out:
+                continue
+            if last is not None:
+                where = f"seed {seed}: {spec.axis} {last[0]} -> {value}"
+                assert last[1].feasible or not ilp.feasible, f"{where}: feasible again"
+                if ilp.feasible:
+                    assert ilp.objective >= last[1].objective, (
+                        f"{where}: optimum falls from {last[1].objective:g} to {ilp.objective:g}")
+            last = value, ilp
+
+
 def sweep(axis, values, base=None, methods=("ilp", "heuristic"), seed0=2000):
     spec = harness.SweepSpec(
         base=base or replace(EXPERIMENT_CONFIG, n_robots=12),
@@ -236,16 +258,18 @@ def sweep(axis, values, base=None, methods=("ilp", "heuristic"), seed0=2000):
 
 class TestCriterion6Trends:
     def test_reconfiguration_delay_hurts(self):
-        _, table = sweep("delay", [1, 2, 3, 4], seed0=2000)
+        spec, table = sweep("delay", [1, 2, 3, 4], seed0=2000)
+        assert_nested(spec, table, spec.values)
         rows = rows_for(table, "ilp")
         monotone([r.mean_outage_pct for r in rows], [ci_of(r) for r in rows],
                  "non-decreasing", "outage vs delay")
         monotone([100 - r.feasible_pct for r in rows], [5.0] * len(rows),
                  "non-decreasing", "infeasibility vs delay")
-        report(6, "outage and infeasibility grow with the reconfiguration delay")
+        report(6, "outage and infeasibility grow with the reconfiguration delay, seed by seed")
 
     def test_longer_outage_budget_helps_solver_not_heuristic(self):
         spec, table = sweep("k_window", [(4, 5), (7, 8), (9, 10), (14, 15)], seed0=3000)
+        assert_nested(spec, table, spec.values[::-1])
         ilp = rows_for(table, "ilp")
         monotone([r.mean_outage_pct for r in ilp], [ci_of(r) for r in ilp],
                  "non-increasing", "solver outage vs outage budget")
@@ -278,16 +302,18 @@ class TestCriterion6Trends:
         report(6, "larger outage budgets help the solver; the heuristic stays flat")
 
     def test_stricter_quality_threshold_hurts(self):
-        _, table = sweep("sinr_threshold", [(9, 10), (29, 30), (49, 50), (69, 70)],
-                         methods=("ilp",), seed0=4000)
+        spec, table = sweep("sinr_threshold", [(9, 10), (29, 30), (49, 50), (69, 70)],
+                            methods=("ilp",), seed0=4000)
+        assert_nested(spec, table, spec.values)
         rows = rows_for(table, "ilp")
         monotone([100 - r.feasible_pct for r in rows], [5.0] * len(rows),
                  "non-decreasing", "infeasibility vs quality threshold")
-        report(6, "infeasibility grows with the quality threshold")
+        report(6, "each seed's optimum and infeasibility grow with the quality threshold")
 
     def test_more_concurrency_helps(self):
         base = replace(EXPERIMENT_CONFIG, n_robots=14)
-        _, table = sweep("capacity", [1, 2, 3], base=base, seed0=5000)
+        spec, table = sweep("capacity", [1, 2, 3], base=base, seed0=5000)
+        assert_nested(spec, table, spec.values[::-1])
         rows = rows_for(table, "ilp")
         monotone([r.mean_outage_pct for r in rows], [ci_of(r) for r in rows],
                  "non-increasing", "outage vs concurrency")

@@ -1,13 +1,16 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from rislink.cli import main
+from rislink import milp
+from rislink.cli import EXIT_INFEASIBLE, main
 from rislink.harness import CSV_HEADER
 from rislink.lpio import export_model
 from rislink.milp import build_model
-from rislink.scenario import _config_to_dict, ScenarioConfig, deserialize, precompute
+from rislink.scenario import (EXPERIMENT_CONFIG, _config_to_dict, ScenarioConfig, deserialize, generate,
+                              precompute, serialize)
 
 
 def run_cli(*args):
@@ -98,6 +101,21 @@ class TestGenerateSolveValidate:
         assert run_cli("generate", "--psi", "9.5", "9.9", "--output", str(out)) == 1
         assert "psi_range" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_dark_run_is_reported_without_a_model(self, tmp_path, monkeypatch, capsys):
+        # seed 1004 of the calibrated floor at R=14: robot 1 has no live link
+        # in slots 31-44, which is K_r slots in a row
+        path = tmp_path / "dark.json"
+        path.write_text(serialize(generate(replace(EXPERIMENT_CONFIG, n_robots=14), 1004)))
+
+        def build_model(*args):
+            raise AssertionError("build_model called on a certified instance")
+        monkeypatch.setattr(milp, "build_model", build_model)
+        assert run_cli("solve", str(path)) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "infeasible: robot 1 has no live link in slots 31-44\n"
+        # a malformed option is still an error, not a verdict
+        assert run_cli("solve", str(path), "--timeout", "-1") == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_malformed_file_is_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -42,12 +42,17 @@ class TestRunTrial:
 
     def test_dark_run_is_infeasible_without_a_model(self, monkeypatch):
         # seed 1004 of the calibrated floor at R=14 holds a robot with no
-        # live link for K_r slots in a row
+        # live link for K_r slots in a row: robot 1 in slots 31-44
         def build_model(*args):
             raise AssertionError("build_model called on a certified instance")
         monkeypatch.setattr(harness.milp, "build_model", build_model)
         ilp = run_trial(replace(EXPERIMENT_CONFIG, n_robots=14), 1004, methods=("ilp",)).methods["ilp"]
         assert not ilp.feasible and not ilp.timed_out and ilp.outage_pct is None
+        assert ilp.dark_run == (1, 31, 44)
+
+    def test_solved_trial_has_no_dark_run(self):
+        ilp = run_trial(FAST_CFG, 0, methods=("ilp",)).methods["ilp"]
+        assert ilp.feasible and ilp.dark_run is None
 
 
 class TestApplyAxis:

@@ -53,7 +53,7 @@ def hand_built_model():
     ub[4] = 0.0
     lb[6], ub[6] = -0.0, 0.0
     return MilpModel(
-        n_bs=1, n_ris=1, n_robots=1, n_slots=2, lb=lb, ub=ub,
+        n_bs=1, n_ris=1, n_robots=1, n_slots=2, dense=np.arange(8), lb=lb, ub=ub,
         objective=np.array([-2.0, 0.0, 0.0, 0.0, 0.0, -0.0, 1.0, 0.25]), matrix=matrix,
         row_sense=np.array([">", "<", "=", "<"]), row_rhs=np.array([-2.25, -0.0, 1.0, 0.0]),
         make_row_names=lambda: ["a", "empty", "b", "c"])
@@ -215,6 +215,32 @@ class TestExternalAdapter:
         bf_obj, _ = brute_force_optimum(t, s)
         assert round(external.objective) == bf_obj
         assert external.nodes is external.dual_bound is external.gap is None
+
+    def test_trimmed_model_round_trip_matches_highs(self):
+        # seed 9 leaves 44 of 63 bits, fixes a dark cell's outage bit at 1 and
+        # writes one single-link serve row O + X >= 1
+        s = generate(tiny_config(n_slots=3), 9)
+        t = precompute(s)
+        model = build_model(t, s)
+        assert model.n_vars < model.n_robots * model.n_slots * (model.n_bs + 2 * model.n_ris + 1)
+        assert (model.lb == 1).any() and (model.row_sense == ">").any()
+        highs = solvers.solve(model, "highs")
+        external = solvers.solve(model, solvers.ExternalBackend(FAKE_SOLVER))
+        assert external.status == highs.status == "optimal"
+        assert external.objective == highs.objective == brute_force_optimum(t, s)[0] == 1
+        assert (external.values[model.lb == 1] == 1).all()
+
+    def test_unknown_variable_refused(self):
+        # the bit of a link that is not live is no column of the model
+        s = generate(tiny_config(n_slots=3), 9)
+        model = build_model(precompute(s), s)
+        b, r, n = np.argwhere(model.columns["Xb"] < 0)[0]
+        absent = f"Xb_{b}_{r}_{n}"
+        assert absent not in model.var_names
+        writer = [sys.executable, "-c", "import sys; open(sys.argv[2], 'w').write(sys.argv[3])",
+                  "{model}", "{solution}", f"optimal\n{absent} 1.0\n"]
+        with pytest.raises(solvers.BackendError, match=f"unknown variable '{absent}'"):
+            solvers.solve(model, solvers.ExternalBackend(writer))
 
     def test_empty_command_rejected(self):
         with pytest.raises(ValueError, match="empty"):

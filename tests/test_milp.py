@@ -43,7 +43,11 @@ class TestBuildModel:
         s.obstacles = [Obstacle(0.5, 0.5, 24.5, 24.5)]
         t = precompute(s)
         model = build_model(t, s)
-        assert all(model.ub[model.columns["Xb"][0, 0, n]] == 0 for n in range(3))
+        # no allocation bit is emitted, and each outage bit is fixed at 1
+        assert (model.columns["Xb"] == -1).all()
+        outage = model.columns["O"][0]
+        assert (model.lb[outage] == 1).all() and (model.ub[outage] == 1).all()
+        assert not any(name.startswith("serve") for name in model.row_names)
         obj, res, _ = solve_objective(s, t)
         assert obj == 1 * 3
 
@@ -223,8 +227,10 @@ def sinr_rows(model, tables):
     signal, levels = link_facts(tables)
     link_of, robot_of = np.full(model.n_vars, -1), np.full(model.n_vars, -1)
     for label, offset in (("Xb", 0), ("Xi", model.n_bs)):
-        l, r, _ = np.indices(model.columns[label].shape)
-        link_of[model.columns[label]], robot_of[model.columns[label]] = l + offset, r
+        cols = model.columns[label]
+        on = cols >= 0
+        l, r, _ = np.indices(cols.shape)
+        link_of[cols[on]], robot_of[cols[on]] = l[on] + offset, r[on]
     rows, slot, victim = [], [], []
     for k, name in enumerate(model.row_names):
         if name.startswith("snr"):
@@ -246,7 +252,9 @@ def sinr_rows(model, tables):
 
 
 def killing_pairs(model, tables):
-    """Unordered column pairs (usable link, interferer) whose interference alone breaks the link."""
+    """Unordered column pairs (usable link, interferer) whose interference alone breaks the link.
+
+    An interferer that is not emitted is never on, and so pairs with nothing."""
     signal, levels = link_facts(tables)
     covered = np.concatenate([tables.coverage.bs_robot, tables.coverage.ris_robot], axis=1)
     cols = np.concatenate([model.columns["Xb"], model.columns["Xi"]], axis=0)   # (L, R, N)
@@ -256,22 +264,27 @@ def killing_pairs(model, tables):
         for lp, rp in zip(*np.nonzero(covered[n])):
             same_surface = lp == l and l >= n_b
             if rp != r and not same_surface and levels[n, lp, rp, r] > signal[n, l, r] / tables.psi_linear[r] - 1.0:
-                pairs.add(frozenset((int(cols[l, r, n]), int(cols[lp, rp, n]))))
+                assert cols[l, r, n] >= 0
+                if cols[lp, rp, n] >= 0:
+                    pairs.add(frozenset((int(cols[l, r, n]), int(cols[lp, rp, n]))))
     return pairs
 
 
 def conflict_pairs(model, tables):
     """Unordered column pairs of two robots whose arrival angles at a surface conflict."""
     xi = model.columns["Xi"]
-    return {frozenset((int(xi[i, ra, n]), int(xi[i, rb, n]))) for n, i, ra, rb in np.argwhere(tables.conflicts)}
+    return {frozenset((int(xi[i, ra, n]), int(xi[i, rb, n]))) for n, i, ra, rb in np.argwhere(tables.conflicts)
+            if xi[i, ra, n] >= 0 and xi[i, rb, n] >= 0}
 
 
 def allocation_cells(model):
     """Slot and robot of every column, -1 for the columns that are not allocation bits."""
     slot, robot = np.full(model.n_vars, -1), np.full(model.n_vars, -1)
     for label in ("Xb", "Xi"):
-        _, r, n = np.indices(model.columns[label].shape)
-        slot[model.columns[label]], robot[model.columns[label]] = n, r
+        cols = model.columns[label]
+        on = cols >= 0
+        _, r, n = np.indices(cols.shape)
+        slot[cols[on]], robot[cols[on]] = n[on], r[on]
     return slot, robot
 
 
@@ -394,9 +407,12 @@ class TestMatrix:
     @pytest.mark.parametrize("seed", range(4))
     def test_no_column_is_the_complement_of_another(self, seed):
         s = generate(tiny_config(n_bs=1 + seed % 2, n_ris=1 + seed // 2), seed)
-        model = build_model(precompute(s), s)
+        t = precompute(s)
+        model = build_model(t, s)
+        # a family is emitted where it has a live link (seed 1 has no live surface link)
         families = {name.split("_")[0] for name in model.var_names}
-        assert families == {"Xb", "Xi", "Y", "O"}
+        surface_live = t.live[:, :, model.n_bs:].any()
+        assert families == {"Xb", "O"} | ({"Xi", "Y"} if surface_live else set())
         at_most, at_least = set(), set()
         for cols, coefs, sense, rhs in zip(model.row_cols, model.row_coefs, model.row_sense, model.row_rhs):
             if len(cols) == 2 and (coefs == 1.0).all() and rhs == 1.0:
@@ -408,17 +424,22 @@ class TestMatrix:
 
 
 def schedule_point(model, scenario, tables, sched):
-    """The 0/1 model point of a schedule: its allocation, usage-history and outage bits."""
+    """The 0/1 model point of a schedule: its allocation, usage-history and outage bits.
+
+    Every bit the schedule sets must be a column of the model."""
     cfg = scenario.config
     col = model.columns
-    x = np.zeros(model.n_vars)
+    on = []
     for r in range(cfg.n_robots):
         for n in range(cfg.n_slots):
             kind, idx = sched.assignment(r, n)
             if kind is not None:
-                x[col["Xb" if kind == "bs" else "Xi"][idx, r, n]] = 1
-    x[col["Y"]] = derive_history(sched, cfg.n_ris, cfg.d_reconfig, tables.u_effective).y
-    x[col["O"]] = sched.outage_matrix()
+                on.append(col["Xb" if kind == "bs" else "Xi"][idx, r, n])
+    on.extend(col["Y"][derive_history(sched, cfg.n_ris, cfg.d_reconfig, tables.u_effective).y > 0])
+    on.extend(col["O"][sched.outage_matrix() > 0])
+    assert min(on, default=0) >= 0, "the schedule sets a bit the model does not emit"
+    x = np.zeros(model.n_vars)
+    x[on] = 1
     return x
 
 

@@ -21,6 +21,8 @@ def test_calibrate_scans_every_candidate():
     candidates = [line for line in lines if not line.startswith(" ")]
     assert candidates[0] == "chosen:" and len(candidates) > 1
     assert sum("blackout" in line for line in lines) == 2 * len(candidates)
+    # the scan counts live-link dark runs at the base budgets and at K=(4, 5)
+    assert sum("% at K=4-5 |" in line for line in lines) == 2 * len(candidates)
 
 
 def test_run_experiments_help():
