@@ -73,22 +73,24 @@ class TestGoldenText:
     """sha256 of the exported text; any change to a byte of either format
     fails.  The hand_built and empty digests were pinned from the per-row
     writers the array writers replaced, the small and experiment ones from
-    the lean model: one serve equality per robot and slot, no capacity rows
-    and no SINR row that holds with all its columns at 1."""
+    the lean model with only live columns: no allocation bit of a link that
+    is not live and no usage bit without a used row, one serve row per robot
+    and slot with a live link, no capacity rows, no ready row over U or
+    fewer usage bits and no SINR row that holds with all its columns at 1."""
 
     DIGESTS = {
         ("small", "lp"):
-            "d9562a84581adbeeaabaf69bc344e2a311d1a73151d5d8dbabd53028b92e6fd2",
+            "af0f98d8ed32cbcdbac4ad296988c9990c0ba07df573cb695e3c72c8dc6d3b6a",
         ("small", "mps"):
-            "f029d38ee15261ad8868d2fc6b0ad4c8c2cc5fc58925d6f37776972e978e8c93",
+            "837125beea726af18292543af1c8f017ea907e4e4c29ac755472e3d4831bd348",
         ("empty", "lp"):
             "051ca5e7118a92605bdc2da8aae7836cf650004f81a2396139a1f12ee5d90176",
         ("empty", "mps"):
             "1354686fe52f2f535fe8a90e914bddf225c0085bcaa914233e8af28379a54816",
         ("experiment", "lp"):
-            "ef1976bbe5e134daff1e35cad3fb3d41ce83fdced0c152b43bb72a1dc5c3d06e",
+            "8d9be8dfa05a1a14e580f5ed997e695c5a5b08f418c9152476f9adfb2621273d",
         ("experiment", "mps"):
-            "f3bdbfded6103b5168c8deabc83a91eead794640acc936ef53f7f7ee0455d143",
+            "65d389f002b9a70600ba3704a8377f49309e10dc5ce6fc8e4542bcfb1024690e",
         ("hand_built", "lp"):
             "b5fe0ad2c2aeb0fb0151d7e1f222fb8e00b6aa1bfdeafb8d1fd1f6b4001d9db6",
         ("hand_built", "mps"):
