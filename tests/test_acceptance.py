@@ -221,7 +221,7 @@ def monotone(values, cis, direction, what):
 
 
 def assert_nested(spec, table, tightening):
-    """Per seed, the ILP result along the axis values in ``tightening`` order.
+    """Check each seed's ILP results along the axis values in ``tightening`` order.
 
     Each step only adds or tightens constraints of the same scenario, so a
     seed's optimum never falls and its feasibility never comes back.  A
