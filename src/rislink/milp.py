@@ -55,7 +55,7 @@ from .allocation import BS, RIS, AllocationSchedule
 
 MU_SAFETY = 1.01
 
-__all__ = ["MilpModel", "build_model", "extract_schedule", "dark_run"]
+__all__ = ["MilpModel", "build_model", "settled_bounds", "extract_schedule", "dark_run"]
 
 
 def _family_shapes(n_bs, n_ris, n_robots, n_slots) -> dict:
@@ -425,6 +425,41 @@ def build_model(tables, scenario) -> MilpModel:
     return MilpModel(n_bs=n_b, n_ris=n_i, n_robots=n_r, n_slots=n_n, dense=dense, lb=lb, ub=ub,
                      objective=objective, matrix=matrix, row_sense=sense, row_rhs=rhs,
                      make_row_names=row_names)
+
+
+def settled_bounds(model: MilpModel) -> tuple:
+    """Column bounds (lb, ub) that settle every robot-slot with a free link.
+
+    A free link is a live link whose column has exactly one nonzero, which
+    is then the ``serve_<r>_<n>`` row of its robot-slot.  For each robot-slot
+    with one, the first in link order (every BS, then every surface) is
+    fixed at 1, and the robot-slot's O and its other links at 0.  On the
+    benchmark floor only Xb links qualify, since a live Xi always holds a
+    ``used_*`` row.
+
+    The restriction keeps an optimum, and keeps infeasibility.  Every row
+    other than the serve row is monotone in the bits this fixes at 0:
+    ``excl_*`` and ``used_*`` are ``<=`` rows with +1 coefficients on them;
+    in a SINR ``>=`` row the victim coefficient ``sig - M`` is negative (a
+    row is emitted only where ``M > psi*(1 + sum of its levels) >= sig``)
+    and so are the interferer coefficients; ``win_*`` rows have +1
+    coefficients on O.  So moving a robot-slot of any feasible point onto
+    its free link, which no other row holds, keeps every row, and it does
+    not raise the objective, which counts O.  Bounds the model already
+    fixes are kept: a robot-slot with a free link has a live link, so its
+    O is not fixed at 1.
+    """
+    lb, ub = model.lb.copy(), model.ub.copy()
+    links = np.concatenate([model.columns["Xb"], model.columns["Xi"]])       # (L, R, N)
+    nonzeros = np.append(np.bincount(model.matrix.indices, minlength=model.n_vars), 0)
+    free = (links >= 0) & (nonzeros[links] == 1)
+    settled = free.any(axis=0)                                                # (R, N)
+    others = links[:, settled]
+    ub[others[others >= 0]] = 0.0
+    ub[model.columns["O"][settled]] = 0.0
+    chosen = np.take_along_axis(links, free.argmax(axis=0)[None], axis=0)[0][settled]
+    lb[chosen] = ub[chosen] = 1.0
+    return lb, ub
 
 
 def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule:

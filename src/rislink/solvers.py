@@ -1,9 +1,17 @@
 """Solver backends behind a common contract.
 
-Two ways to solve a model: "highs" hands the matrix to the HiGHS MILP engine
-shipped with scipy; an ``ExternalBackend`` writes an LP file and shells
-out to any solver command.  Both are tested against the brute-force
-oracle in ``tests/oracle.py``.
+Two ways to solve a model: "highs" hands the undecided part of the matrix to
+the HiGHS MILP engine shipped with scipy; an ``ExternalBackend`` writes the
+whole model as an LP file and shells out to any solver command.  Both are
+tested against the brute-force oracle in ``tests/oracle.py``.
+
+Before HiGHS runs, ``milp.settled_bounds`` settles every robot-slot with a
+link that no row but its serve row holds.  The columns then fixed, and those
+the model fixes itself, leave the program with their value folded into the
+row sides, and so does every row that holds everywhere in the remaining 0/1
+box.  HiGHS gets the rest; a program with no column left is decided without
+it.  ``scipy.optimize`` is imported on the first HiGHS solve, so a path that
+never solves does not pay for it.
 """
 
 from __future__ import annotations
@@ -16,11 +24,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.optimize import milp as scipy_milp
 
 from . import lpio
-from .milp import MilpModel
+from .milp import MilpModel, settled_bounds
 
 INT_TOL = 1e-6
 
@@ -42,6 +48,8 @@ class SolveResult:
     nodes: int | None = None
     dual_bound: float | None = None
     gap: float | None = None
+    # (columns, rows, nonzeros) left for HiGHS once settled; None for an external backend
+    solved_size: tuple | None = None
 
 
 def _round_binary(x: np.ndarray) -> np.ndarray:
@@ -74,28 +82,58 @@ def _stat(res, name, kind):
 
 
 def _solve_highs(model: MilpModel, time_budget) -> SolveResult:
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     start = time.perf_counter()
-    sense, rhs = model.row_sense, model.row_rhs
-    lower, upper = np.where(sense == "<", -np.inf, rhs), np.where(sense == ">", np.inf, rhs)
+    lb, ub = settled_bounds(model)
+    free = lb < ub
+    values = np.where(free, 0.0, lb)       # fixed columns at their value, free ones at 0
+    offset = float(model.objective @ values)
+    matrix, sense, rhs = model.matrix, model.row_sense, model.row_rhs
+    activity = matrix @ values
+    lower = np.where(sense == "<", -np.inf, rhs) - activity
+    upper = np.where(sense == ">", np.inf, rhs) - activity
+    # a row whose least and greatest activity over the free columns' 0/1 box
+    # lie within its sides holds everywhere in the box; exact comparisons,
+    # since keeping a row that holds is harmless
+    entry_row = np.repeat(np.arange(model.n_rows), np.diff(matrix.indptr))
+    coefs = np.where(free[matrix.indices], matrix.data, 0.0)
+    least = np.bincount(entry_row, np.minimum(coefs, 0.0), model.n_rows)
+    most = np.bincount(entry_row, np.maximum(coefs, 0.0), model.n_rows)
+    kept = (lower > least) | (upper < most)
+    reduced = matrix[kept][:, free]
+    size = (int(free.sum()), int(kept.sum()), reduced.nnz)
+    if not free.any():
+        # every kept row is violated at the fixed point, and nothing can move
+        runtime = time.perf_counter() - start
+        if kept.any():
+            return SolveResult("infeasible", None, None, runtime, solved_size=size)
+        return SolveResult("optimal", offset, values, runtime, solved_size=size)
     options = {"mip_rel_gap": 0.0}
     if time_budget is not None:
         options["time_limit"] = float(time_budget)
-    res = scipy_milp(
-        c=model.objective,
-        constraints=LinearConstraint(model.matrix, lower, upper) if model.n_rows else None,
-        integrality=np.ones(model.n_vars),
-        bounds=Bounds(model.lb, model.ub),
+    res = milp(
+        c=model.objective[free],
+        constraints=LinearConstraint(reduced, lower[kept], upper[kept]) if kept.any() else None,
+        integrality=np.ones(size[0]),
+        bounds=Bounds(lb[free], ub[free]),
         options=options,
     )
     runtime = time.perf_counter() - start
-    stats = {"nodes": _stat(res, "mip_node_count", int), "dual_bound": _stat(res, "mip_dual_bound", float),
-             "gap": _stat(res, "mip_gap", float)}
+    bound = _stat(res, "mip_dual_bound", float)
+    stats = {"nodes": _stat(res, "mip_node_count", int), "dual_bound": None if bound is None else bound + offset,
+             "gap": _stat(res, "mip_gap", float), "solved_size": size}
+    incumbent = None
+    if res.status in (0, 1) and res.x is not None:
+        values[free] = _round_binary(res.x)
+        incumbent = float(model.objective @ values)
+        if bound is not None and incumbent:
+            # HiGHS's relative gap, taken on the full objective
+            stats["gap"] = abs(incumbent - stats["dual_bound"]) / abs(incumbent)
     if res.status == 0:
-        values = _round_binary(res.x)
-        return SolveResult("optimal", float(model.objective @ values), values, runtime, **stats)
+        return SolveResult("optimal", incumbent, values, runtime, **stats)
     if res.status == 1:
-        inc_obj = None if res.x is None else float(model.objective @ _round_binary(res.x))
-        return SolveResult("timeout", None, None, runtime, inc_obj, **stats)
+        return SolveResult("timeout", None, None, runtime, incumbent, **stats)
     if res.status == 2:
         return SolveResult("infeasible", None, None, runtime, **stats)
     raise BackendError(f"HiGHS failed: status {res.status} ({res.message})")

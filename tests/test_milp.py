@@ -4,15 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from rislink import solvers
 from rislink.allocation import AllocationSchedule, derive_history, validate
 from rislink.heuristic import allocate
-from rislink.milp import MU_SAFETY, build_model, dark_run, extract_schedule
+from rislink.milp import MU_SAFETY, build_model, dark_run, extract_schedule, settled_bounds
 from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
 from oracle import brute_force_optimum
+from test_trial_core import BENCHMARK_FLOOR
 
 
 def solve_objective(scenario, tables):
@@ -373,6 +375,53 @@ class TestDarkRunCertificate:
             assert solvers.solve(build_model(t, s), "highs").status == "infeasible"
             certified.append(seed)
         assert certified
+
+
+class TestSettledBounds:
+    @pytest.fixture(scope="class", params=(1002, 1003))
+    def case(self, request):
+        s = generate(BENCHMARK_FLOOR, request.param)
+        t = precompute(s)
+        return s, t, build_model(t, s)
+
+    def test_each_settled_link_lies_only_in_its_serve_row(self, case):
+        _, _, model = case
+        lb, ub = settled_bounds(model)
+        assert (model.lb <= lb).all() and (lb <= ub).all() and (ub <= model.ub).all()
+        csc = model.matrix.tocsc()
+        nonzeros = np.diff(csc.indptr)
+        links = np.concatenate([model.columns["Xb"], model.columns["Xi"]])   # (L, R, N)
+        settled = np.argwhere(ub[model.columns["O"]] < model.ub[model.columns["O"]])
+        assert len(settled) > 200
+        for r, n in settled:
+            cols = links[:, r, n]
+            cols = cols[cols >= 0]
+            chosen = cols[lb[cols] == 1]
+            assert len(chosen) == 1 and (ub[cols[cols != chosen[0]]] == 0).all()
+            # the first link of the robot-slot that no other row holds: on
+            # this floor always a BS link
+            first = next(c for c in cols if nonzeros[c] == 1)
+            assert chosen[0] == first and model.var_names[first].startswith("Xb")
+            rows = csc.indices[csc.indptr[first]:csc.indptr[first + 1]]
+            assert [model.row_names[k] for k in rows] == [f"serve_{r}_{n}"]
+        # a bit that no robot-slot settles keeps its bounds
+        touched = np.append(links[:, settled[:, 0], settled[:, 1]], model.columns["O"][tuple(settled.T)])
+        untouched = np.ones(model.n_vars, dtype=bool)
+        untouched[touched[touched >= 0]] = False
+        assert (lb[untouched] == model.lb[untouched]).all() and (ub[untouched] == model.ub[untouched]).all()
+
+    def test_settled_solve_matches_highs_on_the_full_model(self, case):
+        s, t, model = case
+        res = solvers.solve(model, "highs")
+        sense, rhs = model.row_sense, model.row_rhs
+        full = milp(model.objective, integrality=np.ones(model.n_vars), bounds=Bounds(model.lb, model.ub),
+                    constraints=LinearConstraint(model.matrix, np.where(sense == "<", -np.inf, rhs),
+                                                 np.where(sense == ">", np.inf, rhs)),
+                    options={"mip_rel_gap": 0.0})
+        assert full.status == 0 and res.status == "optimal"
+        assert res.objective == round(full.fun)
+        assert res.solved_size[0] < (model.lb < model.ub).sum()
+        assert validate(s, t, extract_schedule(model, res.values)).ok
 
 
 class TestCalibratedOptima:

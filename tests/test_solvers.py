@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from rislink import solvers
 from rislink.geometry import Obstacle
-from rislink.milp import build_model, extract_schedule
+from rislink.milp import build_model, extract_schedule, settled_bounds
 from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
@@ -79,11 +83,49 @@ class TestSolverStatistics:
         assert res.dual_bound == pytest.approx(res.objective, abs=1e-9)
         assert isinstance(res.nodes, int) and res.nodes >= 0
 
+    def test_solved_size_is_the_undecided_part(self, r14_model):
+        res = solvers.solve(r14_model, "highs")
+        lb, ub = settled_bounds(r14_model)
+        columns, rows, nonzeros = res.solved_size
+        assert columns == (lb < ub).sum() < (r14_model.lb < r14_model.ub).sum()
+        assert 0 < rows < r14_model.n_rows and 0 < nonzeros < r14_model.matrix.nnz
+
     def test_timeout_bound_never_above_incumbent(self, r14_model):
         res = solvers.solve(r14_model, "highs", time_budget=1e-9)
         assert res.status == "timeout"
         if res.dual_bound is not None and res.incumbent_objective is not None:
             assert res.dual_bound <= res.incumbent_objective
+
+
+class TestSettledSolve:
+    def test_all_settled_model_never_reaches_highs(self, monkeypatch):
+        # a lone robot in the open sees its BS in every slot, and that link
+        # sits in no row but the serve row
+        cfg = ScenarioConfig(n_bs=1, n_ris=0, n_robots=1, n_slots=4, n_obstacles=0, k_range=(2, 2))
+        s = generate(cfg, 0)
+        model = build_model(precompute(s), s)
+        lb, ub = settled_bounds(model)
+        assert (lb == ub).all() and (lb[model.columns["Xb"][0, 0]] == 1).all()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("HiGHS called on a settled model")
+
+        monkeypatch.setattr(scipy.optimize, "milp", refuse)
+        res = solvers.solve(model, "highs")
+        assert res.status == "optimal" and res.objective == 0.0
+        assert len(res.values) == model.n_vars and res.solved_size == (0, 0, 0)
+        assert extract_schedule(model, res.values).outage_count() == 0
+
+
+def test_cli_import_leaves_the_optimizer_out():
+    # solvers imports scipy.optimize on the first HiGHS solve, not at import
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    code = "import sys, rislink.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestRounding:
