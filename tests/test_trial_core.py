@@ -2,7 +2,8 @@
 
 The pins were taken from the per-robot, per-slot loop implementation that
 the array code replaced; the array code must reproduce them exactly.  The
-two floors are written out here rather than imported, so that recalibrating
+precompute table pins were taken from the per-kind BS and surface tables,
+joined on the link axis.  The two floors are written out here rather than imported, so that recalibrating
 ``EXPERIMENT_CONFIG`` or the benchmark's config cannot silently re-pin them.
 """
 
@@ -163,3 +164,38 @@ def test_invalid_schedule_reports_pinned():
     assert families == FAMILIES
     assert stray > 0
     assert got == INVALID_PINS
+
+
+def link_axis_tables(t) -> dict:
+    """precompute's arrays, each on its (slot, robot, link) axis with the BS links first."""
+    cov, lt = t.coverage, t.tables
+    return {
+        "covered": np.concatenate([cov.bs_robot, cov.ris_robot], axis=1).transpose(0, 2, 1),
+        "sight": np.concatenate([cov.bs_robot, cov.ris_sight], axis=1).transpose(0, 2, 1),
+        "power": np.concatenate([lt.p_direct, lt.p_ris], axis=1).transpose(0, 2, 1),
+        "interference": np.concatenate([lt.xi_bs, lt.xi_ris], axis=1).transpose(0, 3, 2, 1),
+        "live": t.live,
+        "conflicts": t.conflicts,
+    }
+
+
+# floor -> array -> digest of that array over seeds 1000-1004; interference is
+# (slot, victim, transmitter, link), conflicts (slot, surface, robot, robot)
+TABLE_PINS = {
+    "benchmark": {"covered": "1044538627a58c2e", "sight": "ba1b186006ca54e9", "power": "84057ccb5162ad68",
+                  "interference": "d8c06c0b9ebb1218", "live": "1044538627a58c2e",
+                  "conflicts": "4d5fe7b7749267c9"},
+    "calibrated": {"covered": "44b197395edd7298", "sight": "566bda0c6d5b0a7a", "power": "40af42cda18edcc1",
+                   "interference": "b33df12a545b785d", "live": "44b197395edd7298",
+                   "conflicts": "8091ee441e4dfdb8"},
+}
+
+
+@pytest.mark.parametrize("floor", sorted(FLOORS))
+def test_precompute_tables_pinned(floor):
+    parts = {}
+    for seed in range(1000, 1005):
+        for name, array in link_axis_tables(precompute(generate(FLOORS[floor], seed))).items():
+            parts.setdefault(name, []).extend([str(array.shape), str(array.dtype),
+                                               np.ascontiguousarray(array).tobytes()])
+    assert {name: digest(*p) for name, p in parts.items()} == TABLE_PINS[floor]
