@@ -29,6 +29,7 @@ __all__ = [
     "validate",
     "outage_percentage",
     "has_service_failure",
+    "run_ends",
 ]
 
 
@@ -92,12 +93,11 @@ class AllocationSchedule:
 
 @dataclass
 class RisHistory:
-    """Derived usage history: Y (used within the last D slots), C (surface
-    busy reconfiguring), W (served through a ready surface)."""
+    """Derived usage history: Y (used within the last D slots) and C
+    (surface busy reconfiguring)."""
 
     y: np.ndarray  # (I, R, N) bool
     c: np.ndarray  # (I, N) bool
-    w: np.ndarray  # (I, R, N) bool
 
 
 def _on_surface(schedule: AllocationSchedule, n_ris: int) -> np.ndarray:
@@ -107,12 +107,11 @@ def _on_surface(schedule: AllocationSchedule, n_ris: int) -> np.ndarray:
 
 
 def derive_history(schedule: AllocationSchedule, n_ris: int, d_reconfig: int, u: int) -> RisHistory:
-    """Recompute the minimal Y/C/W implied by a schedule.
+    """Recompute the minimal Y/C implied by a schedule.
 
     Y_{i,r,n} is set when robot r used surface i at least once in the window
-    [n-D+1, n]; C_{i,n} when more than U distinct robots have Y set; W marks
-    robots currently served through a surface that is not busy.  A relayed
-    link through a surface outside [0, n_ris) raises ``ValueError``.
+    [n-D+1, n]; C_{i,n} when more than U distinct robots have Y set.  A
+    relayed link through a surface outside [0, n_ris) raises ``ValueError``.
     """
     relayed = schedule.index[schedule.kind == RIS]
     if ((relayed < 0) | (relayed >= n_ris)).any():
@@ -121,9 +120,7 @@ def derive_history(schedule: AllocationSchedule, n_ris: int, d_reconfig: int, u:
     uses = np.concatenate([np.zeros(x.shape[:2] + (1,), dtype=int), np.cumsum(x, axis=2)], axis=2)
     lo = np.maximum(np.arange(schedule.n_slots) + 1 - d_reconfig, 0)
     y = uses[:, :, 1:] > uses[:, :, lo]
-    c = y.sum(axis=1) > u
-    w = x & ~c[:, None, :]
-    return RisHistory(y=y, c=c, w=w)
+    return RisHistory(y=y, c=y.sum(axis=1) > u)
 
 
 @dataclass(frozen=True)
@@ -173,22 +170,21 @@ def validate(scenario, tables, schedule: AllocationSchedule) -> ValidationReport
     if not np.isin(schedule.kind, (OUTAGE, BS, RIS)).all():
         raise ValueError("schedule kinds must be OUTAGE, BS or RIS")
 
-    cov = tables.coverage
     psi = tables.psi_linear
     u = tables.u_effective
     kind, index = schedule.kind.T, schedule.index.T  # (N, R)
-    slots, robots = np.arange(n_slots)[:, None], np.arange(n_robots)
     found = []  # (order key, violation) of the per-slot families
 
-    for code, sources, sight, text in ((BS, cfg.n_bs, cov.bs_robot, "BS {} without line of sight"),
-                                       (RIS, cfg.n_ris, cov.ris_robot, "surface {} outside its coverage")):
-        covered = (index >= 0) & (index < sources)
-        if sources:
-            covered &= sight[slots, np.where(covered, index, 0), robots]
-        for n, r in zip(*np.nonzero((kind == code) & ~covered)):
-            idx = int(index[n, r])
-            found.append(((n, 0, r), Violation(
-                "coverage", (int(r), int(n)), idx, -1, f"robot {r} assigned to " + text.format(idx))))
+    # a served link must name an existing BS or surface that covers the robot
+    served = kind != OUTAGE
+    exists = served & (index >= 0) & (index < np.where(kind == BS, cfg.n_bs, cfg.n_ris))
+    ln, lr = np.nonzero(exists)
+    covered = exists.copy()
+    covered[ln, lr] = tables.coverage.covered[ln, lr, channel.link_of(kind[ln, lr], index[ln, lr], cfg.n_bs)]
+    for n, r in zip(*np.nonzero(served & ~covered)):
+        idx = int(index[n, r])
+        text = f"BS {idx} without line of sight" if kind[n, r] == BS else f"surface {idx} outside its coverage"
+        found.append(((n, 0, r), Violation("coverage", (int(r), int(n)), idx, -1, f"robot {r} assigned to {text}")))
 
     # capacity and angular conflicts per surface
     on = _on_surface(schedule, cfg.n_ris).transpose(2, 0, 1)  # (N, I, R)
@@ -207,8 +203,7 @@ def validate(scenario, tables, schedule: AllocationSchedule) -> ValidationReport
     # A link to a BS or surface that does not exist is reported above; the
     # SINR and readiness checks see it as an outage and never index with it.
     linked = schedule.copy()
-    limit = np.where(linked.kind == BS, cfg.n_bs, cfg.n_ris)
-    stray = (linked.kind != OUTAGE) & ((linked.index < 0) | (linked.index >= limit))
+    stray = (served & ~exists).T
     linked.kind[stray], linked.index[stray] = OUTAGE, -1
 
     # SINR of every served link, re-evaluated through the channel model
@@ -228,16 +223,13 @@ def validate(scenario, tables, schedule: AllocationSchedule) -> ValidationReport
             "ris_ready(16,19)", (int(i), int(r), int(n)), 1, 0,
             f"robot {r} served by surface {i} while it is reconfiguring"))
 
-    # outage windows: fewer than K_r outages in every K_r-slot window
+    # outage windows: fewer than K_r outages in every K_r-slot window, so
+    # no run of K_r outages
     k = np.asarray(scenario.k_out, dtype=int)
-    outages = np.cumsum(schedule.outage_matrix(), axis=1)
-    outages = np.concatenate([np.zeros((n_robots, 1), dtype=int), outages], axis=1)  # outages before slot n
-    lo = np.maximum(np.arange(n_slots)[None, :] + 1 - k[:, None], 0)
-    count = outages[:, 1:] - np.take_along_axis(outages, lo, axis=1)
-    for r, n in zip(*np.nonzero(count >= k[:, None])):
+    for r, n in zip(*np.nonzero(run_ends(schedule.kind == OUTAGE, k))):
         report.violations.append(Violation(
-            "outage_window(17)", (int(r), int(n)), int(count[r, n]), int(k[r]) - 1,
-            f"robot {r} reaches {count[r, n]} outages in its {k[r]}-slot window ending at {n}"))
+            "outage_window(17)", (int(r), int(n)), int(k[r]), int(k[r]) - 1,
+            f"robot {r} reaches {k[r]} outages in its {k[r]}-slot window ending at {n}"))
     return report
 
 
@@ -255,12 +247,15 @@ def has_service_failure(schedule: AllocationSchedule, k_out) -> tuple[bool, tupl
     Returns (flag, (r, n)) where n is the slot at which robot r's outage run
     first reaches its budget, for the lowest such robot r.
     """
-    k_out = np.asarray(k_out, dtype=int)
-    outage = schedule.kind == OUTAGE
-    slots = np.arange(schedule.n_slots)
-    last_served = np.maximum.accumulate(np.where(outage, -1, slots), axis=1)
-    hit = outage & (slots - last_served >= k_out[:, None])
-    if not hit.any():
+    hit = np.argwhere(run_ends(schedule.kind == OUTAGE, k_out))
+    if not len(hit):
         return False, None
-    r = int(hit.any(axis=1).argmax())
-    return True, (r, int(hit[r].argmax()))
+    return True, tuple(hit[0].tolist())
+
+
+def run_ends(flags: np.ndarray, k) -> np.ndarray:
+    """(R, N) mask of the slots n that end a run of at least k[r] set flags
+    of robot r: its flags are set in every slot n-k[r]+1 .. n >= 0."""
+    slots = np.arange(flags.shape[1])
+    last_clear = np.maximum.accumulate(np.where(flags, -1, slots), axis=1)
+    return slots - last_clear >= np.asarray(k, dtype=int)[:, None]

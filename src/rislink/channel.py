@@ -5,6 +5,8 @@ transmit side and the receive side use the same conical-beam gain, and a
 robot relayed through a reflecting surface receives the product channel
 (BS -> surface) * E * (surface -> robot).
 
+The link tables index every link of a robot on one axis of L = B + I links,
+the base stations first: BS b is link b and surface i is link B + i.
 ``sinr`` evaluates one robot's link; ``sinr_batch`` evaluates every robot of
 one slot, or of all slots, from a schedule's ``kind``/``index`` arrays.  Both
 add up the interferers in robot order, so they agree to the last bit.
@@ -36,6 +38,8 @@ OUTAGE, BS, RIS = 0, 1, 2
 
 __all__ = [
     "LinkPowerTables",
+    "link_of",
+    "kind_index_of",
     "antenna_gain",
     "path_gain",
     "noise_power",
@@ -97,40 +101,45 @@ def max_concurrent(n_elements: int) -> int:
     return u
 
 
+# Antenna gain of the BS and of the robot, and the thermal noise, both from Table II.
+GAIN = antenna_gain(THETA)
+NOISE = noise_power(TEMPERATURE, BANDWIDTH)
+
+
 @dataclass
 class LinkPowerTables:
     """Precomputed per-slot link powers and pairwise interference terms.
 
-    Shapes: ``p_direct[n, b, r]`` and ``p_ris[n, i, r]`` carry the gainless
-    received powers of servable links (0 where uncovered); ``xi_bs[n, b, rp, r]``
-    is the interference landing on robot r when BS b transmits to robot rp,
-    already including both antenna gains, and 0 unless r sits in that beam
-    with clear sight; ``xi_ris[n, i, rp, r]`` likewise for relayed beams.
+    ``power[n, r, l]`` is the gainless received power of robot r's link l in
+    slot n, 0 where the link does not cover the robot.
+    ``interference[n, r, rp, l]`` is the interference landing on robot r
+    when robot rp transmits on link l, already including both antenna
+    gains, and 0 unless r sits in that beam with clear sight.  Links
+    0 .. n_bs-1 are the base stations, the rest the surfaces.
     """
 
-    p_direct: np.ndarray
-    p_ris: np.ndarray
-    xi_bs: np.ndarray
-    xi_ris: np.ndarray
-    gain_bs: float
-    gain_robot: float
-    noise: float
-
-    @property
-    def n_slots(self) -> int:
-        return self.p_direct.shape[0]
-
-    @property
-    def n_bs(self) -> int:
-        return self.p_direct.shape[1]
+    power: np.ndarray         # (N, R, L)
+    interference: np.ndarray  # (N, R victim, R transmitter, L)
+    n_bs: int
 
     @property
     def n_ris(self) -> int:
-        return self.p_ris.shape[1]
+        return self.power.shape[2] - self.n_bs
 
     @property
     def n_robots(self) -> int:
-        return self.p_direct.shape[2]
+        return self.power.shape[1]
+
+
+def link_of(kind, index, n_bs: int):
+    """Link of BS ``index`` (kind BS) or of surface ``index`` (kind RIS)."""
+    return index + n_bs * (kind == RIS)
+
+
+def kind_index_of(link, n_bs: int) -> tuple:
+    """(kind, index) of a link: BS ``link`` below ``n_bs``, surface ``link - n_bs`` from there on."""
+    ris = link >= n_bs
+    return np.where(ris, RIS, BS), link - n_bs * ris
 
 
 def interference_sum(tables: LinkPowerTables, alloc, r: int, n: int, own_ris: int | None = None) -> float:
@@ -141,28 +150,20 @@ def interference_sum(tables: LinkPowerTables, alloc, r: int, n: int, own_ris: in
     """
     total = 0.0
     for rp in range(tables.n_robots):
-        if rp == r:
-            continue
         kind, idx = alloc.assignment(rp, n)
-        if kind == "bs":
-            total += float(tables.xi_bs[n, idx, rp, r])
-        elif kind == "ris" and idx != own_ris:
-            total += float(tables.xi_ris[n, idx, rp, r])
+        if rp != r and kind is not None and not (kind == "ris" and idx == own_ris):
+            total += float(tables.interference[n, r, rp, link_of(alloc.kind[rp, n], idx, tables.n_bs)])
     return total
 
 
 def sinr(tables: LinkPowerTables, alloc, r: int, n: int) -> float:
     """Signal-to-interference-plus-noise ratio of robot r's link in slot n."""
     kind, idx = alloc.assignment(r, n)
-    if kind == "bs":
-        signal = float(tables.p_direct[n, idx, r])
-        interference = interference_sum(tables, alloc, r, n)
-    elif kind == "ris":
-        signal = float(tables.p_ris[n, idx, r])
-        interference = interference_sum(tables, alloc, r, n, own_ris=idx)
-    else:
+    if kind is None:
         raise ValueError(f"robot {r} is unallocated in slot {n}; SINR undefined")
-    return signal * tables.gain_bs * tables.gain_robot / (tables.noise + interference)
+    signal = float(tables.power[n, r, link_of(alloc.kind[r, n], idx, tables.n_bs)])
+    interference = interference_sum(tables, alloc, r, n, own_ris=idx if kind == "ris" else None)
+    return signal * GAIN * GAIN / (NOISE + interference)
 
 
 def sinr_batch(tables: LinkPowerTables, kind: np.ndarray, index: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -184,23 +185,23 @@ def sinr_batch(tables: LinkPowerTables, kind: np.ndarray, index: np.ndarray, n: 
 def _slot_sinr(tables: LinkPowerTables, kind: np.ndarray, index: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """``sinr_batch`` on slot-major (S, R) link arrays of the given slots."""
     bs, ris = kind == BS, kind == RIS
-    limit = np.where(bs, tables.n_bs, tables.n_ris)
-    if ((bs | ris) & ((index < 0) | (index >= limit))).any():
+    served = bs | ris
+    if (served & ((index < 0) | (index >= np.where(bs, tables.n_bs, tables.n_ris)))).any():
         raise ValueError("a served link names a BS or surface that does not exist")
+    link = np.where(served, link_of(kind, index, tables.n_bs), 0)
     n_r = kind.shape[1]
     robots = np.arange(n_r)
     at = slots[:, None]
     signal = np.zeros(kind.shape)
     level = np.zeros(kind.shape + (n_r,))  # level[s, rp, r]: power r hears from rp's beam
-    for power, cross, on in ((tables.p_direct, tables.xi_bs, bs), (tables.p_ris, tables.xi_ris, ris)):
-        if on.any():
-            src = np.where(on, index, 0)
-            signal = np.where(on, power[at, src, robots], signal)
-            level = np.where(on[:, :, None], cross[at, src, robots], level)
+    if served.any():
+        signal = np.where(served, tables.power[at, robots, link], 0.0)
+        # the slice between the index arrays puts the victim axis last
+        level = np.where(served[:, :, None], tables.interference[at, :, robots, link], 0.0)
     # nulling: a surface's own beams never interfere with each other
     level[ris[:, :, None] & ris[:, None, :] & (index[:, :, None] == index[:, None, :])] = 0.0
     level[:, robots, robots] = 0.0
     # transmitters added one at a time in robot order, as interference_sum does
     interference = np.cumsum(level, axis=1)[:, -1] if n_r else np.zeros(kind.shape)
-    value = signal * tables.gain_bs * tables.gain_robot / (tables.noise + interference)
-    return np.where(bs | ris, value, np.nan)
+    value = signal * GAIN * GAIN / (NOISE + interference)
+    return np.where(served, value, np.nan)

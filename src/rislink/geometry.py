@@ -20,6 +20,7 @@ __all__ = [
     "Obstacle",
     "RisMount",
     "CoverageMap",
+    "link_sources",
     "los_blocked",
     "los_blocked_batch",
     "footprint_diameter",
@@ -217,21 +218,27 @@ def in_beam_cone(origin: Point2D, target: Point2D, probe: Point2D, theta: float,
 
 @dataclass
 class CoverageMap:
-    """Line-of-sight coverage as boolean arrays indexed (slot, source, robot).
+    """Line-of-sight coverage as boolean arrays indexed (slot, robot, link).
 
-    ``bs_robot[n, b, r]`` is clear sight from BS b to robot r in slot n.
-    ``ris_sight[n, i, r]`` is clear sight from mount i to robot r, and
-    ``ris_robot`` keeps those pairs that are also inside the mount's field of
-    view and whose mount has a serving BS.  ``bs_ris[b, i]`` is the static
-    sight between BS b and mount i; ``serving_bs[i]`` is the nearest covering
-    BS of mount i (the BS whose signal it redirects), or -1.
+    The links are every BS, then every surface, as ``link_sources`` orders
+    their positions.  ``sight[n, r, l]`` is clear sight between link l's
+    source and robot r in slot n.  ``covered`` keeps the pairs the link can
+    serve: every one of a BS, and those of a surface that are also inside
+    its field of view, provided it has a serving BS.  ``bs_ris[b, i]`` is
+    the static sight between BS b and mount i; ``serving_bs[i]`` is the
+    nearest covering BS of mount i (the BS whose signal it redirects), or -1.
     """
 
-    bs_robot: np.ndarray    # (N, B, R) bool
-    ris_robot: np.ndarray   # (N, I, R) bool
-    ris_sight: np.ndarray   # (N, I, R) bool
+    covered: np.ndarray     # (N, R, L) bool
+    sight: np.ndarray       # (N, R, L) bool
     bs_ris: np.ndarray      # (B, I) bool
     serving_bs: np.ndarray  # (I,) int
+
+
+def link_sources(scenario) -> np.ndarray:
+    """(L, 2) positions of the link sources: every BS, then every surface."""
+    points = list(scenario.bs_positions) + [m.position for m in scenario.ris_mounts]
+    return np.array([[p.x, p.y] for p in points], dtype=float).reshape(len(points), 2)
 
 
 def build_coverage(scenario) -> CoverageMap:
@@ -246,9 +253,8 @@ def build_coverage(scenario) -> CoverageMap:
     n_robots = scenario.config.n_robots
     n_bs = len(scenario.bs_positions)
     n_ris = len(scenario.ris_mounts)
-
-    bs_xy = np.array([[p.x, p.y] for p in scenario.bs_positions], dtype=float).reshape(n_bs, 2)
-    ris_xy = np.array([[m.position.x, m.position.y] for m in scenario.ris_mounts], dtype=float).reshape(n_ris, 2)
+    src_xy = link_sources(scenario)                               # (L, 2)
+    bs_xy, ris_xy = src_xy[:n_bs], src_xy[n_bs:]
 
     bs_ris = np.zeros((n_bs, n_ris), dtype=bool)
     if n_bs and n_ris:
@@ -264,27 +270,21 @@ def build_coverage(scenario) -> CoverageMap:
     normals = np.array([m.normal for m in scenario.ris_mounts], dtype=float).reshape(n_ris, 2)
     fov = np.array([m.fov_half_angle for m in scenario.ris_mounts], dtype=float)
 
-    # sight from every BS and mount to every robot in every slot, one batch
-    src_xy = np.concatenate([bs_xy, ris_xy])                     # (S, 2)
+    # sight from every link source to every robot in every slot, one batch
     pos = scenario.trajectories.transpose(1, 0, 2)               # (N, R, 2)
-    ends = np.broadcast_to(pos[:, None], (n_slots, n_bs + n_ris, n_robots, 2))
-    starts = np.broadcast_to(src_xy[None, :, None], ends.shape)
-    clear = ~los_blocked_batch(starts.reshape(-1, 2), ends.reshape(-1, 2), obstacles)
-    clear = clear.reshape(ends.shape[:3]) & ~(starts == ends).all(axis=3)
+    ends = np.broadcast_to(pos[:, :, None], (n_slots, n_robots, n_bs + n_ris, 2))
+    starts = np.broadcast_to(src_xy[None, None], ends.shape)
+    sight = ~los_blocked_batch(starts.reshape(-1, 2), ends.reshape(-1, 2), obstacles)
+    sight = sight.reshape(ends.shape[:3]) & ~(starts == ends).all(axis=3)
 
-    vec = pos[:, None] - ris_xy[None, :, None]                   # (N, I, R, 2)
+    vec = pos[:, :, None] - ris_xy[None, None]                   # (N, R, I, 2)
     dist = np.linalg.norm(vec, axis=3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_a = (vec * normals[None, :, None, :]).sum(axis=3) / dist
-    in_fov = (dist > 0) & (np.arccos(np.clip(cos_a, -1.0, 1.0)) <= fov[None, :, None] + 1e-12)
-    ris_sight = clear[:, n_bs:]
-    return CoverageMap(
-        bs_robot=clear[:, :n_bs],
-        ris_robot=in_fov & ris_sight & (serving_bs >= 0)[None, :, None],
-        ris_sight=ris_sight,
-        bs_ris=bs_ris,
-        serving_bs=serving_bs,
-    )
+        cos_a = (vec * normals[None, None]).sum(axis=3) / dist
+    in_fov = (dist > 0) & (np.arccos(np.clip(cos_a, -1.0, 1.0)) <= fov + 1e-12)
+    covered = sight.copy()
+    covered[:, :, n_bs:] &= in_fov & (serving_bs >= 0)
+    return CoverageMap(covered=covered, sight=sight, bs_ris=bs_ris, serving_bs=serving_bs)
 
 
 def build_conflicts(scenario, coverage: CoverageMap) -> np.ndarray:
@@ -301,6 +301,6 @@ def build_conflicts(scenario, coverage: CoverageMap) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         unit = vec / np.linalg.norm(vec, axis=3, keepdims=True)
         sep = np.arccos(np.clip(unit @ unit.swapaxes(2, 3), -1.0, 1.0))
-    cov = coverage.ris_robot
+    cov = coverage.covered[:, :, len(scenario.bs_positions):].transpose(0, 2, 1)   # (N, I, R)
     both = cov[..., :, None] & cov[..., None, :]
     return np.triu(both & (sep <= channel.THETA + 1e-12), k=1)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel
+from . import channel, geometry
 from .allocation import AllocationSchedule, has_service_failure
-from .channel import BS, OUTAGE, RIS
+from .channel import OUTAGE, RIS
 
 __all__ = ["HeuristicOutcome", "allocate", "link_distances"]
 
@@ -45,13 +45,9 @@ def link_distances(scenario, coverage) -> np.ndarray:
     Every entry equals ``Point2D.distance_to`` between the same two points
     bit for bit (``math.hypot``; ``np.hypot`` differs in the last bit).
     """
-    sources = [(p.x, p.y) for p in scenario.bs_positions]
-    sources += [(m.position.x, m.position.y) for m in scenario.ris_mounts]
-    sources = np.array(sources, dtype=float).reshape(-1, 2)
-    covered = np.concatenate([coverage.bs_robot, coverage.ris_robot], axis=1).transpose(0, 2, 1)
-    n, r, link = np.nonzero(covered)
-    delta = sources[link] - scenario.trajectories[r, n]
-    dist = np.full(covered.shape, np.inf)
+    n, r, link = np.nonzero(coverage.covered)
+    delta = geometry.link_sources(scenario)[link] - scenario.trajectories[r, n]
+    dist = np.full(coverage.covered.shape, np.inf)
     dist[n, r, link] = list(map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist()))
     return dist
 
@@ -69,8 +65,9 @@ def allocate(tables, scenario, seed: int = 0) -> HeuristicOutcome:
     # first minimum, so ties go to the BS, then to the lowest index
     dist = link_distances(scenario, tables.coverage)
     link = dist.argmin(axis=2) if n_b + n_i else np.zeros((n_n, n_r), dtype=int)
-    want_kind = np.where(np.isfinite(dist).any(axis=2), np.where(link < n_b, BS, RIS), OUTAGE).astype(np.int8)
-    want_index = np.where(link < n_b, link, link - n_b).astype(np.int16)
+    link_kind, link_index = channel.kind_index_of(link, n_b)
+    want_kind = np.where(np.isfinite(dist).any(axis=2), link_kind, OUTAGE).astype(np.int8)
+    want_index = link_index.astype(np.int16)
     # conflicted pairs whose robots both propose the surface, by (n, i, ra, rb)
     wants = (want_kind == RIS)[:, None, :] & (want_index[:, None, :] == surfaces)  # (N, I, R)
     clashes = np.argwhere(tables.conflicts & wants[:, :, :, None] & wants[:, :, None, :]).tolist()

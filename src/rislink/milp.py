@@ -51,7 +51,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .allocation import BS, RIS, AllocationSchedule
+from . import channel
+from .allocation import RIS, AllocationSchedule, run_ends
 
 MU_SAFETY = 1.01
 
@@ -69,13 +70,21 @@ def _family_shapes(n_bs, n_ris, n_robots, n_slots) -> dict:
 
 
 def _family_columns(*dims) -> dict:
-    """Column indices of each variable family, shaped like its index space."""
+    """Column indices of each variable family, shaped like its index space,
+    and under "X" those of Xb then Xi, which are adjacent, as one (L, R, N)
+    family of links."""
     out, base = {}, 0
     for label, shape in _family_shapes(*dims).items():
         size = math.prod(shape)
         out[label] = base + np.arange(size).reshape(shape)
         base += size
+    shape = (dims[0] + dims[1],) + dims[2:]
+    out["X"] = np.arange(math.prod(shape)).reshape(shape)
     return out
+
+
+def _dense_size(*dims) -> int:
+    return sum(map(math.prod, _family_shapes(*dims).values()))
 
 
 @functools.lru_cache(maxsize=8)
@@ -120,11 +129,12 @@ class MilpModel:
     @functools.cached_property
     def columns(self) -> dict:
         """Column of each variable family ("Xb", "Xi", "Y", "O"), shaped like
-        its index space; -1 where the bit is not emitted."""
-        dense = _family_columns(self.n_bs, self.n_ris, self.n_robots, self.n_slots)
-        emitted = np.full(sum(cols.size for cols in dense.values()), -1)
+        its index space, and of every link ("X", (L, R, N), BS links first);
+        -1 where the bit is not emitted."""
+        dims = (self.n_bs, self.n_ris, self.n_robots, self.n_slots)
+        emitted = np.full(_dense_size(*dims), -1)
         emitted[self.dense] = np.arange(len(self.dense))
-        return {label: emitted[cols] for label, cols in dense.items()}
+        return {label: emitted[cols] for label, cols in _family_columns(*dims).items()}
 
     @functools.cached_property
     def var_names(self) -> tuple:
@@ -209,16 +219,12 @@ def _names(head: str, *indices) -> np.ndarray:
     return head
 
 
-@functools.lru_cache(maxsize=8)
-def _link_labels(*dims) -> np.ndarray:
-    """Labels ``B_b_r_n`` and ``I_i_r_n`` of the allocation bits, by column."""
-    return np.concatenate([_names(head, *np.indices(_family_shapes(*dims)[label]).reshape(3, -1))
-                           for head, label in (("B", "Xb"), ("I", "Xi"))])
-
-
 def _sinr_names(dims, links) -> np.ndarray:
-    """Names ``snr<link>`` of a slot's SINR rows, whose own allocation bits are ``links``."""
-    return "snr" + _link_labels(*dims)[links]
+    """Names ``snrB_b_r_n`` and ``snrI_i_r_n`` of a slot's SINR rows, whose
+    own allocation bits are the dense columns ``links``."""
+    link, r, n = np.unravel_index(links, (dims[0] + dims[1],) + dims[2:])
+    kind, index = channel.kind_index_of(link, dims[0])
+    return _names(np.where(kind == RIS, "snrI", "snrB").astype(object), index, r, n)
 
 
 def build_model(tables, scenario) -> MilpModel:
@@ -279,31 +285,25 @@ def build_model(tables, scenario) -> MilpModel:
     n_l = n_b + n_i
     dims = (n_b, n_i, n_r, n_n)
     col = _family_columns(*dims)
-    xb, xi, y, o = (col[label] for label in ("Xb", "Xi", "Y", "O"))
+    xi, y, o = (col[label] for label in ("Xi", "Y", "O"))
 
     lt = tables.tables
-    noise = lt.noise
-    g2 = lt.gain_bs * lt.gain_robot
     psi = tables.psi_linear
     u = float(tables.u_effective)
     d_reconfig = cfg.d_reconfig
 
-    # conditioned coefficients: all SINR rows are divided through by the noise
-    sig_bs = lt.p_direct * g2 / noise        # (N, B, R)
-    sig_ris = lt.p_ris * g2 / noise          # (N, I, R)
-    xi_bs = lt.xi_bs / noise                 # (N, B, R, R)
-    xi_ris = lt.xi_ris / noise               # (N, I, R, R)
-
     # per slot, robot and link (every BS, then every surface): the link's
-    # allocation bit, its coverage, and its conditioned signal
-    links = np.concatenate([xb.transpose(2, 1, 0), xi.transpose(2, 1, 0)], axis=2)          # (N, R, L)
-    covered = np.concatenate([tables.coverage.bs_robot, tables.coverage.ris_robot], axis=1).transpose(0, 2, 1)
-    signal = np.concatenate([sig_bs.transpose(0, 2, 1), sig_ris.transpose(0, 2, 1)], axis=2)
+    # allocation bit, its coverage, and its conditioned signal and
+    # interference levels; all SINR rows are divided through by the noise
+    links = col["X"].transpose(2, 1, 0)                                      # (N, R, L)
+    covered = tables.coverage.covered
+    signal = lt.power * (channel.GAIN * channel.GAIN) / channel.NOISE
+    cross = lt.interference / channel.NOISE                                 # (N, R, R, L)
     live = tables.live
     n_live = live.sum(axis=2)                                                # (N, R)
     # the dense columns that are emitted: each live allocation bit and each
     # outage bit, and below each usage bit that a used_* row holds
-    emit = np.zeros(sum(a.size for a in col.values()), dtype=bool)
+    emit = np.zeros(_dense_size(*dims), dtype=bool)
     emit[links[live]] = emit[o] = True
 
     stride = n_r * n_l + n_i + 1  # room for every group key within a section
@@ -328,8 +328,7 @@ def build_model(tables, scenario) -> MilpModel:
     robots = np.arange(n_r)
     killers = []
     for n in range(n_n):
-        # levels[r, rp, l] = interference victim r hears when robot rp uses link l
-        levels = np.concatenate([xi_bs[n].transpose(2, 1, 0), xi_ris[n].transpose(2, 1, 0)], axis=2)
+        levels = cross[n]  # [r, rp, l]: interference victim r hears when robot rp uses link l
         heard = (levels > 0.0) & covered[n]
         heard[robots, robots] = False
         vr, vl = np.nonzero(live[n])
@@ -450,7 +449,7 @@ def settled_bounds(model: MilpModel) -> tuple:
     O is not fixed at 1.
     """
     lb, ub = model.lb.copy(), model.ub.copy()
-    links = np.concatenate([model.columns["Xb"], model.columns["Xi"]])       # (L, R, N)
+    links = model.columns["X"]                                                 # (L, R, N)
     nonzeros = np.append(np.bincount(model.matrix.indices, minlength=model.n_vars), 0)
     free = (links >= 0) & (nonzeros[links] == 1)
     settled = free.any(axis=0)                                                # (R, N)
@@ -471,8 +470,8 @@ def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule
     """
     on = np.append(np.asarray(values) >= 0.5, False)
     outage = on[model.columns["O"]]
-    via_bs, via_ris = on[model.columns["Xb"]], on[model.columns["Xi"]]
-    bits = via_bs.sum(axis=0) + via_ris.sum(axis=0)
+    via = on[model.columns["X"]]                                              # (L, R, N)
+    bits = via.sum(axis=0)
     bad = np.argwhere(outage + bits != 1)
     if len(bad):
         r, n = bad[0]
@@ -480,10 +479,9 @@ def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule
             f"inconsistent solution: robot {r} slot {n} marked {'in outage' if outage[r, n] else 'served'} "
             f"with {bits[r, n]} allocation bits")
     sched = AllocationSchedule.all_outage(model.n_robots, model.n_slots)
-    for kind, bits_of in ((BS, via_bs), (RIS, via_ris)):
-        hit = bits_of.any(axis=0)
-        sched.kind[hit] = kind
-        sched.index[hit] = np.tensordot(np.arange(len(bits_of)), bits_of, axes=1)[hit]
+    hit = bits == 1
+    link = np.tensordot(np.arange(len(via)), via, axes=1)[hit]
+    sched.kind[hit], sched.index[hit] = channel.kind_index_of(link, model.n_bs)
     return sched
 
 
@@ -497,10 +495,7 @@ def dark_run(live: np.ndarray, k_out) -> tuple | None:
     schedule exists, and this proves it without a solver.
     """
     k_out = np.asarray(k_out)
-    dark = ~live.any(axis=2).T                                          # (R, N)
-    slots = np.arange(dark.shape[1])
-    last_live = np.maximum.accumulate(np.where(dark, -1, slots), axis=1)
-    hit = np.argwhere(slots - last_live >= k_out[:, None])
+    hit = np.argwhere(run_ends(~live.any(axis=2).T, k_out))
     if not len(hit):
         return None
     r, last = hit[0].tolist()

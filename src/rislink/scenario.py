@@ -143,14 +143,19 @@ class Scenario:
 
 @dataclass
 class DerivedTables:
-    """Everything the optimizers need, precomputed once per scenario."""
+    """Everything the optimizers need, precomputed once per scenario.
+
+    ``coverage``, ``tables`` and ``live`` put every link of a robot on one
+    axis of L = B + I links, the BSs first, so a direct and a relayed link
+    are read alike; ``conflicts`` concerns the surfaces alone.
+    """
 
     coverage: CoverageMap
     conflicts: np.ndarray  # (N, I, R, R) bool, see geometry.build_conflicts
     tables: LinkPowerTables
     u_effective: int
     psi_linear: np.ndarray
-    live: np.ndarray       # (N, R, L) bool: covered, and the signal alone meets psi; BS links first
+    live: np.ndarray       # (N, R, L) bool: covered, and the signal alone meets psi
 
 
 def _default_bs_positions(config: ScenarioConfig, rng) -> list:
@@ -314,9 +319,9 @@ def generate(config: ScenarioConfig, seed: int) -> Scenario:
 
 
 def _pair_dots(v: np.ndarray) -> np.ndarray:
-    """Dot products of every pair of 2-vectors along the second-to-last axis,
-    (..., R, 2) -> (..., R, R): x product plus y product, rounded once each."""
-    return v[..., :, None, 0] * v[..., None, :, 0] + v[..., :, None, 1] * v[..., None, :, 1]
+    """Dot products of every pair of robots' 2-vectors on each link,
+    (N, R, L, 2) -> (N, R, R, L): x product plus y product, rounded once each."""
+    return v[:, :, None, :, 0] * v[:, None, :, :, 0] + v[:, :, None, :, 1] * v[:, None, :, :, 1]
 
 
 def precompute(scenario: Scenario) -> DerivedTables:
@@ -324,67 +329,47 @@ def precompute(scenario: Scenario) -> DerivedTables:
     cfg = scenario.config
     coverage = geometry.build_coverage(scenario)
     conflicts = geometry.build_conflicts(scenario, coverage)
+    covered, sight = coverage.covered, coverage.sight                # (N, R, L)
 
-    n_b, n_i = cfg.n_bs, cfg.n_ris
-    gain = channel.antenna_gain(channel.THETA)
-    noise = channel.noise_power(channel.TEMPERATURE, channel.BANDWIDTH)
-
-    bs_xy = np.array([[p.x, p.y] for p in scenario.bs_positions], dtype=float).reshape(n_b, 2)
-    ris_xy = np.array([[m.position.x, m.position.y] for m in scenario.ris_mounts], dtype=float).reshape(n_i, 2)
-    # free-space amplitude of each surface's feed from its serving BS
-    feed = np.zeros(n_i)
+    n_b = cfg.n_bs
+    gain2 = channel.GAIN * channel.GAIN
+    # amplitude factor of each link ahead of its last hop: 1 for a BS; for a
+    # surface its elements times the free-space amplitude of its feed from
+    # its serving BS, or 0 without one
+    relay = (np.arange(covered.shape[2]) < n_b).astype(float)
     for i, serving in enumerate(coverage.serving_bs.tolist()):
         if serving >= 0:
             d1 = scenario.bs_positions[serving].distance_to(scenario.ris_mounts[i].position)
-            feed[i] = channel.SPEED_OF_LIGHT / (4.0 * math.pi * channel.FREQ * max(d1, channel.MIN_DISTANCE))
+            feed = channel.SPEED_OF_LIGHT / (4.0 * math.pi * channel.FREQ * max(d1, channel.MIN_DISTANCE))
+            relay[n_b + i] = feed * channel.N_ELEMENTS
 
-    # all slots at once: (N, S, ...) arrays over the sources S of one kind
-    pos = scenario.trajectories.transpose(1, 0, 2)                 # (N, R, 2)
-    half_theta = channel.THETA / 2.0
-
-    def links(src_xy, covered, sight, relay=None):
-        """Gainless powers (N, S, R) of covered links and beam interference (N, S, rp, r)."""
-        vec = pos[:, None, :, :] - src_xy[None, :, None, :]       # (N, S, R, 2)
-        dist = np.linalg.norm(vec, axis=3)
-        amp = channel.SPEED_OF_LIGHT / (4.0 * math.pi * channel.FREQ * np.maximum(dist, channel.MIN_DISTANCE))
-        if relay is not None:  # BS -> surface -> robot cascade
-            amp = relay[None, :, None] * amp
-        power = channel.P_BS * amp * amp
-        # Beam-cone gating: victim r hears the beam s->rp when its direction
-        # is within theta/2 of the axis with clear sight.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unit = vec / dist[..., None]
-            cosm = _pair_dots(unit)                                 # (N, S, rp, r)
-            dots = _pair_dots(vec)
-            in_cone = (np.arccos(np.clip(cosm, -1, 1)) <= half_theta + 1e-12) & (dots > 0)
-        gate = covered[..., :, None] & in_cone & sight[..., None, :]
-        np.einsum("nsrr->nsr", gate)[:] = False                    # no self term
-        return np.where(covered, power, 0.0), np.where(gate, (gain * gain) * power[..., None, :], 0.0)
-
-    # a BS has clear sight of a robot exactly when it covers it
-    p_direct, xi_bs = links(bs_xy, coverage.bs_robot, coverage.bs_robot)
-    p_ris, xi_ris = links(ris_xy, coverage.ris_robot, coverage.ris_sight, feed * channel.N_ELEMENTS)
+    # all slots and links at once: (N, R, L, ...) arrays
+    vec = scenario.trajectories.transpose(1, 0, 2)[:, :, None] - geometry.link_sources(scenario)   # (N, R, L, 2)
+    dist = np.linalg.norm(vec, axis=3)
+    amp = relay * (channel.SPEED_OF_LIGHT / (4.0 * math.pi * channel.FREQ * np.maximum(dist, channel.MIN_DISTANCE)))
+    power = channel.P_BS * amp * amp
+    # Beam-cone gating: victim r hears the beam of link l to robot rp when its
+    # direction from the source is within theta/2 of the axis with clear sight.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosm = _pair_dots(vec / dist[..., None])                      # (N, r, rp, L)
+        in_cone = (np.arccos(np.clip(cosm, -1, 1)) <= channel.THETA / 2.0 + 1e-12) & (_pair_dots(vec) > 0)
+    gate = sight[:, :, None, :] & in_cone & covered[:, None, :, :]
+    np.einsum("nrrl->nrl", gate)[:] = False                          # no self term
 
     link_tables = LinkPowerTables(
-        p_direct=p_direct,
-        p_ris=p_ris,
-        xi_bs=xi_bs,
-        xi_ris=xi_ris,
-        gain_bs=gain,
-        gain_robot=gain,
-        noise=noise,
+        power=np.where(covered, power, 0.0),
+        interference=np.where(gate, gain2 * power[:, :, None, :], 0.0),
+        n_bs=n_b,
     )
     u_effective = cfg.u_override if cfg.u_override is not None else channel.max_concurrent(channel.N_ELEMENTS)
     psi = scenario.psi.astype(float)
-    covered = np.concatenate([coverage.bs_robot, coverage.ris_robot], axis=1)      # (N, L, R)
-    signal = np.concatenate([p_direct, p_ris], axis=1) * (gain * gain) / noise
     return DerivedTables(
         coverage=coverage,
         conflicts=conflicts,
         tables=link_tables,
         u_effective=u_effective,
         psi_linear=psi,
-        live=(covered & (signal >= psi)).transpose(0, 2, 1),
+        live=covered & (power * gain2 / channel.NOISE >= psi[:, None]),
     )
 
 
@@ -399,27 +384,6 @@ def strip_ris(scenario: Scenario) -> Scenario:
         psi=scenario.psi.copy(),
         k_out=scenario.k_out.copy(),
     )
-
-
-def _config_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "floor_m": [cfg.floor_width, cfg.floor_height],
-        "n_bs": cfg.n_bs,
-        "n_ris": cfg.n_ris,
-        "n_robots": cfg.n_robots,
-        "n_slots": cfg.n_slots,
-        "robot_step_m": cfg.robot_step,
-        "n_obstacles": cfg.n_obstacles,
-        "obstacle_size_m": list(cfg.obstacle_size),
-        "bs_clearance_m": cfg.bs_clearance,
-        "wall_clearance_m": cfg.wall_clearance,
-        "psi_range": list(cfg.psi_range),
-        "k_range": list(cfg.k_range),
-        "d_reconfig_slots": cfg.d_reconfig,
-        "u_override": cfg.u_override,
-        "ris_fov_half_angle_rad": cfg.ris_fov_half_angle,
-        "bs_positions_m": None if cfg.bs_positions is None else [list(p) for p in cfg.bs_positions],
-    }
 
 
 def _real(v) -> float:
@@ -448,38 +412,59 @@ def _numbers(doc, key, shape, dtype=float) -> np.ndarray:
     return np.array(items, dtype=dtype).reshape(shape)
 
 
-def _pair(v, kind) -> tuple:
-    lo, hi = v
-    return kind(lo), kind(hi)
+def _pair(kind):
+    def read(v) -> tuple:
+        lo, hi = v
+        return kind(lo), kind(hi)
+    return read
+
+
+def _optional(read):
+    return lambda v: None if v is None else read(v)
+
+
+# The config block: each JSON key, the ScenarioConfig field it holds (the
+# floor key holds two), and the reader of its JSON value.  The writer writes
+# the field values with every tuple as a list.
+_CONFIG_KEYS = (
+    ("floor_m", ("floor_width", "floor_height"), _pair(_real)),
+    ("n_bs", "n_bs", _int),
+    ("n_ris", "n_ris", _int),
+    ("n_robots", "n_robots", _int),
+    ("n_slots", "n_slots", _int),
+    ("robot_step_m", "robot_step", _real),
+    ("n_obstacles", "n_obstacles", _int),
+    ("obstacle_size_m", "obstacle_size", _pair(_real)),
+    ("bs_clearance_m", "bs_clearance", _real),
+    ("wall_clearance_m", "wall_clearance", _real),
+    ("psi_range", "psi_range", _pair(_real)),
+    ("k_range", "k_range", _pair(_int)),
+    ("d_reconfig_slots", "d_reconfig", _int),
+    ("u_override", "u_override", _optional(_int)),
+    ("ris_fov_half_angle_rad", "ris_fov_half_angle", _real),
+    ("bs_positions_m", "bs_positions", _optional(lambda v: tuple(map(_pair(_real), v)))),
+)
+
+
+def _json_value(v):
+    return [_json_value(x) for x in v] if isinstance(v, (tuple, list)) else v
+
+
+def _config_to_dict(cfg: ScenarioConfig) -> dict:
+    return {key: _json_value(tuple(getattr(cfg, f) for f in field) if isinstance(field, tuple)
+                             else getattr(cfg, field))
+            for key, field, _ in _CONFIG_KEYS}
 
 
 def _config_from_dict(d: dict) -> ScenarioConfig:
     """Read a config block; every key is consumed once, so a key left over is unknown."""
     try:
         d = dict(d)
-        bs_positions = d.pop("bs_positions_m")
-        u_override = d.pop("u_override")
-        floor_width, floor_height = _pair(d.pop("floor_m"), _real)
-        config = ScenarioConfig(
-            floor_width=floor_width,
-            floor_height=floor_height,
-            n_bs=_int(d.pop("n_bs")),
-            n_ris=_int(d.pop("n_ris")),
-            n_robots=_int(d.pop("n_robots")),
-            n_slots=_int(d.pop("n_slots")),
-            robot_step=_real(d.pop("robot_step_m")),
-            n_obstacles=_int(d.pop("n_obstacles")),
-            obstacle_size=_pair(d.pop("obstacle_size_m"), _real),
-            bs_clearance=_real(d.pop("bs_clearance_m")),
-            wall_clearance=_real(d.pop("wall_clearance_m")),
-            psi_range=_pair(d.pop("psi_range"), _real),
-            k_range=_pair(d.pop("k_range"), _int),
-            d_reconfig=_int(d.pop("d_reconfig_slots")),
-            u_override=None if u_override is None else _int(u_override),
-            ris_fov_half_angle=_real(d.pop("ris_fov_half_angle_rad")),
-            bs_positions=None if bs_positions is None
-            else tuple(_pair(p, _real) for p in bs_positions),
-        )
+        values = {}
+        for key, field, read in _CONFIG_KEYS:
+            value = read(d.pop(key))
+            values.update(zip(field, value) if isinstance(field, tuple) else [(field, value)])
+        config = ScenarioConfig(**values)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"bad config block: {exc!r}") from exc
     if d:

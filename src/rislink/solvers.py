@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import lpio
 from .milp import MilpModel, settled_bounds
@@ -97,12 +98,18 @@ def _solve_highs(model: MilpModel, time_budget) -> SolveResult:
     # lie within its sides holds everywhere in the box; exact comparisons,
     # since keeping a row that holds is harmless
     entry_row = np.repeat(np.arange(model.n_rows), np.diff(matrix.indptr))
-    coefs = np.where(free[matrix.indices], matrix.data, 0.0)
+    on_free = free[matrix.indices]
+    coefs = np.where(on_free, matrix.data, 0.0)
     least = np.bincount(entry_row, np.minimum(coefs, 0.0), model.n_rows)
     most = np.bincount(entry_row, np.maximum(coefs, 0.0), model.n_rows)
     kept = (lower > least) | (upper < most)
-    reduced = matrix[kept][:, free]
-    size = (int(free.sum()), int(kept.sum()), reduced.nnz)
+    # the kept rows over the free columns, built once and column-major, as HiGHS takes them
+    entry = kept[entry_row] & on_free
+    n_free, n_kept = int(free.sum()), int(kept.sum())
+    reduced = sp.csc_matrix((matrix.data[entry], ((np.cumsum(kept) - 1)[entry_row[entry]],
+                                                  (np.cumsum(free) - 1)[matrix.indices[entry]])),
+                            shape=(n_kept, n_free))
+    size = (n_free, n_kept, reduced.nnz)
     if not free.any():
         # every kept row is violated at the fixed point, and nothing can move
         runtime = time.perf_counter() - start

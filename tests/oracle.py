@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from rislink import channel
 from rislink.allocation import AllocationSchedule
 
 GUARD_LIMITS = {"n_robots": 4, "n_slots": 4, "n_bs": 2, "n_ris": 2}
@@ -28,9 +29,9 @@ def brute_force_optimum(tables, scenario):
         if getattr(cfg, attr) > limit:
             raise ValueError(f"brute force guard exceeded: {attr} > {limit}")
 
-    n_r, n_n, n_i = cfg.n_robots, cfg.n_slots, cfg.n_ris
+    n_r, n_n, n_b, n_i = cfg.n_robots, cfg.n_slots, cfg.n_bs, cfg.n_ris
     lt = tables.tables
-    g2 = lt.gain_bs * lt.gain_robot
+    g2 = channel.GAIN * channel.GAIN
     psi = tables.psi_linear
     u = tables.u_effective
     d_reconfig = cfg.d_reconfig
@@ -39,19 +40,16 @@ def brute_force_optimum(tables, scenario):
     if n_r == 0:
         return 0, AllocationSchedule.all_outage(0, n_n)
 
+    # a robot's option is None (outage) or a covering link l: BS l below
+    # n_b, surface l - n_b from there on
     def slot_combos(n):
-        options = []
-        for r in range(n_r):
-            opts = [None]
-            opts += [("bs", b) for b in np.flatnonzero(tables.coverage.bs_robot[n, :, r]).tolist()]
-            opts += [("ris", i) for i in np.flatnonzero(tables.coverage.ris_robot[n, :, r]).tolist()]
-            options.append(opts)
+        options = [[None] + np.flatnonzero(tables.coverage.covered[n, r]).tolist() for r in range(n_r)]
         feasible = []
         for combo in itertools.product(*options):
             per_ris = {}
             for r, a in enumerate(combo):
-                if a is not None and a[0] == "ris":
-                    per_ris.setdefault(a[1], set()).add(r)
+                if a is not None and a >= n_b:
+                    per_ris.setdefault(a - n_b, set()).add(r)
             if any(len(s) > u for s in per_ris.values()):
                 continue
             if any(tables.conflicts[n, i][np.ix_(list(s), list(s))].any() for i, s in per_ris.items()):
@@ -60,21 +58,14 @@ def brute_force_optimum(tables, scenario):
             for r, a in enumerate(combo):
                 if a is None:
                     continue
-                if a[0] == "bs":
-                    signal = lt.p_direct[n, a[1], r]
-                    own = None
-                else:
-                    signal = lt.p_ris[n, a[1], r]
-                    own = a[1]
+                signal = lt.power[n, r, a]
+                own = a if a >= n_b else None  # a surface nulls its own beams
                 interference = 0.0
                 for rp, ap in enumerate(combo):
-                    if rp == r or ap is None:
+                    if rp == r or ap is None or ap == own:
                         continue
-                    if ap[0] == "bs":
-                        interference += lt.xi_bs[n, ap[1], rp, r]
-                    elif ap[1] != own:
-                        interference += lt.xi_ris[n, ap[1], rp, r]
-                if signal * g2 / (lt.noise + interference) < psi[r]:
+                    interference += lt.interference[n, r, rp, ap]
+                if signal * g2 / (channel.NOISE + interference) < psi[r]:
                     ok = False
                     break
             if not ok:
@@ -140,8 +131,8 @@ def brute_force_optimum(tables, scenario):
         for r, a in enumerate(combo):
             if a is None:
                 continue
-            if a[0] == "bs":
-                sched.assign_bs(r, n, a[1])
+            if a < n_b:
+                sched.assign_bs(r, n, a)
             else:
-                sched.assign_ris(r, n, a[1])
+                sched.assign_ris(r, n, a - n_b)
     return best["obj"], sched

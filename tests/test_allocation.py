@@ -155,9 +155,7 @@ class TestDeriveHistory:
         s = random_schedule(seed, n_robots, n_slots)
         h = derive_history(s, 3, d_reconfig, u)
         y, c = history_loop(s, 3, d_reconfig, u)
-        served = (s.kind == RIS)[None] & (s.index[None] == np.arange(3)[:, None, None])
         assert np.array_equal(h.y, y) and np.array_equal(h.c, c)
-        assert np.array_equal(h.w, served & ~c[:, None])
 
     def test_window_rule(self):
         s = AllocationSchedule.all_outage(1, 5)
@@ -174,7 +172,6 @@ class TestDeriveHistory:
         # slot 1 window saw robots {0, 1, 2}: three distinct > U = 2
         assert not h.c[0, 0]
         assert h.c[0, 1]
-        assert not h.w[0, 2, 1]
 
     @pytest.mark.parametrize("index", [2, -1])
     def test_surface_out_of_range_rejected(self, index):
@@ -182,14 +179,6 @@ class TestDeriveHistory:
         s.assign_ris(0, 0, index)
         with pytest.raises(ValueError, match="surface"):
             derive_history(s, n_ris=2, d_reconfig=2, u=1)
-
-    def test_w_requires_ready_surface(self):
-        s = AllocationSchedule.all_outage(1, 2)
-        s.assign_ris(0, 0, 0)
-        s.assign_ris(0, 1, 0)
-        h = derive_history(s, n_ris=1, d_reconfig=2, u=1)
-        assert h.w[0, 0, 0]
-        assert h.w[0, 0, 1]
 
 
 class TestValidate:

@@ -120,22 +120,18 @@ class TestMaxConcurrent:
 
 
 def hand_tables(n_bs=1, n_ris=0, n_robots=1, n_slots=1):
-    gain = antenna_gain(channel.THETA)
+    """Zero tables; link l is BS l below n_bs, surface l - n_bs from there on."""
     return LinkPowerTables(
-        p_direct=np.zeros((n_slots, n_bs, n_robots)),
-        p_ris=np.zeros((n_slots, n_ris, n_robots)),
-        xi_bs=np.zeros((n_slots, n_bs, n_robots, n_robots)),
-        xi_ris=np.zeros((n_slots, n_ris, n_robots, n_robots)),
-        gain_bs=gain,
-        gain_robot=gain,
-        noise=noise_power(290.0, 20e6),
+        power=np.zeros((n_slots, n_robots, n_bs + n_ris)),
+        interference=np.zeros((n_slots, n_robots, n_robots, n_bs + n_ris)),
+        n_bs=n_bs,
     )
 
 
 class TestInterferenceAndSinr:
     def test_lone_robot_reference_sinr(self):
         t = hand_tables()
-        t.p_direct[0, 0, 0] = direct_power(10.0)
+        t.power[0, 0, 0] = direct_power(10.0)
         alloc = AllocationSchedule.all_outage(1, 1)
         alloc.assign_bs(0, 0, 0)
         assert interference_sum(t, alloc, 0, 0) == 0.0
@@ -143,9 +139,9 @@ class TestInterferenceAndSinr:
 
     def test_same_surface_robots_do_not_interfere(self):
         t = hand_tables(n_bs=0, n_ris=1, n_robots=2)
-        t.p_ris[0, 0, :] = ris_power(15.0, 8.0)
-        t.xi_ris[0, 0, 0, 1] = 1e-9
-        t.xi_ris[0, 0, 1, 0] = 1e-9
+        t.power[0, :, 0] = ris_power(15.0, 8.0)
+        t.interference[0, 1, 0, 0] = 1e-9
+        t.interference[0, 0, 1, 0] = 1e-9
         alloc = AllocationSchedule.all_outage(2, 1)
         alloc.assign_ris(0, 0, 0)
         alloc.assign_ris(1, 0, 0)
@@ -157,15 +153,15 @@ class TestInterferenceAndSinr:
     def test_two_robots_sharing_a_beam(self):
         # symmetric pair served by one BS, each inside the other's beam
         t = hand_tables(n_bs=1, n_ris=0, n_robots=2)
-        g2 = t.gain_bs * t.gain_robot
+        g2 = channel.GAIN * channel.GAIN
         p = direct_power(12.0)
         for r in (0, 1):
-            t.p_direct[0, 0, r] = p
-            t.xi_bs[0, 0, 1 - r, r] = p * g2
+            t.power[0, r, 0] = p
+            t.interference[0, r, 1 - r, 0] = p * g2
         alloc = AllocationSchedule.all_outage(2, 1)
         alloc.assign_bs(0, 0, 0)
         alloc.assign_bs(1, 0, 0)
-        expected = p * g2 / (t.noise + p * g2)
+        expected = p * g2 / (channel.NOISE + p * g2)
         for r in (0, 1):
             assert interference_sum(t, alloc, r, 0) == pytest.approx(p * g2, rel=1e-12)
             assert sinr(t, alloc, r, 0) == pytest.approx(expected, rel=1e-12)
@@ -181,18 +177,18 @@ class TestInterferenceAndSinr:
     @settings(max_examples=50)
     def test_sinr_monotone_in_interference(self, extra):
         t = hand_tables(n_bs=1, n_ris=0, n_robots=2)
-        t.p_direct[0, 0, :] = direct_power(10.0)
-        t.xi_bs[0, 0, 1, 0] = 1e-9
+        t.power[0, :, 0] = direct_power(10.0)
+        t.interference[0, 0, 1, 0] = 1e-9
         alloc = AllocationSchedule.all_outage(2, 1)
         alloc.assign_bs(0, 0, 0)
         alloc.assign_bs(1, 0, 0)
         base = sinr(t, alloc, 0, 0)
-        t.xi_bs[0, 0, 1, 0] += extra
+        t.interference[0, 0, 1, 0] += extra
         assert sinr(t, alloc, 0, 0) <= base
 
     def test_distinct_surfaces_no_bs_no_interference(self):
         t = hand_tables(n_bs=0, n_ris=2, n_robots=2)
-        t.p_ris[0, :, :] = ris_power(15.0, 8.0)
+        t.power[0, :, :] = ris_power(15.0, 8.0)
         alloc = AllocationSchedule.all_outage(2, 1)
         alloc.assign_ris(0, 0, 0)
         alloc.assign_ris(1, 0, 1)
@@ -249,21 +245,20 @@ class TestSinrBatch:
         # one strong interferer, then 15 terms each below half an ulp of it:
         # added in order they vanish, summed pairwise they would not
         t = hand_tables(n_bs=1, n_ris=0, n_robots=17)
-        t.noise = 1e-40
-        t.p_direct[0, 0, 0] = 1e-12
-        t.xi_bs[0, 0, 1, 0] = 1e-9
-        t.xi_bs[0, 0, 2:, 0] = 1e-25
+        t.power[0, 0, 0] = 1e-12
+        t.interference[0, 0, 1, 0] = 1e-9
+        t.interference[0, 0, 2:, 0] = 1e-25
         alloc = AllocationSchedule.all_outage(17, 1)
         for r in range(17):
             alloc.assign_bs(r, 0, 0)
         value = sinr_batch(t, alloc.kind, alloc.index)[0, 0]
         assert value == sinr(t, alloc, 0, 0)
-        pairwise = 1e-12 * t.gain_bs * t.gain_robot / (t.noise + t.xi_bs[0, 0, :, 0].sum())
+        pairwise = 1e-12 * channel.GAIN * channel.GAIN / (channel.NOISE + t.interference[0, 0, :, 0].sum())
         assert value != pairwise
 
     def test_unallocated_is_nan(self):
         t = hand_tables(n_robots=2)
-        t.p_direct[0, 0, :] = direct_power(10.0)
+        t.power[0, :, 0] = direct_power(10.0)
         alloc = AllocationSchedule.all_outage(2, 1)
         alloc.assign_bs(1, 0, 0)
         value = sinr_batch(t, alloc.kind[:, 0], alloc.index[:, 0], 0)

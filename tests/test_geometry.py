@@ -187,8 +187,8 @@ class TestCoverage:
         cfg = ScenarioConfig(n_bs=1, n_ris=0, n_robots=1, n_slots=6, n_obstacles=0)
         s = generate(cfg, 3)
         cov = build_coverage(s)
-        assert cov.bs_robot.shape == (6, 1, 1)
-        assert cov.bs_robot.all()
+        assert cov.covered.shape == (6, 1, 1)
+        assert cov.covered.all()
 
     def test_robot_behind_mount_wall_not_covered(self):
         cfg = ScenarioConfig(n_bs=1, n_ris=1, n_robots=1, n_slots=1, n_obstacles=0,
@@ -202,7 +202,7 @@ class TestCoverage:
         mount = s.ris_mounts[0]
         assert not mount.sees(Point2D(39.9, 39.99))
         cov = build_coverage(s)
-        assert not cov.ris_robot[0, 0, 0]
+        assert not cov.covered[0, 0, 1]   # link 1: the mount
 
     @pytest.mark.parametrize("seed", range(5))
     def test_extra_obstacle_is_monotone(self, seed):
@@ -211,8 +211,8 @@ class TestCoverage:
         s_more = small_scenario(seed)
         s_more.obstacles = list(s.obstacles) + [Obstacle(12.0, 12.0, 18.0, 18.0)]
         cov_more = build_coverage(s_more)
-        assert not (cov_more.bs_robot & ~cov.bs_robot).any()
-        assert not (cov_more.ris_robot & ~cov.ris_robot).any()
+        assert not (cov_more.sight & ~cov.sight).any()
+        assert not (cov_more.covered & ~cov.covered).any()
         assert not (cov_more.bs_ris & ~cov.bs_ris).any()
 
     @pytest.mark.parametrize("seed", range(3))
@@ -232,9 +232,9 @@ class TestCoverage:
                       for q in robots] for m in s.ris_mounts]
             ris = [[cov.serving_bs[i] >= 0 and m.sees(q) and seen for q, seen in zip(robots, sight[i])]
                    for i, m in enumerate(s.ris_mounts)]
-            assert np.array_equal(cov.bs_robot[n], bs)
-            assert np.array_equal(cov.ris_sight[n], sight)
-            assert np.array_equal(cov.ris_robot[n], ris)
+            # a BS covers a robot exactly when it sees it; BS links come first
+            assert np.array_equal(cov.sight[n].T, bs + sight)
+            assert np.array_equal(cov.covered[n].T, bs + ris)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_blocked_pairs_stay_blocked(self, seed):
@@ -246,6 +246,11 @@ class TestCoverage:
                     p = Point2D(*s.trajectories[r, n].tolist())
                     if los_blocked(bpos, p, s.obstacles):
                         assert los_blocked(bpos, p, list(s.obstacles) + extra)
+
+
+def surface_coverage(s, cov):
+    """(N, I, R) coverage of every surface, the links after the BSs."""
+    return cov.covered[:, :, s.config.n_bs:].transpose(0, 2, 1)
 
 
 class TestConflicts:
@@ -282,8 +287,9 @@ class TestConflicts:
         s = small_scenario(seed)
         cov = build_coverage(s)
         conf = build_conflicts(s, cov)
-        assert not (conf & ~cov.ris_robot[..., :, None]).any()
-        assert not (conf & ~cov.ris_robot[..., None, :]).any()
+        ris = surface_coverage(s, cov)
+        assert not (conf & ~ris[..., :, None]).any()
+        assert not (conf & ~ris[..., None, :]).any()
         assert not np.tril(conf).any()  # only ra < rb
 
     @pytest.mark.parametrize("seed", range(4))
@@ -294,7 +300,8 @@ class TestConflicts:
         s.obstacles = list(s.obstacles) + [Obstacle(12.0, 12.0, 18.0, 18.0)]
         cov2 = build_coverage(s)
         conf2 = build_conflicts(s, cov2)
-        both2 = cov2.ris_robot[..., :, None] & cov2.ris_robot[..., None, :]
+        ris2 = surface_coverage(s, cov2)
+        both2 = ris2[..., :, None] & ris2[..., None, :]
         assert not (conf & both2 & ~conf2).any()
 
     @pytest.mark.parametrize("seed", range(2))
@@ -314,7 +321,8 @@ class TestConflicts:
                 for ra in range(s.config.n_robots):
                     for rb in range(ra + 1, s.config.n_robots):
                         near = angle_between(*vec[ra], *vec[rb]) <= theta + 1e-12
-                        covered = cov.ris_robot[n, i, ra] and cov.ris_robot[n, i, rb]
+                        link = s.config.n_bs + i
+                        covered = cov.covered[n, ra, link] and cov.covered[n, rb, link]
                         expected[n, i, ra, rb] = near and covered
                         near_but_hidden += near and not covered
         assert near_but_hidden > 0 and expected.any()

@@ -1,7 +1,6 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from rislink import solvers
@@ -65,12 +64,11 @@ class TestLinkDistances:
         cov = precompute(s).coverage
         dist = link_distances(s, cov)
         sources = list(s.bs_positions) + [m.position for m in s.ris_mounts]
-        covered = np.concatenate([cov.bs_robot, cov.ris_robot], axis=1)
         for n in range(10):
             for r in range(8):
                 for link, src in enumerate(sources):
                     robot = Point2D(*s.trajectories[r, n].tolist())
-                    want = src.distance_to(robot) if covered[n, link, r] else math.inf
+                    want = src.distance_to(robot) if cov.covered[n, r, link] else math.inf
                     assert dist[n, r, link] == want
 
 

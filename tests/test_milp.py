@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from rislink import solvers
+from rislink import channel, solvers
 from rislink.allocation import AllocationSchedule, derive_history, validate
 from rislink.heuristic import allocate
 from rislink.milp import MU_SAFETY, build_model, dark_run, extract_schedule, settled_bounds
@@ -213,10 +213,9 @@ class TestBigMInertness:
 
 
 def link_facts(tables):
-    """Conditioned signals (N, L, R) and interference levels (N, L, R sender, R victim), BS links first."""
+    """Conditioned signals (N, R, L) and interference levels (N, R victim, R sender, L), BS links first."""
     lt = tables.tables
-    signal = np.concatenate([lt.p_direct, lt.p_ris], axis=1) * lt.gain_bs * lt.gain_robot / lt.noise
-    return signal, np.concatenate([lt.xi_bs, lt.xi_ris], axis=1) / lt.noise
+    return lt.power * channel.GAIN * channel.GAIN / channel.NOISE, lt.interference / channel.NOISE
 
 
 def sinr_rows(model, tables):
@@ -228,11 +227,10 @@ def sinr_rows(model, tables):
     """
     signal, levels = link_facts(tables)
     link_of, robot_of = np.full(model.n_vars, -1), np.full(model.n_vars, -1)
-    for label, offset in (("Xb", 0), ("Xi", model.n_bs)):
-        cols = model.columns[label]
-        on = cols >= 0
-        l, r, _ = np.indices(cols.shape)
-        link_of[cols[on]], robot_of[cols[on]] = l[on] + offset, r[on]
+    cols = model.columns["X"]
+    on = cols >= 0
+    l, r, _ = np.indices(cols.shape)
+    link_of[cols[on]], robot_of[cols[on]] = l[on], r[on]
     rows, slot, victim = [], [], []
     for k, name in enumerate(model.row_names):
         if name.startswith("snr"):
@@ -249,8 +247,8 @@ def sinr_rows(model, tables):
     own[pos[at_own]] = sub.data[at_own]
     assert at_own.sum() == len(rows)
     pos, col = pos[~at_own], sub.indices[~at_own]
-    level = levels[slot[pos], link_of[col], robot_of[col], vr[pos]]
-    return signal[slot, link_of[victim], vr], tables.psi_linear[vr], own, pos, level
+    level = levels[slot[pos], vr[pos], robot_of[col], link_of[col]]
+    return signal[slot, vr, link_of[victim]], tables.psi_linear[vr], own, pos, level
 
 
 def killing_pairs(model, tables):
@@ -258,14 +256,14 @@ def killing_pairs(model, tables):
 
     An interferer that is not emitted is never on, and so pairs with nothing."""
     signal, levels = link_facts(tables)
-    covered = np.concatenate([tables.coverage.bs_robot, tables.coverage.ris_robot], axis=1)
-    cols = np.concatenate([model.columns["Xb"], model.columns["Xi"]], axis=0)   # (L, R, N)
+    covered = tables.coverage.covered
+    cols = model.columns["X"]                                                 # (L, R, N)
     n_b = model.n_bs
     pairs = set()
-    for n, l, r in zip(*np.nonzero(covered & (signal >= tables.psi_linear))):
-        for lp, rp in zip(*np.nonzero(covered[n])):
+    for n, r, l in zip(*np.nonzero(covered & (signal >= tables.psi_linear[:, None]))):
+        for rp, lp in zip(*np.nonzero(covered[n])):
             same_surface = lp == l and l >= n_b
-            if rp != r and not same_surface and levels[n, lp, rp, r] > signal[n, l, r] / tables.psi_linear[r] - 1.0:
+            if rp != r and not same_surface and levels[n, r, rp, lp] > signal[n, r, l] / tables.psi_linear[r] - 1.0:
                 assert cols[l, r, n] >= 0
                 if cols[lp, rp, n] >= 0:
                     pairs.add(frozenset((int(cols[l, r, n]), int(cols[lp, rp, n]))))
@@ -282,11 +280,10 @@ def conflict_pairs(model, tables):
 def allocation_cells(model):
     """Slot and robot of every column, -1 for the columns that are not allocation bits."""
     slot, robot = np.full(model.n_vars, -1), np.full(model.n_vars, -1)
-    for label in ("Xb", "Xi"):
-        cols = model.columns[label]
-        on = cols >= 0
-        _, r, n = np.indices(cols.shape)
-        slot[cols[on]], robot[cols[on]] = n[on], r[on]
+    cols = model.columns["X"]
+    on = cols >= 0
+    _, r, n = np.indices(cols.shape)
+    slot[cols[on]], robot[cols[on]] = n[on], r[on]
     return slot, robot
 
 

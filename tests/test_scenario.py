@@ -50,7 +50,7 @@ class TestGenerate:
         s = generate(replace(CFG, n_robots=0), 5)
         assert s.trajectories.shape == (0, 25, 2)
         tables = precompute(s)
-        assert tables.tables.p_direct.shape == (25, 2, 0)
+        assert tables.tables.power.shape == (25, 0, CFG.n_bs + CFG.n_ris)
 
     def test_positions_strictly_inside_floor(self):
         for seed in range(10):
@@ -143,23 +143,20 @@ class TestPrecompute:
         cfg = ScenarioConfig(n_bs=1, n_ris=0, n_robots=1, n_slots=8, n_obstacles=0)
         s = generate(cfg, 2)
         t = precompute(s)
-        assert t.coverage.bs_robot.shape == (8, 1, 1)
-        assert t.coverage.bs_robot.all()
+        assert t.coverage.covered.shape == (8, 1, 1)
+        assert t.coverage.covered.all()
         assert t.conflicts.shape == (8, 0, 1, 1)
-        assert (t.tables.p_direct > 0).all()
-        assert not t.tables.xi_bs.any()
-        assert not t.tables.xi_ris.any()
+        assert (t.tables.power > 0).all()
+        assert not t.tables.interference.any()
 
     def test_recompute_is_bit_exact(self):
         s = generate(CFG, 9)
         t1 = precompute(s)
         t2 = precompute(deserialize(serialize(s)))
-        assert np.array_equal(t1.tables.p_direct, t2.tables.p_direct)
-        assert np.array_equal(t1.tables.p_ris, t2.tables.p_ris)
-        assert np.array_equal(t1.tables.xi_bs, t2.tables.xi_bs)
-        assert np.array_equal(t1.tables.xi_ris, t2.tables.xi_ris)
-        assert np.array_equal(t1.coverage.bs_robot, t2.coverage.bs_robot)
-        assert np.array_equal(t1.coverage.ris_robot, t2.coverage.ris_robot)
+        assert np.array_equal(t1.tables.power, t2.tables.power)
+        assert np.array_equal(t1.tables.interference, t2.tables.interference)
+        assert np.array_equal(t1.coverage.covered, t2.coverage.covered)
+        assert np.array_equal(t1.coverage.sight, t2.coverage.sight)
         assert np.array_equal(t1.conflicts, t2.conflicts)
 
     def test_u_derived_from_elements(self):
@@ -174,7 +171,7 @@ class TestPrecompute:
         assert bare.config.n_ris == 0
         assert bare.ris_mounts == []
         t = precompute(bare)
-        assert t.tables.p_ris.shape == (25, 0, 5)
+        assert t.tables.power.shape == (25, 5, CFG.n_bs)
 
 
 class TestSerialization:
@@ -332,4 +329,4 @@ class TestSerialization:
         assert s.config.n_robots == 1
         assert s.config.n_slots == 2
         t = precompute(s)
-        assert t.coverage.bs_robot[0, 0, 0]
+        assert t.coverage.covered[0, 0, 0]

@@ -168,12 +168,11 @@ def test_invalid_schedule_reports_pinned():
 
 def link_axis_tables(t) -> dict:
     """precompute's arrays, each on its (slot, robot, link) axis with the BS links first."""
-    cov, lt = t.coverage, t.tables
     return {
-        "covered": np.concatenate([cov.bs_robot, cov.ris_robot], axis=1).transpose(0, 2, 1),
-        "sight": np.concatenate([cov.bs_robot, cov.ris_sight], axis=1).transpose(0, 2, 1),
-        "power": np.concatenate([lt.p_direct, lt.p_ris], axis=1).transpose(0, 2, 1),
-        "interference": np.concatenate([lt.xi_bs, lt.xi_ris], axis=1).transpose(0, 3, 2, 1),
+        "covered": t.coverage.covered,
+        "sight": t.coverage.sight,
+        "power": t.tables.power,
+        "interference": t.tables.interference,
         "live": t.live,
         "conflicts": t.conflicts,
     }
