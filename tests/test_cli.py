@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -123,6 +124,40 @@ class TestGenerateSolveValidate:
         rc = run_cli("solve", str(bad))
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+# generate flags of small scenarios whose schedules name BS links, relayed
+# links and outages
+PINNED_SCENARIOS = {
+    "r4-seed1": ["--seed", "1", "--robots", "4", "--slots", "6", "--ris", "3", "--obstacles", "6",
+                 "--k-window", "2", "3", "--capacity", "2"],
+    "r4-seed7": ["--seed", "7", "--robots", "4", "--slots", "6", "--ris", "3", "--obstacles", "6",
+                 "--k-window", "2", "3", "--capacity", "2"],
+    "r5-seed6": ["--seed", "6", "--robots", "5", "--slots", "6", "--ris", "4", "--obstacles", "10",
+                 "--k-window", "3", "4", "--capacity", "2"],
+}
+# scenario -> sha256 prefix of the stdout of `solve` and of `heuristic --seed 1`
+SCHEDULE_JSON_PINS = {
+    "r4-seed1": ("daaeb8faa1bd0c2d", "e0f1afa72caccc91"),
+    "r4-seed7": ("7bf38ca5451d349c", "f47db94d48db6dd6"),
+    "r5-seed6": ("a40c494e4005d5ba", "d11cf88274241c72"),
+}
+
+
+def test_schedule_json_pinned(tmp_path, capsys):
+    got, kinds = {}, set()
+    for name, flags in PINNED_SCENARIOS.items():
+        path = tmp_path / f"{name}.json"
+        assert run_cli("generate", *flags, "--output", str(path)) == 0
+        outputs = []
+        for args in (["solve", str(path)], ["heuristic", str(path), "--seed", "1"]):
+            assert run_cli(*args) == 0
+            out = capsys.readouterr().out
+            kinds |= {kind for row in json.loads(out)["assignments"] for kind, _ in row}
+            outputs.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+        got[name] = tuple(outputs)
+    assert kinds == {"bs", "ris", None}
+    assert got == SCHEDULE_JSON_PINS
 
 
 class TestExportModel:

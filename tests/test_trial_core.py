@@ -3,7 +3,9 @@
 The pins were taken from the per-robot, per-slot loop implementation that
 the array code replaced; the array code must reproduce them exactly.  The
 precompute table pins were taken from the per-kind BS and surface tables,
-joined on the link axis.  The two floors are written out here rather than imported, so that recalibrating
+joined on the link axis.  The invalid-schedule report pins were taken
+from the (kind, index) schedules, with each random schedule drawn as links
+and converted.  The two floors are written out here rather than imported, so that recalibrating
 ``EXPERIMENT_CONFIG`` or the benchmark's config cannot silently re-pin them.
 """
 
@@ -121,26 +123,29 @@ FAMILIES = {"coverage", "capacity(12)", "conflict(11)", "sinr_bs(13)", "sinr_ris
 
 
 def random_schedule(rng, cfg) -> AllocationSchedule:
-    """Mostly relayed links crowding a few surfaces, one in twenty naming a
-    BS or surface that does not exist."""
-    shape = (cfg.n_robots, cfg.n_slots)
-    kind = rng.choice([allocation.OUTAGE, allocation.BS, allocation.RIS], size=shape, p=[0.2, 0.3, 0.5])
-    index = np.where(kind == allocation.BS, rng.integers(0, cfg.n_bs, size=shape),
-                     rng.integers(0, cfg.n_ris, size=shape))
+    """Mostly relayed links crowding a few surfaces, one in twenty naming
+    the link L or L+1, which does not exist."""
+    shape, n_l = (cfg.n_robots, cfg.n_slots), cfg.n_bs + cfg.n_ris
+    kind = rng.choice(3, size=shape, p=[0.2, 0.3, 0.5])  # outage, BS, surface
+    link = np.where(kind == 1, rng.integers(0, cfg.n_bs, size=shape),
+                    cfg.n_bs + rng.integers(0, cfg.n_ris, size=shape))
     stray = rng.random(shape) < 0.05
-    index = np.where(stray, rng.choice([-1, cfg.n_bs, cfg.n_ris, cfg.n_ris + 1], size=shape), index)
-    index = np.where(kind == allocation.OUTAGE, -1, index)
+    link = np.where(kind == 0, -1, np.where(stray, rng.choice([n_l, n_l + 1], size=shape), link))
+    # the (kind, index) pair of each link; a stray link is a surface index at or above I
+    relayed = link >= cfg.n_bs
+    kind = np.where(link < 0, allocation.OUTAGE, np.where(relayed, allocation.RIS, allocation.BS))
+    index = np.where(link < 0, -1, link - cfg.n_bs * relayed)
     return AllocationSchedule(kind.astype(np.int8), index.astype(np.int16))
 
 
 # (floor, scenario seed) -> report digests of four random schedules
 INVALID_PINS = {
-    "calibrated/0": ["4dca4b25597ccbc4", "be17ac55334e3778", "9c2c8b3a635a2019", "35c947db27609dfc"],
-    "calibrated/1": ["a519499a8d10cdff", "4aca87cbdf26e6a9", "2859c67d2d1d86f1", "c721467b86247bf6"],
-    "calibrated/2": ["6792e868bd2b76cd", "76b2d7a7e0d27746", "f9e4e8a04bfb32d0", "3e4948df0b6df77d"],
-    "default/0": ["54732573d5f469c5", "8b3603f6cc1a8807", "3d7b90f41d629c51", "1c0137f3d3d9cbbe"],
-    "default/1": ["7092918fda3a2392", "ab64c01dbb914323", "52c8a75dd21ae2c4", "054e2382cf25ad27"],
-    "default/2": ["0f07d854920bbfef", "4d97f44371cc9a4e", "1698bc5e2c9f9ce6", "4a25291931fcfcd5"],
+    "calibrated/0": ["4dca4b25597ccbc4", "142181ae130c2075", "90924922e286f440", "c4c7289d2ab87875"],
+    "calibrated/1": ["bcf7c4a172aee1bf", "3943702e11225848", "7b6326836cd1204d", "5dd81dd420c80ab7"],
+    "calibrated/2": ["f02768002185cba0", "6cdac677c2048e60", "461d3ca0f474a57f", "fe71e57d71bb9feb"],
+    "default/0": ["54732573d5f469c5", "e4ba52500266276a", "c09ea0a25393a6c2", "199e04157a2871d6"],
+    "default/1": ["08f10cd89ba2162c", "cd6654865f144d98", "700200e9216d489b", "d7267edf4fc5a45b"],
+    "default/2": ["cb19e6d3023e059e", "c515e3cd84bd9ed9", "c6083f56696a44ad", "458894b130a19061"],
 }
 
 
