@@ -5,11 +5,13 @@ transmit side and the receive side use the same conical-beam gain, and a
 robot relayed through a reflecting surface receives the product channel
 (BS -> surface) * E * (surface -> robot).
 
-The link tables index every link of a robot on one axis of L = B + I links,
-the base stations first: BS b is link b and surface i is link B + i.
-``sinr`` evaluates one robot's link; ``sinr_batch`` evaluates every robot of
-one slot, or of all slots, from a schedule's ``kind``/``index`` arrays.  Both
-add up the interferers in robot order, so they agree to the last bit.
+The link tables and schedules index every link of a robot on one axis of
+L = B + I links, the base stations first: BS b is link b, surface i is link
+B + i, and -1 is an outage.  ``sinr`` evaluates one robot's link;
+``sinr_batch`` evaluates every robot of one slot, or of all slots, from a
+schedule's link array.  Both add up the interferers in robot order, so they
+agree to the last bit.  ``kind_index_of`` names a link's BS or surface for
+text only.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ BANDWIDTH = 20e6               # Hz
 # Near-field guard: path model diverges at d -> 0, clamp below this range.
 MIN_DISTANCE = 0.1
 
-# Link kinds of a schedule's ``kind`` array.
+# Link kinds that ``kind_index_of`` names.
 OUTAGE, BS, RIS = 0, 1, 2
 
 __all__ = [
     "LinkPowerTables",
-    "link_of",
     "kind_index_of",
     "antenna_gain",
     "path_gain",
@@ -131,77 +132,74 @@ class LinkPowerTables:
         return self.power.shape[1]
 
 
-def link_of(kind, index, n_bs: int):
-    """Link of BS ``index`` (kind BS) or of surface ``index`` (kind RIS)."""
-    return index + n_bs * (kind == RIS)
-
-
 def kind_index_of(link, n_bs: int) -> tuple:
-    """(kind, index) of a link: BS ``link`` below ``n_bs``, surface ``link - n_bs`` from there on."""
+    """(kind, index) of a link: (BS, link) below ``n_bs``, (RIS, link - n_bs)
+    from there on, and (OUTAGE, -1) for the outage -1."""
+    link = np.asarray(link)
     ris = link >= n_bs
-    return np.where(ris, RIS, BS), link - n_bs * ris
+    return np.where(ris, RIS, np.where(link == -1, OUTAGE, BS)), link - n_bs * ris
 
 
-def interference_sum(tables: LinkPowerTables, alloc, r: int, n: int, own_ris: int | None = None) -> float:
+def interference_sum(tables: LinkPowerTables, alloc, r: int, n: int, own_link: int | None = None) -> float:
     """Total interference power received by robot r in slot n under ``alloc``.
 
-    Sums the beam of every other allocated robot; transmissions through
-    ``own_ris`` are skipped because nulling removes same-surface interference.
+    Sums the beam of every other allocated robot; transmissions on
+    ``own_link``, when it is a surface (at or above B), are skipped because
+    nulling removes same-surface interference.
     """
     total = 0.0
     for rp in range(tables.n_robots):
-        kind, idx = alloc.assignment(rp, n)
-        if rp != r and kind is not None and not (kind == "ris" and idx == own_ris):
-            total += float(tables.interference[n, r, rp, link_of(alloc.kind[rp, n], idx, tables.n_bs)])
+        link = int(alloc.link[rp, n])
+        if rp != r and link != -1 and not (link == own_link and link >= tables.n_bs):
+            total += float(tables.interference[n, r, rp, link])
     return total
 
 
 def sinr(tables: LinkPowerTables, alloc, r: int, n: int) -> float:
     """Signal-to-interference-plus-noise ratio of robot r's link in slot n."""
-    kind, idx = alloc.assignment(r, n)
-    if kind is None:
+    link = int(alloc.link[r, n])
+    if link == -1:
         raise ValueError(f"robot {r} is unallocated in slot {n}; SINR undefined")
-    signal = float(tables.power[n, r, link_of(alloc.kind[r, n], idx, tables.n_bs)])
-    interference = interference_sum(tables, alloc, r, n, own_ris=idx if kind == "ris" else None)
-    return signal * GAIN * GAIN / (NOISE + interference)
+    signal = float(tables.power[n, r, link])
+    return signal * GAIN * GAIN / (NOISE + interference_sum(tables, alloc, r, n, own_link=link))
 
 
-def sinr_batch(tables: LinkPowerTables, kind: np.ndarray, index: np.ndarray, n: int | None = None) -> np.ndarray:
-    """SINR of every robot's link, NaN where a robot is unallocated.
+def sinr_batch(tables: LinkPowerTables, link: np.ndarray, n: int | None = None) -> np.ndarray:
+    """SINR of every robot's link, NaN where a robot is unallocated (-1).
 
-    With ``n`` given, ``kind`` and ``index`` are slot n's (R,) column of a
-    schedule and the result is (R,); without it they are the whole (R, N)
-    schedule and the result is (R, N).  Every served link must name an
-    existing BS or surface.  Interference is accumulated over the
-    transmitting robots in robot order (``np.cumsum``, not the pairwise
-    ``ndarray.sum``), so each value equals ``sinr`` bit for bit.
+    With ``n`` given, ``link`` is slot n's (R,) column of a schedule and the
+    result is (R,); without it ``link`` is the whole (R, N) schedule and the
+    result is (R, N).  Every other link must lie in [0, L).  Interference
+    is accumulated over the transmitting robots in robot order
+    (``np.cumsum``, not the pairwise ``ndarray.sum``), so each value equals
+    ``sinr`` bit for bit.
     """
-    kind, index = np.asarray(kind), np.asarray(index)
+    link = np.asarray(link)
     if n is not None:
-        return _slot_sinr(tables, kind[None], index[None], np.array([n]))[0]
-    return _slot_sinr(tables, kind.T, index.T, np.arange(kind.shape[1])).T
+        return _slot_sinr(tables, link[None], np.array([n]))[0]
+    return _slot_sinr(tables, link.T, np.arange(link.shape[1])).T
 
 
-def _slot_sinr(tables: LinkPowerTables, kind: np.ndarray, index: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """``sinr_batch`` on slot-major (S, R) link arrays of the given slots."""
-    bs, ris = kind == BS, kind == RIS
-    served = bs | ris
-    if (served & ((index < 0) | (index >= np.where(bs, tables.n_bs, tables.n_ris)))).any():
+def _slot_sinr(tables: LinkPowerTables, link: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``sinr_batch`` on a slot-major (S, R) link array of the given slots."""
+    served = link != -1
+    if (served & ((link < 0) | (link >= tables.power.shape[2]))).any():
         raise ValueError("a served link names a BS or surface that does not exist")
-    link = np.where(served, link_of(kind, index, tables.n_bs), 0)
-    n_r = kind.shape[1]
+    link = np.where(served, link, 0)
+    n_r = link.shape[1]
     robots = np.arange(n_r)
     at = slots[:, None]
-    signal = np.zeros(kind.shape)
-    level = np.zeros(kind.shape + (n_r,))  # level[s, rp, r]: power r hears from rp's beam
+    signal = np.zeros(link.shape)
+    level = np.zeros(link.shape + (n_r,))  # level[s, rp, r]: power r hears from rp's beam
     if served.any():
         signal = np.where(served, tables.power[at, robots, link], 0.0)
         # the slice between the index arrays puts the victim axis last
         level = np.where(served[:, :, None], tables.interference[at, :, robots, link], 0.0)
     # nulling: a surface's own beams never interfere with each other
-    level[ris[:, :, None] & ris[:, None, :] & (index[:, :, None] == index[:, None, :])] = 0.0
+    ris = served & (link >= tables.n_bs)
+    level[ris[:, :, None] & (link[:, :, None] == link[:, None, :])] = 0.0
     level[:, robots, robots] = 0.0
     # transmitters added one at a time in robot order, as interference_sum does
-    interference = np.cumsum(level, axis=1)[:, -1] if n_r else np.zeros(kind.shape)
+    interference = np.cumsum(level, axis=1)[:, -1] if n_r else np.zeros(link.shape)
     value = signal * GAIN * GAIN / (NOISE + interference)
     return np.where(served, value, np.nan)

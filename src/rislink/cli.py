@@ -8,7 +8,7 @@ import math
 import sys
 from dataclasses import replace
 
-from . import allocation, harness, heuristic, lpio, milp, scenario as scen, solvers
+from . import allocation, channel, harness, heuristic, lpio, milp, scenario as scen, solvers
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -86,13 +86,20 @@ def _load_scenario(path: str) -> scen.Scenario:
         return scen.deserialize(fh.read())
 
 
-def _schedule_json(schedule, objective) -> str:
+# how the schedule JSON names each link kind
+_KIND_NAMES = {channel.OUTAGE: None, channel.BS: "bs", channel.RIS: "ris"}
+
+
+def _schedule_json(schedule, n_bs, objective) -> str:
+    """The objective, the outage percentage, and per robot and slot ["bs", b],
+    ["ris", i] or [null, null]."""
+    kind, index = channel.kind_index_of(schedule.link, n_bs)
     doc = {
         "objective": objective,
         "outage_pct": allocation.outage_percentage(schedule) if schedule.n_robots else 0.0,
         "assignments": [
-            [list(schedule.assignment(r, n)) for n in range(schedule.n_slots)]
-            for r in range(schedule.n_robots)
+            [[_KIND_NAMES[k], None if k == channel.OUTAGE else i] for k, i in zip(kinds, indices)]
+            for kinds, indices in zip(kind.tolist(), index.tolist())
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -125,7 +132,7 @@ def cmd_solve(args) -> int:
         return EXIT_TIMEOUT
     schedule = milp.extract_schedule(model, result.values)
     report = allocation.validate(scenario, tables, schedule)
-    _write_output(_schedule_json(schedule, result.objective), args.output)
+    _write_output(_schedule_json(schedule, scenario.config.n_bs, result.objective), args.output)
     sys.stderr.write(report.render())
     return EXIT_OK if report.ok else EXIT_ERROR
 
@@ -135,7 +142,7 @@ def cmd_heuristic(args) -> int:
     tables = scen.precompute(scenario)
     outcome = heuristic.allocate(tables, scenario, seed=args.seed)
     objective = float(outcome.schedule.outage_count())
-    _write_output(_schedule_json(outcome.schedule, objective), args.output)
+    _write_output(_schedule_json(outcome.schedule, scenario.config.n_bs, objective), args.output)
     if outcome.feasible:
         sys.stderr.write("feasible: no service failure\n")
     else:

@@ -9,7 +9,8 @@ planned for at all; a service failure is only detected afterwards, which is
 exactly why this baseline is fragile.
 
 The proposals of every slot come from one (N, R, L) distance array, and each
-slot then runs on (R,) link arrays.  ``random.Random(seed)`` is drawn from
+slot then runs on an (R,) array of links on ``channel``'s axis, -1 where a
+robot is dropped to outage.  ``random.Random(seed)`` is drawn from
 in a fixed order: per slot, once per conflicted pair whose robots both still
 propose the surface, visiting pairs by (surface, ra, rb), then once per
 overfull surface, by surface, sampling from its robots in index order.  The
@@ -26,7 +27,6 @@ import numpy as np
 
 from . import channel, geometry
 from .allocation import AllocationSchedule, has_service_failure
-from .channel import OUTAGE, RIS
 
 __all__ = ["HeuristicOutcome", "allocate", "link_distances"]
 
@@ -59,17 +59,14 @@ def allocate(tables, scenario, seed: int = 0) -> HeuristicOutcome:
     n_r, n_n, n_b, n_i = cfg.n_robots, cfg.n_slots, cfg.n_bs, cfg.n_ris
     u = tables.u_effective
     psi = tables.psi_linear
-    surfaces = np.arange(n_i)[:, None]
 
     # nearest covered link of every robot in every slot; argmin keeps the
     # first minimum, so ties go to the BS, then to the lowest index
     dist = link_distances(scenario, tables.coverage)
-    link = dist.argmin(axis=2) if n_b + n_i else np.zeros((n_n, n_r), dtype=int)
-    link_kind, link_index = channel.kind_index_of(link, n_b)
-    want_kind = np.where(np.isfinite(dist).any(axis=2), link_kind, OUTAGE).astype(np.int8)
-    want_index = link_index.astype(np.int16)
+    nearest = dist.argmin(axis=2) if n_b + n_i else np.zeros((n_n, n_r), dtype=int)
+    want = np.where(np.isfinite(dist).any(axis=2), nearest, -1).astype(np.int16)
     # conflicted pairs whose robots both propose the surface, by (n, i, ra, rb)
-    wants = (want_kind == RIS)[:, None, :] & (want_index[:, None, :] == surfaces)  # (N, I, R)
+    wants = want[:, None, :] == n_b + np.arange(n_i)[:, None]                  # (N, I, R)
     clashes = np.argwhere(tables.conflicts & wants[:, :, :, None] & wants[:, :, None, :]).tolist()
     clash_at = 0
 
@@ -77,32 +74,31 @@ def allocate(tables, scenario, seed: int = 0) -> HeuristicOutcome:
     used = np.zeros((n_n, n_i, n_r), dtype=bool)  # robots each surface served, per slot
 
     for n in range(n_n):
-        kind, index = want_kind[n].copy(), want_index[n]
+        link = want[n].copy()
 
         # conflicts: keep one robot per clashing pair, uniformly at random
         while clash_at < len(clashes) and clashes[clash_at][0] == n:
             _, i, ra, rb = clashes[clash_at]
             clash_at += 1
-            if kind[ra] == RIS and kind[rb] == RIS:
-                kind[rng.choice([ra, rb])] = OUTAGE
+            if link[ra] != -1 and link[rb] != -1:
+                link[rng.choice([ra, rb])] = -1
 
         # capacity: keep at most U robots per surface
-        on = wants[n] & (kind == RIS)                                  # (I, R)
+        on = wants[n] & (link != -1)                                   # (I, R)
         for i in np.flatnonzero(on.sum(axis=1) > u).tolist():
             takers = np.flatnonzero(on[i]).tolist()
             dropped = list(set(takers) - set(rng.sample(takers, u)))
-            kind[dropped], on[i, dropped] = OUTAGE, False
+            link[dropped], on[i, dropped] = -1, False
 
         # readiness: a surface whose D-window would exceed U distinct robots
         # is reconfiguring and serves nobody this slot
         recent = used[max(n - cfg.d_reconfig + 1, 0):n].any(axis=0)
-        kind[on[(on | recent).sum(axis=1) > u].any(axis=0)] = OUTAGE
+        link[on[(on | recent).sum(axis=1) > u].any(axis=0)] = -1
 
         # one simultaneous SINR pass drops every violator at once
-        kind[channel.sinr_batch(tables.tables, kind, index, n) < psi] = OUTAGE
-        schedule.kind[:, n] = kind
-        schedule.index[:, n] = np.where(kind == OUTAGE, -1, index)
-        used[n] = wants[n] & (kind == RIS)
+        link[channel.sinr_batch(tables.tables, link, n) < psi] = -1
+        schedule.link[:, n] = link
+        used[n] = wants[n] & (link != -1)
 
     failed, where = has_service_failure(schedule, scenario.k_out)
     return HeuristicOutcome(schedule=schedule, feasible=not failed, failure_at=where)

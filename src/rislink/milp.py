@@ -1,15 +1,16 @@
 """Integer program for outage-minimal BS/surface allocation.
 
 ``build_model`` turns precomputed tables into a pure binary program whose
-objective counts outage slots.  Its columns are the allocation bits Xb
-(base station) and Xi (surface), the usage-history bits Y, and the outage
-bits O.  The SINR requirement of a served link is affine once the ratio is
-multiplied through by its denominator, and every row is divided by the
-noise power and then by the link's signal coefficient so coefficients stay
-in a sane range.  The model emits only live columns: an allocation bit only
+objective counts outage slots.  Its columns are the allocation bits X, one
+per link on ``channel``'s link axis, robot and slot (named ``Xb_b_r_n`` for
+BS b and ``Xi_i_r_n`` for surface i), the usage-history bits Y, and the
+outage bits O.  The SINR requirement of a served link is affine once the
+ratio is multiplied through by its denominator, and every row is divided by
+the noise power and then by the link's signal coefficient so coefficients
+stay in a sane range.  The model emits only live columns: an allocation bit only
 for a live link (``DerivedTables.live``: covered, and its signal alone meets
 the robot's threshold), every outage bit, and a usage bit only where some
-live Xi of its surface and robot lies in its usage window.  Each robot and
+live surface link of its robot lies in its usage window.  Each robot and
 slot with two or more live links has the row ``O + sum X = 1``, one with a
 single live link ``O + X >= 1``, and one with none no row and its O fixed
 at 1.  The SINR row of an unused link is switched off by a big-M
@@ -30,7 +31,7 @@ proves the program infeasible without building it.
 Surface readiness is a cap rather than a flag: the distinct robots of every
 usage window stay at U or fewer, which no valid schedule breaks (see
 ``build_model``), so the paper's busy flag is zero and its served-through-a-
-ready-surface flag equals Xi at every integer point.
+ready-surface flag equals the surface link's X at every integer point.
 
 Each constraint family is emitted as numpy COO triplets on the dense index
 of every family (``_family_columns``), over all slots at once or slot by
@@ -43,7 +44,6 @@ something reads them.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -52,7 +52,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import channel
-from .allocation import RIS, AllocationSchedule, run_ends
+from .allocation import AllocationSchedule, run_ends
 
 MU_SAFETY = 1.01
 
@@ -60,26 +60,22 @@ __all__ = ["MilpModel", "build_model", "settled_bounds", "extract_schedule", "da
 
 
 def _family_shapes(n_bs, n_ris, n_robots, n_slots) -> dict:
-    """Index shape of each variable family, in column order."""
+    """Index shape of each variable family, in column order; X is (L, R, N)
+    with the BS links first."""
     return {
-        "Xb": (n_bs, n_robots, n_slots),
-        "Xi": (n_ris, n_robots, n_slots),
+        "X": (n_bs + n_ris, n_robots, n_slots),
         "Y": (n_ris, n_robots, n_slots),
         "O": (n_robots, n_slots),
     }
 
 
 def _family_columns(*dims) -> dict:
-    """Column indices of each variable family, shaped like its index space,
-    and under "X" those of Xb then Xi, which are adjacent, as one (L, R, N)
-    family of links."""
+    """Column indices of each variable family, shaped like its index space."""
     out, base = {}, 0
     for label, shape in _family_shapes(*dims).items():
         size = math.prod(shape)
         out[label] = base + np.arange(size).reshape(shape)
         base += size
-    shape = (dims[0] + dims[1],) + dims[2:]
-    out["X"] = np.arange(math.prod(shape)).reshape(shape)
     return out
 
 
@@ -89,10 +85,13 @@ def _dense_size(*dims) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _variable_names(*dims) -> np.ndarray:
-    """Names ``label_i_j...`` of every dense column, in column order."""
-    return np.array([label + "_" + "_".join(map(str, idx))
-                     for label, shape in _family_shapes(*dims).items()
-                     for idx in itertools.product(*map(range, shape))], dtype=object)
+    """Names ``label_i_j...`` of every dense column, in column order; a link's
+    label is Xb for a BS and Xi for a surface."""
+    parts = []
+    for label, shape in _family_shapes(*dims).items():
+        index = np.indices(shape).reshape(len(shape), -1)
+        parts.append(_link_names(dims[0], "Xb", "Xi", *index) if label == "X" else _names(label, *index))
+    return np.concatenate(parts)
 
 
 @dataclass
@@ -128,9 +127,9 @@ class MilpModel:
 
     @functools.cached_property
     def columns(self) -> dict:
-        """Column of each variable family ("Xb", "Xi", "Y", "O"), shaped like
-        its index space, and of every link ("X", (L, R, N), BS links first);
-        -1 where the bit is not emitted."""
+        """Column of each variable family ("X" (L, R, N) with the BS links
+        first, "Y", "O"), shaped like its index space; -1 where the bit is
+        not emitted."""
         dims = (self.n_bs, self.n_ris, self.n_robots, self.n_slots)
         emitted = np.full(_dense_size(*dims), -1)
         emitted[self.dense] = np.arange(len(self.dense))
@@ -219,12 +218,16 @@ def _names(head: str, *indices) -> np.ndarray:
     return head
 
 
+def _link_names(n_bs, bs_head, ris_head, link, *indices) -> np.ndarray:
+    """``bs_head_b_...`` for a BS link b and ``ris_head_i_...`` for a surface link i."""
+    kind, index = channel.kind_index_of(link, n_bs)
+    return _names(np.where(kind == channel.RIS, ris_head, bs_head).astype(object), index, *indices)
+
+
 def _sinr_names(dims, links) -> np.ndarray:
     """Names ``snrB_b_r_n`` and ``snrI_i_r_n`` of a slot's SINR rows, whose
     own allocation bits are the dense columns ``links``."""
-    link, r, n = np.unravel_index(links, (dims[0] + dims[1],) + dims[2:])
-    kind, index = channel.kind_index_of(link, dims[0])
-    return _names(np.where(kind == RIS, "snrI", "snrB").astype(object), index, r, n)
+    return _link_names(dims[0], "snrB", "snrI", *np.unravel_index(links, _family_shapes(*dims)["X"]))
 
 
 def build_model(tables, scenario) -> MilpModel:
@@ -271,21 +274,22 @@ def build_model(tables, scenario) -> MilpModel:
     most U distinct robots in the window of its last serving slot, which
     covers the rest of window n.  So the paper's
     busy flag never rises and a robot is in outage or served by exactly
-    one link, ``O + sum Xb + sum Xi = 1``.  That row joins the robot's
+    one link, ``O + sum X = 1``.  That row joins the robot's
     single-assignment row and its served row ``O + sum X >= 1``; since the
     objective and the ``<=`` outage windows only ever push O down, no
     optimum and no LP bound moves.  Over a single live link the row is
     ``O + X >= 1``: its ``<= 1`` half is the box.  A robot with no live link
     has no row and its O is fixed at 1.  The window of slot n ends at n, so
-    ``Xi <= Y`` and the ready cap give ``sum_r Xi <= U`` in every slot, and
-    no capacity row is emitted.
+    ``X <= Y`` and the ready cap give ``sum_r X <= U`` over each surface's
+    links in every slot, and no capacity row is emitted.
     """
     cfg = scenario.config
     n_b, n_i, n_r, n_n = cfg.n_bs, cfg.n_ris, cfg.n_robots, cfg.n_slots
     n_l = n_b + n_i
     dims = (n_b, n_i, n_r, n_n)
     col = _family_columns(*dims)
-    xi, y, o = (col[label] for label in ("Xi", "Y", "O"))
+    y, o = col["Y"], col["O"]
+    xi = col["X"][n_b:]                                                      # surface links (I, R, N)
 
     lt = tables.tables
     psi = tables.psi_linear
@@ -433,8 +437,8 @@ def settled_bounds(model: MilpModel) -> tuple:
     is then the ``serve_<r>_<n>`` row of its robot-slot.  For each robot-slot
     with one, the first in link order (every BS, then every surface) is
     fixed at 1, and the robot-slot's O and its other links at 0.  On the
-    benchmark floor only Xb links qualify, since a live Xi always holds a
-    ``used_*`` row.
+    benchmark floor only BS links qualify, since a live surface link always
+    holds a ``used_*`` row.
 
     The restriction keeps an optimum, and keeps infeasibility.  Every row
     other than the serve row is monotone in the bits this fixes at 0:
@@ -478,11 +482,8 @@ def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule
         raise RuntimeError(
             f"inconsistent solution: robot {r} slot {n} marked {'in outage' if outage[r, n] else 'served'} "
             f"with {bits[r, n]} allocation bits")
-    sched = AllocationSchedule.all_outage(model.n_robots, model.n_slots)
-    hit = bits == 1
-    link = np.tensordot(np.arange(len(via)), via, axes=1)[hit]
-    sched.kind[hit], sched.index[hit] = channel.kind_index_of(link, model.n_bs)
-    return sched
+    link = np.tensordot(np.arange(len(via)), via, axes=1)
+    return AllocationSchedule(np.where(outage, -1, link).astype(np.int16))
 
 
 def dark_run(live: np.ndarray, k_out) -> tuple | None:

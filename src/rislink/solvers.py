@@ -30,6 +30,7 @@ from . import lpio
 from .milp import MilpModel, settled_bounds
 
 INT_TOL = 1e-6
+ROW_TOL = 1e-6
 
 __all__ = ["SolveResult", "BackendError", "ExternalBackend", "solve"]
 
@@ -54,10 +55,28 @@ class SolveResult:
 
 
 def _round_binary(x: np.ndarray) -> np.ndarray:
-    rounded = np.round(x)
-    if np.abs(x - rounded).max(initial=0.0) > INT_TOL:
-        raise BackendError("solver returned a value farther than 1e-6 from an integer")
-    return rounded
+    """``x`` rounded to 0/1; a value farther than 1e-6 from 0 and 1, NaN and
+    infinities included, raises ``BackendError``."""
+    bad = ~(np.minimum(np.abs(x), np.abs(x - 1.0)) <= INT_TOL)
+    if bad.any():
+        raise BackendError(f"solver returned {float(x[bad][0])!r}, which is not within 1e-6 of 0 or 1")
+    return (x > 0.5).astype(float)
+
+
+def _check_point(model: MilpModel, values: np.ndarray) -> None:
+    """Raise ``BackendError`` unless the 0/1 point ``values`` lies within
+    every column's bounds and breaks no row by more than ``ROW_TOL``."""
+    outside = np.flatnonzero((values < model.lb) | (values > model.ub))
+    if len(outside):
+        j = outside[0]
+        raise BackendError(f"solver set {model.var_names[j]} to {values[j]:g}, "
+                           f"outside its bounds [{model.lb[j]:g}, {model.ub[j]:g}]")
+    gap = model.matrix @ values - model.row_rhs
+    excess = np.select([model.row_sense == "<", model.row_sense == ">"], [gap, -gap], np.abs(gap))
+    broken = np.flatnonzero(excess > ROW_TOL)
+    if len(broken):
+        k = broken[0]
+        raise BackendError(f"solver's solution breaks row {model.row_names[k]} by {excess[k]:g}")
 
 
 def solve(model: MilpModel, backend="highs", time_budget: float | None = None) -> SolveResult:
@@ -157,7 +176,9 @@ class ExternalBackend:
     ``command`` is a list of argv strings where "{model}" and "{solution}"
     are replaced by file paths.  The solver must write a solution file whose
     first line is the status (optimal/infeasible/timeout) followed by one
-    "name value" line per nonzero or listed variable.
+    "name value" line per nonzero or listed variable.  An optimal solution
+    must set every variable to 0 or 1 within its bounds and keep every row;
+    anything else raises ``BackendError``.
     """
 
     def __init__(self, command):
@@ -203,4 +224,5 @@ class ExternalBackend:
                 raise BackendError(f"solution references unknown variable {name!r}")
             values[index[name]] = v
         values = _round_binary(values)
+        _check_point(model, values)
         return SolveResult("optimal", float(model.objective @ values), values, runtime)

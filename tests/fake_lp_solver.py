@@ -1,7 +1,8 @@
 """Stand-in external solver: parses an LP file, solves it, writes a solution.
 
-Invoked as: python fake_lp_solver.py MODEL_PATH SOLUTION_PATH
-Exercises the whole file-based adapter path end to end.
+Invoked as: python fake_lp_solver.py MODEL_PATH SOLUTION_PATH [VALUE]
+Exercises the whole file-based adapter path end to end.  With VALUE it
+solves nothing and reports every variable at VALUE, as a broken solver might.
 """
 
 import os
@@ -21,6 +22,10 @@ def main():
         parsed = parse_lp(fh.read())
 
     names = parsed.var_names
+    if len(sys.argv) > 3:
+        with open(solution_path, "w") as fh:
+            fh.write(write_solution("optimal", {v: float(sys.argv[3]) for v in names}))
+        return
     index = {v: j for j, v in enumerate(names)}
     c = np.zeros(len(names))
     for v, coef in parsed.objective.items():

@@ -40,15 +40,15 @@ def brute_force_optimum(tables, scenario):
     if n_r == 0:
         return 0, AllocationSchedule.all_outage(0, n_n)
 
-    # a robot's option is None (outage) or a covering link l: BS l below
+    # a robot's option is -1 (outage) or a covering link l: BS l below
     # n_b, surface l - n_b from there on
     def slot_combos(n):
-        options = [[None] + np.flatnonzero(tables.coverage.covered[n, r]).tolist() for r in range(n_r)]
+        options = [[-1] + np.flatnonzero(tables.coverage.covered[n, r]).tolist() for r in range(n_r)]
         feasible = []
         for combo in itertools.product(*options):
             per_ris = {}
             for r, a in enumerate(combo):
-                if a is not None and a >= n_b:
+                if a >= n_b:
                     per_ris.setdefault(a - n_b, set()).add(r)
             if any(len(s) > u for s in per_ris.values()):
                 continue
@@ -56,13 +56,13 @@ def brute_force_optimum(tables, scenario):
                 continue
             ok = True
             for r, a in enumerate(combo):
-                if a is None:
+                if a == -1:
                     continue
                 signal = lt.power[n, r, a]
                 own = a if a >= n_b else None  # a surface nulls its own beams
                 interference = 0.0
                 for rp, ap in enumerate(combo):
-                    if rp == r or ap is None or ap == own:
+                    if rp == r or ap == -1 or ap == own:
                         continue
                     interference += lt.interference[n, r, rp, ap]
                 if signal * g2 / (channel.NOISE + interference) < psi[r]:
@@ -70,7 +70,7 @@ def brute_force_optimum(tables, scenario):
                     break
             if not ok:
                 continue
-            outages = sum(1 for a in combo if a is None)
+            outages = combo.count(-1)
             use = tuple(frozenset(per_ris.get(i, ())) for i in range(n_i))
             feasible.append((combo, outages, use))
         return feasible
@@ -96,7 +96,7 @@ def brute_force_optimum(tables, scenario):
             ok = True
             new_runs = []
             for r, a in enumerate(combo):
-                if a is None:
+                if a == -1:
                     run = runs[r] + 1
                     if run >= k_out[r]:
                         ok = False
@@ -126,13 +126,4 @@ def brute_force_optimum(tables, scenario):
     search(0, (0,) * n_r, empty_hist, 0, [])
     if best["obj"] is None:
         return None, None
-    sched = AllocationSchedule.all_outage(n_r, n_n)
-    for n, combo in enumerate(best["path"]):
-        for r, a in enumerate(combo):
-            if a is None:
-                continue
-            if a < n_b:
-                sched.assign_bs(r, n, a)
-            else:
-                sched.assign_ris(r, n, a - n_b)
-    return best["obj"], sched
+    return best["obj"], AllocationSchedule(np.array(best["path"], dtype=np.int16).reshape(n_n, n_r).T)

@@ -104,26 +104,27 @@ class TestCriterion4NarrativeInstance:
         assert round(res.objective) == 2
         sched = extract_schedule(model, res.values)
         assert validate(scenario, tables, sched).ok
-        assert sched.assignment(0, 1) == ("ris", 0)
-        assert sched.assignment(2, 1) == ("ris", 0)
-        assert sched.kind[1, 1] == channel.OUTAGE
+        surface = scenario.config.n_bs   # link of surface 0
+        assert sched.link[0, 1] == sched.link[2, 1] == surface
+        assert sched.link[1, 1] == -1
 
     def test_blocking_the_forced_robot_is_infeasible(self, solved):
         scenario, tables, _, _ = solved
         model = build_model(tables, scenario)
-        col = model.columns["Xi"][0, 0, 1]
+        col = model.columns["X"][scenario.config.n_bs, 0, 1]
         model.lb[col] = model.ub[col] = 0  # forbid robot 0 on surface 0 in slot 1
         res = solvers.solve(model, "highs")
         assert res.status == "infeasible"
 
     def test_interference_terms_of_relayed_robot(self, solved):
         scenario, tables, _, _ = solved
+        surface = scenario.config.n_bs   # link of surface 0
         alloc = AllocationSchedule.all_outage(6, 2)
-        alloc.assign_ris(2, 1, 0)   # companion on the same surface: nulled
-        alloc.assign_ris(3, 1, 0)   # the probed robot
-        alloc.assign_ris(4, 1, 1)
-        alloc.assign_bs(5, 1, 1)
-        total = channel.interference_sum(tables.tables, alloc, 3, 1, own_ris=0)
+        alloc.link[2, 1] = surface      # companion on the same surface: nulled
+        alloc.link[3, 1] = surface      # the probed robot
+        alloc.link[4, 1] = surface + 1
+        alloc.link[5, 1] = 1            # BS 1
+        total = channel.interference_sum(tables.tables, alloc, 3, 1, own_link=surface)
         via_i2 = float(tables.tables.interference[1, 3, 4, scenario.config.n_bs + 1])
         via_b2 = float(tables.tables.interference[1, 3, 5, 1])
         assert via_i2 > 0 and via_b2 > 0

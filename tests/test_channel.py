@@ -132,8 +132,7 @@ class TestInterferenceAndSinr:
     def test_lone_robot_reference_sinr(self):
         t = hand_tables()
         t.power[0, 0, 0] = direct_power(10.0)
-        alloc = AllocationSchedule.all_outage(1, 1)
-        alloc.assign_bs(0, 0, 0)
+        alloc = AllocationSchedule(np.array([[0]]))
         assert interference_sum(t, alloc, 0, 0) == 0.0
         assert sinr(t, alloc, 0, 0) == pytest.approx(2.51e7, rel=5e-3)
 
@@ -142,11 +141,9 @@ class TestInterferenceAndSinr:
         t.power[0, :, 0] = ris_power(15.0, 8.0)
         t.interference[0, 1, 0, 0] = 1e-9
         t.interference[0, 0, 1, 0] = 1e-9
-        alloc = AllocationSchedule.all_outage(2, 1)
-        alloc.assign_ris(0, 0, 0)
-        alloc.assign_ris(1, 0, 0)
-        assert interference_sum(t, alloc, 0, 0, own_ris=0) == 0.0
-        assert interference_sum(t, alloc, 1, 0, own_ris=0) == 0.0
+        alloc = AllocationSchedule(np.array([[0], [0]]))  # B = 0: link 0 is surface 0
+        assert interference_sum(t, alloc, 0, 0, own_link=0) == 0.0
+        assert interference_sum(t, alloc, 1, 0, own_link=0) == 0.0
         # without the nulling exclusion the terms do count
         assert interference_sum(t, alloc, 0, 0) == pytest.approx(1e-9)
 
@@ -158,9 +155,7 @@ class TestInterferenceAndSinr:
         for r in (0, 1):
             t.power[0, r, 0] = p
             t.interference[0, r, 1 - r, 0] = p * g2
-        alloc = AllocationSchedule.all_outage(2, 1)
-        alloc.assign_bs(0, 0, 0)
-        alloc.assign_bs(1, 0, 0)
+        alloc = AllocationSchedule(np.array([[0], [0]]))
         expected = p * g2 / (channel.NOISE + p * g2)
         for r in (0, 1):
             assert interference_sum(t, alloc, r, 0) == pytest.approx(p * g2, rel=1e-12)
@@ -179,9 +174,7 @@ class TestInterferenceAndSinr:
         t = hand_tables(n_bs=1, n_ris=0, n_robots=2)
         t.power[0, :, 0] = direct_power(10.0)
         t.interference[0, 0, 1, 0] = 1e-9
-        alloc = AllocationSchedule.all_outage(2, 1)
-        alloc.assign_bs(0, 0, 0)
-        alloc.assign_bs(1, 0, 0)
+        alloc = AllocationSchedule(np.array([[0], [0]]))
         base = sinr(t, alloc, 0, 0)
         t.interference[0, 0, 1, 0] += extra
         assert sinr(t, alloc, 0, 0) <= base
@@ -189,22 +182,26 @@ class TestInterferenceAndSinr:
     def test_distinct_surfaces_no_bs_no_interference(self):
         t = hand_tables(n_bs=0, n_ris=2, n_robots=2)
         t.power[0, :, :] = ris_power(15.0, 8.0)
-        alloc = AllocationSchedule.all_outage(2, 1)
-        alloc.assign_ris(0, 0, 0)
-        alloc.assign_ris(1, 0, 1)
+        alloc = AllocationSchedule(np.array([[0], [1]]))  # B = 0: surfaces 0 and 1
         # cone gating produced no cross terms, so the sums stay zero
-        assert interference_sum(t, alloc, 0, 0, own_ris=0) == 0.0
-        assert interference_sum(t, alloc, 1, 0, own_ris=1) == 0.0
+        assert interference_sum(t, alloc, 0, 0, own_link=0) == 0.0
+        assert interference_sum(t, alloc, 1, 0, own_link=1) == 0.0
+
+
+def test_kind_index_of_names_each_link():
+    kind, index = channel.kind_index_of(np.array([-1, 0, 1, 2, 3]), 2)
+    assert kind.tolist() == [channel.OUTAGE, channel.BS, channel.BS, channel.RIS, channel.RIS]
+    assert index.tolist() == [-1, 0, 1, 0, 1]
 
 
 def assert_batch_matches_scalar(tables, sched):
     """sinr_batch over all slots and slot by slot equals sinr on every served link, bit for bit."""
-    whole = sinr_batch(tables, sched.kind, sched.index)
+    whole = sinr_batch(tables, sched.link)
     served = 0
     for n in range(sched.n_slots):
-        slot = sinr_batch(tables, sched.kind[:, n], sched.index[:, n], n)
+        slot = sinr_batch(tables, sched.link[:, n], n)
         for r in range(sched.n_robots):
-            if sched.kind[r, n] == channel.OUTAGE:
+            if sched.link[r, n] == -1:
                 assert np.isnan(whole[r, n]) and np.isnan(slot[r])
             else:
                 assert whole[r, n] == slot[r] == sinr(tables, sched, r, n)
@@ -236,9 +233,9 @@ class TestSinrBatch:
         s = generate(cfg, seed)
         t = precompute(s)
         rng = np.random.default_rng(seed)
-        kind = rng.choice([channel.OUTAGE, channel.BS, channel.RIS], size=(10, 6), p=[0.1, 0.3, 0.6])
-        index = np.where(kind == channel.OUTAGE, -1, rng.integers(0, 2, size=(10, 6)))  # B = I = 2
-        sched = AllocationSchedule(kind.astype(np.int8), index.astype(np.int16))
+        kind = rng.choice(3, size=(10, 6), p=[0.1, 0.3, 0.6])  # outage, BS, surface
+        index = rng.integers(0, 2, size=(10, 6))  # B = I = 2
+        sched = AllocationSchedule(np.where(kind == 0, -1, index + 2 * (kind == 2)).astype(np.int16))
         assert assert_batch_matches_scalar(t.tables, sched) > 40
 
     def test_interferers_added_in_robot_order(self):
@@ -248,10 +245,8 @@ class TestSinrBatch:
         t.power[0, 0, 0] = 1e-12
         t.interference[0, 0, 1, 0] = 1e-9
         t.interference[0, 0, 2:, 0] = 1e-25
-        alloc = AllocationSchedule.all_outage(17, 1)
-        for r in range(17):
-            alloc.assign_bs(r, 0, 0)
-        value = sinr_batch(t, alloc.kind, alloc.index)[0, 0]
+        alloc = AllocationSchedule(np.zeros((17, 1), dtype=np.int16))
+        value = sinr_batch(t, alloc.link)[0, 0]
         assert value == sinr(t, alloc, 0, 0)
         pairwise = 1e-12 * channel.GAIN * channel.GAIN / (channel.NOISE + t.interference[0, 0, :, 0].sum())
         assert value != pairwise
@@ -259,14 +254,12 @@ class TestSinrBatch:
     def test_unallocated_is_nan(self):
         t = hand_tables(n_robots=2)
         t.power[0, :, 0] = direct_power(10.0)
-        alloc = AllocationSchedule.all_outage(2, 1)
-        alloc.assign_bs(1, 0, 0)
-        value = sinr_batch(t, alloc.kind[:, 0], alloc.index[:, 0], 0)
+        alloc = AllocationSchedule(np.array([[-1], [0]]))
+        value = sinr_batch(t, alloc.link[:, 0], 0)
         assert np.isnan(value[0]) and value[1] == sinr(t, alloc, 1, 0)
 
-    @pytest.mark.parametrize("kind, index", [(channel.BS, 1), (channel.BS, -1),
-                                             (channel.RIS, 1), (channel.RIS, -1)])
-    def test_missing_link_source_rejected(self, kind, index):
+    @pytest.mark.parametrize("link", [-2, 2, 3])  # L = 2
+    def test_missing_link_source_rejected(self, link):
         t = hand_tables(n_bs=1, n_ris=1)
         with pytest.raises(ValueError, match="does not exist"):
-            sinr_batch(t, np.array([kind]), np.array([index]), 0)
+            sinr_batch(t, np.array([link]), 0)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import sys
 from dataclasses import replace
 
 import pytest
@@ -116,6 +118,15 @@ class TestGenerateSolveValidate:
         assert capsys.readouterr().err == "infeasible: robot 1 has no live link in slots 31-44\n"
         # a malformed option is still an error, not a verdict
         assert run_cli("solve", str(path), "--timeout", "-1") == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["nan", "1"])
+    def test_external_solver_garbage_is_error(self, scenario_file, value, capsys):
+        # a solver that reports every variable at one value: NaN is no 0/1
+        # value, and all ones breaks every serve row
+        solver = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fake_lp_solver.py")
+        backend = f"external:{sys.executable} {solver} {{model}} {{solution}} {value}"
+        assert run_cli("solve", str(scenario_file), "--backend", backend) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_malformed_file_is_error(self, tmp_path, capsys):

@@ -236,7 +236,7 @@ class TestExternalAdapter:
         # the bit of a link that is not live is no column of the model
         s = generate(tiny_config(n_slots=3), 9)
         model = build_model(precompute(s), s)
-        b, r, n = np.argwhere(model.columns["Xb"] < 0)[0]
+        b, r, n = np.argwhere(model.columns["X"][:model.n_bs] < 0)[0]
         absent = f"Xb_{b}_{r}_{n}"
         assert absent not in model.var_names
         writer = [sys.executable, "-c", "import sys; open(sys.argv[2], 'w').write(sys.argv[3])",

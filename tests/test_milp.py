@@ -34,6 +34,7 @@ class TestBuildModel:
         model = build_model(t, s)
         families = {name.split("_")[0] for name in model.var_names}
         assert families == {"Xb", "O"}
+        assert set(model.columns) == {"X", "Y", "O"}
         obj, res, model = solve_objective(s, t)
         assert obj == 0
 
@@ -46,7 +47,7 @@ class TestBuildModel:
         t = precompute(s)
         model = build_model(t, s)
         # no allocation bit is emitted, and each outage bit is fixed at 1
-        assert (model.columns["Xb"] == -1).all()
+        assert (model.columns["X"] == -1).all()
         outage = model.columns["O"][0]
         assert (model.lb[outage] == 1).all() and (model.ub[outage] == 1).all()
         assert not any(name.startswith("serve") for name in model.row_names)
@@ -70,11 +71,10 @@ class TestBuildModel:
         for d_reconfig in (1, 2, 3):
             for u in (1, 2):
                 for pattern in itertools.product((False, True), repeat=12):
-                    sched = AllocationSchedule.all_outage(3, 4)
-                    for k in np.flatnonzero(pattern):
-                        sched.assign_ris(k // 4, k % 4, 0)
-                    hist = derive_history(sched, 1, d_reconfig, u)
-                    served = sched.outage_matrix() == 0
+                    # no BS, so link 0 is the surface
+                    sched = AllocationSchedule(np.where(np.reshape(pattern, (3, 4)), 0, -1).astype(np.int16))
+                    hist = derive_history(sched, 0, 1, d_reconfig, u)
+                    served = sched.link != -1
                     if not (served & hist.c[0]).any():
                         assert hist.y.sum(axis=1).max() <= u, (d_reconfig, u, pattern)
 
@@ -199,7 +199,7 @@ class TestBigMInertness:
             if not name.startswith(("snrB", "snrI")):
                 continue
             idx, r, n = map(int, name[5:].split("_"))
-            own = model.columns["Xb" if name[3] == "B" else "Xi"][idx, r, n]
+            own = model.columns["X"][idx + model.n_bs * (name[3] == "I"), r, n]
             cols, coefs = model.row_cols[k], model.row_coefs[k]
             others = cols != own
             assert others.sum() == len(cols) - 1
@@ -237,7 +237,7 @@ def sinr_rows(model, tables):
             idx, r, n = map(int, name[5:].split("_"))
             rows.append(k)
             slot.append(n)
-            victim.append(model.columns["Xb" if name[3] == "B" else "Xi"][idx, r, n])
+            victim.append(model.columns["X"][idx + model.n_bs * (name[3] == "I"), r, n])
     slot, victim = np.array(slot), np.array(victim)
     vr = robot_of[victim]
     sub = model.matrix[rows]
@@ -272,7 +272,7 @@ def killing_pairs(model, tables):
 
 def conflict_pairs(model, tables):
     """Unordered column pairs of two robots whose arrival angles at a surface conflict."""
-    xi = model.columns["Xi"]
+    xi = model.columns["X"][model.n_bs:]
     return {frozenset((int(xi[i, ra, n]), int(xi[i, rb, n]))) for n, i, ra, rb in np.argwhere(tables.conflicts)
             if xi[i, ra, n] >= 0 and xi[i, rb, n] >= 0}
 
@@ -387,7 +387,7 @@ class TestSettledBounds:
         assert (model.lb <= lb).all() and (lb <= ub).all() and (ub <= model.ub).all()
         csc = model.matrix.tocsc()
         nonzeros = np.diff(csc.indptr)
-        links = np.concatenate([model.columns["Xb"], model.columns["Xi"]])   # (L, R, N)
+        links = model.columns["X"]                                             # (L, R, N)
         settled = np.argwhere(ub[model.columns["O"]] < model.ub[model.columns["O"]])
         assert len(settled) > 200
         for r, n in settled:
@@ -475,14 +475,11 @@ def schedule_point(model, scenario, tables, sched):
     Every bit the schedule sets must be a column of the model."""
     cfg = scenario.config
     col = model.columns
-    on = []
-    for r in range(cfg.n_robots):
-        for n in range(cfg.n_slots):
-            kind, idx = sched.assignment(r, n)
-            if kind is not None:
-                on.append(col["Xb" if kind == "bs" else "Xi"][idx, r, n])
-    on.extend(col["Y"][derive_history(sched, cfg.n_ris, cfg.d_reconfig, tables.u_effective).y > 0])
-    on.extend(col["O"][sched.outage_matrix() > 0])
+    served = sched.link != -1
+    r, n = np.nonzero(served)
+    on = col["X"][sched.link[served], r, n].tolist()
+    on.extend(col["Y"][derive_history(sched, cfg.n_bs, cfg.n_ris, cfg.d_reconfig, tables.u_effective).y])
+    on.extend(col["O"][~served])
     assert min(on, default=0) >= 0, "the schedule sets a bit the model does not emit"
     x = np.zeros(model.n_vars)
     x[on] = 1
@@ -514,7 +511,8 @@ class TestValidSchedulesLieInModel:
             if not validate(s, t, sched).ok:
                 continue
             x = schedule_point(model, s, t, sched)
-            via_surface += x[model.columns["Xi"]].any()
+            surface_links = model.columns["X"][model.n_bs:]
+            via_surface += x[surface_links[surface_links >= 0]].any()
             assert ((model.lb <= x) & (x <= model.ub)).all()
             activity = model.matrix @ x
             broken = ((sense != ">") & (activity > rhs + tol)) | ((sense != "<") & (activity < rhs - tol))
@@ -538,7 +536,7 @@ class TestExtractSchedule:
         s = generate(cfg, 0)
         model = build_model(precompute(s), s)
         bogus = np.zeros(model.n_vars)
-        xb = model.columns["Xb"]
+        xb = model.columns["X"]  # I = 0: every link is a BS
         bogus[[xb[0, 0, 0], xb[1, 0, 0]]] = 1  # served through both BSs
         with pytest.raises(RuntimeError, match="inconsistent.* 2 allocation bits"):
             extract_schedule(model, bogus)
@@ -549,7 +547,7 @@ class TestExtractSchedule:
         s = generate(cfg, 0)
         model = build_model(precompute(s), s)
         values = np.zeros(model.n_vars)
-        xb = model.columns["Xb"]
+        xb = model.columns["X"]  # I = 0: every link is a BS
         values[[model.columns["O"][0, 0], xb[0, 0, 0], xb[1, 0, 1]]] = 1
         with pytest.raises(RuntimeError, match="robot 0 slot 0 marked in outage with 1 allocation bits"):
             extract_schedule(model, values)

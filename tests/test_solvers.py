@@ -105,7 +105,7 @@ class TestSettledSolve:
         s = generate(cfg, 0)
         model = build_model(precompute(s), s)
         lb, ub = settled_bounds(model)
-        assert (lb == ub).all() and (lb[model.columns["Xb"][0, 0]] == 1).all()
+        assert (lb == ub).all() and (lb[model.columns["X"][0, 0]] == 1).all()
 
         def refuse(*args, **kwargs):
             raise AssertionError("HiGHS called on a settled model")
@@ -136,3 +136,28 @@ class TestRounding:
     def test_tolerance_accepted(self):
         out = solvers._round_binary(np.array([1e-7, 1 - 1e-7]))
         assert list(out) == [0.0, 1.0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.0, -1.0])
+    def test_non_binary_rejected(self, value):
+        with pytest.raises(solvers.BackendError, match="not within 1e-6 of 0 or 1"):
+            solvers._round_binary(np.array([0.0, value]))
+
+
+class TestCheckPoint:
+    def test_optimum_passes(self):
+        s = generate(tiny_config(n_robots=2, n_slots=3), 1)
+        model = build_model(precompute(s), s)
+        solvers._check_point(model, solvers.solve(model, "highs").values)
+
+    def test_bit_outside_its_bounds_rejected(self):
+        # the walled-in robot's outage bits are fixed at 1
+        s, t = walled_in()
+        model = build_model(t, s)
+        with pytest.raises(solvers.BackendError, match="O_0_0 to 0, outside its bounds"):
+            solvers._check_point(model, np.zeros(model.n_vars))
+
+    def test_broken_row_rejected(self):
+        s = generate(tiny_config(n_robots=2, n_slots=3), 1)
+        model = build_model(precompute(s), s)
+        with pytest.raises(solvers.BackendError, match="breaks row serve_0_0 by 3"):
+            solvers._check_point(model, np.ones(model.n_vars))

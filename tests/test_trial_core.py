@@ -2,10 +2,11 @@
 
 The pins were taken from the per-robot, per-slot loop implementation that
 the array code replaced; the array code must reproduce them exactly.  The
+heuristic pins hash each schedule as the (kind, index) pair of its links.  The
 precompute table pins were taken from the per-kind BS and surface tables,
 joined on the link axis.  The invalid-schedule report pins were taken
-from the (kind, index) schedules, with each random schedule drawn as links
-and converted.  The two floors are written out here rather than imported, so that recalibrating
+from schedules that stored (kind, index) pairs, with each random schedule
+drawn as links and converted.  The two floors are written out here rather than imported, so that recalibrating
 ``EXPERIMENT_CONFIG`` or the benchmark's config cannot silently re-pin them.
 """
 
@@ -15,8 +16,9 @@ import math
 import numpy as np
 import pytest
 
-from rislink import allocation, heuristic
+from rislink import heuristic
 from rislink.allocation import AllocationSchedule, validate
+from rislink.channel import kind_index_of
 from rislink.scenario import ScenarioConfig, generate, precompute
 
 # Table II on the default (uncalibrated) floor, as the benchmark runs it
@@ -102,8 +104,9 @@ def test_heuristic_outcomes_and_reports_pinned(floor):
         t = precompute(s)
         out = heuristic.allocate(t, s, seed=seed)
         sched = out.schedule
-        assert sched.kind.dtype == np.int8 and sched.index.dtype == np.int16
-        got[seed] = (digest(sched.kind.tobytes(), sched.index.tobytes()), out.feasible,
+        assert sched.link.dtype == np.int16
+        kind, index = kind_index_of(sched.link, s.config.n_bs)
+        got[seed] = (digest(kind.astype(np.int8).tobytes(), index.astype(np.int16).tobytes()), out.feasible,
                      out.failure_at, digest(validate(s, t, sched).render()))
     assert got == HEURISTIC_PINS[floor]
 
@@ -131,11 +134,7 @@ def random_schedule(rng, cfg) -> AllocationSchedule:
                     cfg.n_bs + rng.integers(0, cfg.n_ris, size=shape))
     stray = rng.random(shape) < 0.05
     link = np.where(kind == 0, -1, np.where(stray, rng.choice([n_l, n_l + 1], size=shape), link))
-    # the (kind, index) pair of each link; a stray link is a surface index at or above I
-    relayed = link >= cfg.n_bs
-    kind = np.where(link < 0, allocation.OUTAGE, np.where(relayed, allocation.RIS, allocation.BS))
-    index = np.where(link < 0, -1, link - cfg.n_bs * relayed)
-    return AllocationSchedule(kind.astype(np.int8), index.astype(np.int16))
+    return AllocationSchedule(link.astype(np.int16))
 
 
 # (floor, scenario seed) -> report digests of four random schedules
@@ -161,9 +160,7 @@ def test_invalid_schedule_reports_pinned():
                 sched = random_schedule(rng, cfg)
                 report = validate(s, t, sched)
                 families |= report.families()
-                limit = np.where(sched.kind == allocation.BS, cfg.n_bs, cfg.n_ris)
-                stray += int(((sched.kind != allocation.OUTAGE)
-                              & ((sched.index < 0) | (sched.index >= limit))).sum())
+                stray += int((sched.link >= cfg.n_bs + cfg.n_ris).sum())
                 reports.append(digest(report.render()))
             got[f"{name}/{seed}"] = reports
     assert families == FAMILIES
