@@ -2,12 +2,13 @@
 
 The pins were taken from the per-robot, per-slot loop implementation that
 the array code replaced; the array code must reproduce them exactly.  The
-heuristic pins hash each schedule as the (kind, index) pair of its links.  The
-precompute table pins were taken from the per-kind BS and surface tables,
-joined on the link axis.  The invalid-schedule report pins were taken
-from schedules that stored (kind, index) pairs, with each random schedule
-drawn as links and converted.  The two floors are written out here rather than imported, so that recalibrating
-``EXPERIMENT_CONFIG`` or the benchmark's config cannot silently re-pin them.
+heuristic pins hash each schedule as the (kind, index) pair of its links.
+The precompute table pins were taken from the per-kind BS and surface
+tables, joined on the link axis.  The invalid-schedule report pins were
+taken from schedules that stored (kind, index) pairs, with each random
+schedule drawn as links and converted.  The two floors are written out here
+rather than imported, so that recalibrating ``EXPERIMENT_CONFIG`` or the
+benchmark's config cannot silently re-pin them.
 """
 
 import hashlib
