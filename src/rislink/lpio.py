@@ -280,9 +280,9 @@ def write_mps(model) -> str:
     bound = np.where(fixed, _texts(model.lb, " {!r}\n".format), "\n")
     return "".join([
         "NAME model\nROWS\n N obj\n", _join(_texts(model.row_sense, _MPS_SENSE.__getitem__), rows, "\n"),
-        "COLUMNS\n MARKER M1 'MARKER' 'INTORG'\n",
+        "COLUMNS\n M1 'MARKER' 'INTORG'\n",
         _join((" " + names + " ")[col[order]], row[order], _texts(value, "{!r}\n".format)[order]),
-        " MARKER M2 'MARKER' 'INTEND'\nRHS\n", _join(" RHS ", rows[rhs], _texts(model.row_rhs[rhs], " {!r}\n".format)),
+        " M2 'MARKER' 'INTEND'\nRHS\n", _join(" RHS ", rows[rhs], _texts(model.row_rhs[rhs], " {!r}\n".format)),
         "BOUNDS\n", _join(np.where(fixed, " FX BND ", " BV BND "), names, bound), "ENDATA\n"])
 
 

@@ -71,30 +71,33 @@ def experiment_model():
 
 class TestGoldenText:
     """sha256 of the exported text; any change to a byte of either format
-    fails.  The hand_built and empty digests were pinned from the per-row
-    writers the array writers replaced, the small and experiment ones from
-    the lean model with only live columns: no allocation bit of a link that
-    is not live and no usage bit without a used row, one serve row per robot
-    and slot with a live link, no capacity rows, no ready row over U or
-    fewer usage bits and no SINR row that holds with all its columns at 1."""
+    fails.  The hand_built and empty LP digests were pinned from the per-row
+    writers the array writers replaced, the small and experiment LP digests
+    from the lean model with only live columns: no allocation bit of a link
+    that is not live and no usage bit without a used row, one serve row per
+    robot and slot with a live link, no capacity rows, no ready row over U or
+    fewer usage bits and no SINR row that holds with all its columns at 1.
+    All four MPS digests were re-pinned when the integer-section marker
+    lines took their standard three fields (``M1 'MARKER' 'INTORG'``); the
+    earlier four-field lines read as an extra column named MARKER."""
 
     DIGESTS = {
         ("small", "lp"):
             "af0f98d8ed32cbcdbac4ad296988c9990c0ba07df573cb695e3c72c8dc6d3b6a",
         ("small", "mps"):
-            "837125beea726af18292543af1c8f017ea907e4e4c29ac755472e3d4831bd348",
+            "f8d8f505fd4b92e273778fdaa73e0ceb842c0df85ba204ec1ee9e03ae90894d2",
         ("empty", "lp"):
             "051ca5e7118a92605bdc2da8aae7836cf650004f81a2396139a1f12ee5d90176",
         ("empty", "mps"):
-            "1354686fe52f2f535fe8a90e914bddf225c0085bcaa914233e8af28379a54816",
+            "521c46204b500c9349d7985069647b9be18c5c3cd620d9a4dff4cf5c62b29502",
         ("experiment", "lp"):
             "8d9be8dfa05a1a14e580f5ed997e695c5a5b08f418c9152476f9adfb2621273d",
         ("experiment", "mps"):
-            "65d389f002b9a70600ba3704a8377f49309e10dc5ce6fc8e4542bcfb1024690e",
+            "d827c60dd9126d25b7a1b8234db71e4ef41beb3ede7291ce87c37249802bffbb",
         ("hand_built", "lp"):
             "b5fe0ad2c2aeb0fb0151d7e1f222fb8e00b6aa1bfdeafb8d1fd1f6b4001d9db6",
         ("hand_built", "mps"):
-            "74a269f24b8248ff291055ceeeb8b786c13f1449d0902f1f5b71da95048344dd",
+            "b2b59189b2c2b64c7959d8a4d461888ac1c3fcc764d28b9d7f813cad8c137898",
     }
 
     @pytest.fixture(scope="class")
