@@ -1,18 +1,20 @@
-"""Model interchange: LP and MPS writers, matching parsers, solution files.
+"""Model interchange: LP and MPS writers, a reader of the LP text, solution files.
 
 Writers emit full-precision coefficients (``repr`` round-trips floats), so an
 exported file reconstructs the exact model.  Their text is stable to the
 byte: each distinct value, told apart by its bit pattern (so -0.0 keeps its
 sign), is formatted with ``repr`` once, and each section is one table of
 text pieces built from the model's CSR/CSC arrays and joined once.  They
-read ``model.row_names``, which the model makes only on demand.  The parsers
-cover the subset the writers produce, which is enough for round-trip checks
-and for driving an external solver through files.
+read ``model.row_names``, which the model makes only on demand.  HiGHS
+reads both formats back to exactly the model; ``tests/test_lpio.py`` checks
+that.  ``parse_lp`` reads only ``write_lp``'s own text and is kept for the
+benchmark's self-test of its interchange check.  Solution files carry an
+external solver's answer back to ``solvers.ExternalBackend``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,24 +24,23 @@ __all__ = [
     "write_lp",
     "parse_lp",
     "write_mps",
-    "parse_mps",
     "write_solution",
     "parse_solution",
 ]
 
 _LP_SENSE = {"<": " <= ", ">": " >= ", "=": " = "}
+_LP_SENSE_OF = {text.strip(): sense for sense, text in _LP_SENSE.items()}
+_LP_SECTIONS = ("Minimize", "Subject To", "Bounds", "Binaries", "End")
 _MPS_SENSE = {"<": " L ", ">": " G ", "=": " E "}
 
 
 @dataclass
 class ParsedModel:
-    """Solver-agnostic view of a parsed interchange file."""
+    """What ``parse_lp`` reads from an LP file."""
 
     var_names: list
     objective: dict                    # name -> coefficient
     rows: list                         # (name, {name: coef}, sense, rhs)
-    fixed: dict = field(default_factory=dict)   # name -> 0/1
-    binaries: set = field(default_factory=set)
 
     def coefficient_multiset(self):
         out = []
@@ -104,166 +105,42 @@ def write_lp(model) -> str:
         "Binaries\n", _join(names, "\n"), "End\n"])
 
 
-def _parse_expression(tokens):
-    """Consume sign/coef/name terms until a comparison token appears.
-
-    Returns (terms, constant, rest): a bare number is an additive constant.
-    """
-    terms = {}
-    constant = 0.0
-    sign = 1.0
-    coef = None
-    for pos, tok in enumerate(tokens):
-        if tok in ("<=", ">=", "=", "<", ">"):
-            if coef is not None:
-                constant += sign * coef
-            return terms, constant, tokens[pos:]
-        if tok == "+":
-            if coef is not None:
-                constant += sign * coef
-                coef = None
-            sign = 1.0
-        elif tok == "-":
-            if coef is not None:
-                constant += sign * coef
-                coef = None
-                sign = -1.0
-            else:
-                sign = -sign
-        else:
-            try:
-                value = float(tok)
-            except ValueError:
-                name = tok
-                terms[name] = terms.get(name, 0.0) + sign * (1.0 if coef is None else coef)
-                sign, coef = 1.0, None
-            else:
-                if coef is not None:
-                    raise ValueError("two consecutive numeric tokens")
-                coef = value
-    if coef is not None:
-        constant += sign * coef
-    return terms, constant, []
+def _lp_terms(tokens) -> dict:
+    """{name: coefficient} of ``[-] c name (+|- c name)*``; a lone ``0`` has no terms."""
+    if tokens == ["0"]:
+        return {}
+    if tokens[:1] != ["-"]:
+        tokens = ["+", *tokens]
+    if len(tokens) % 3 or not set(tokens[::3]) <= {"+", "-"}:
+        raise ValueError(f"not a sum of terms: {' '.join(tokens)!r}")
+    return {name: float(sign + coef) for sign, coef, name in zip(tokens[::3], tokens[1::3], tokens[2::3])}
 
 
 def parse_lp(text: str) -> ParsedModel:
-    section = None
-    objective = {}
-    rows = []
-    fixed = {}
-    binaries = set()
-    order = []
-    seen = set()
-
-    def note(names):
-        for v in names:
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-
-    pending = []
-
-    def flush():
-        nonlocal pending
-        if not pending:
-            return
-        joined = " ".join(pending)
-        pending = []
-        name, _, body = joined.partition(":")
-        tokens = _retokenize(body)
-        if section == "objective":
-            terms, _, rest = _parse_expression(tokens)
-            if rest:
-                raise ValueError("objective must not contain a comparison")
-            objective.update(terms)
-            note(terms)
-        elif section == "constraints":
-            terms, constant, rest = _parse_expression(tokens)
-            # the right-hand side is a number, maybe after a sign token
-            if len(rest) not in (2, 3) or (len(rest) == 3 and rest[1] not in ("+", "-")):
-                raise ValueError(f"malformed constraint {name.strip()!r}")
-            sense = {"<=": "<", ">=": ">", "=": "="}[rest[0]]
-            rows.append((name.strip(), terms, sense, float("".join(rest[1:])) - constant))
-            note(terms)
-
-    for raw in text.splitlines():
-        line = raw.split("\\")[0].strip()
-        if not line:
-            continue
-        word = line.lower()
-        if word in ("minimize", "minimise", "min"):
-            flush()
-            section = "objective"
-            continue
-        if word in ("subject to", "st", "s.t."):
-            flush()
-            section = "constraints"
-            continue
-        if word == "bounds":
-            flush()
-            section = "bounds"
-            continue
-        if word in ("binaries", "binary", "bin"):
-            flush()
-            section = "binaries"
-            continue
-        if word == "end":
-            flush()
-            section = None
-            continue
-        if section in ("objective", "constraints"):
-            if ":" in line and pending:
-                flush()
-            pending.append(line)
-        elif section == "bounds":
-            toks = _retokenize(line)
-            if len(toks) == 3 and toks[1] == "=":
-                fixed[toks[0]] = int(float(toks[2]))
-                note([toks[0]])
+    """The objective, rows and variables of text written by ``write_lp``:
+    a comment line, then one objective or row per line, ``name: terms
+    [sense rhs]``, under the writer's section words.  Bounds lines are
+    skipped; any other line raises ``ValueError``."""
+    section, objective, rows, var_names = None, {}, [], []
+    for line in text.splitlines():
+        if line in _LP_SECTIONS:
+            section = line
+        elif section is None and line.startswith("\\"):
+            pass
+        elif section == "Binaries":
+            var_names.append(line.strip())
+        elif section in ("Minimize", "Subject To") and ": " in line:
+            name, _, body = line.partition(": ")
+            tokens = body.split()
+            if section == "Minimize":
+                objective = _lp_terms(tokens)
+            elif len(tokens) > 2 and tokens[-2] in _LP_SENSE_OF:
+                rows.append((name.strip(), _lp_terms(tokens[:-2]), _LP_SENSE_OF[tokens[-2]], float(tokens[-1])))
             else:
-                raise ValueError(f"unsupported bound line {line!r}")
-        elif section == "binaries":
-            for v in line.split():
-                binaries.add(v)
-                note([v])
-    flush()
-    return ParsedModel(var_names=order, objective=objective, rows=rows, fixed=fixed, binaries=binaries)
-
-
-def _retokenize(body: str):
-    out = []
-    token = ""
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch.isspace():
-            if token:
-                out.append(token)
-                token = ""
-        elif ch in "+-":
-            # sign or part of an exponent like 1e-05
-            if token and token[-1] in "eE" and any(c.isdigit() for c in token):
-                token += ch
-            else:
-                if token:
-                    out.append(token)
-                    token = ""
-                out.append(ch)
-        elif ch in "<>=":
-            if token:
-                out.append(token)
-                token = ""
-            if ch in "<>" and i + 1 < len(body) and body[i + 1] == "=":
-                out.append(ch + "=")
-                i += 1
-            else:
-                out.append(ch)
-        else:
-            token += ch
-        i += 1
-    if token:
-        out.append(token)
-    return out
+                raise ValueError(f"malformed row {line!r}")
+        elif section != "Bounds":
+            raise ValueError(f"unexpected line {line!r}")
+    return ParsedModel(var_names, objective, rows)
 
 
 def write_mps(model) -> str:
@@ -284,74 +161,6 @@ def write_mps(model) -> str:
         _join((" " + names + " ")[col[order]], row[order], _texts(value, "{!r}\n".format)[order]),
         " M2 'MARKER' 'INTEND'\nRHS\n", _join(" RHS ", rows[rhs], _texts(model.row_rhs[rhs], " {!r}\n".format)),
         "BOUNDS\n", _join(np.where(fixed, " FX BND ", " BV BND "), names, bound), "ENDATA\n"])
-
-
-def parse_mps(text: str) -> ParsedModel:
-    """Parse an MPS file, collecting each row's terms while reading COLUMNS."""
-    section = None
-    objective_row = None
-    row_sense = {}
-    row_terms = {}
-    objective = {}
-    rhs = {}
-    fixed = {}
-    binaries = set()
-    order = []
-    seen = set()
-    integral = False
-
-    for raw in text.splitlines():
-        if raw.startswith("*") or not raw.strip():
-            continue
-        if not raw[0].isspace():
-            section = raw.split()[0].upper()
-            continue
-        toks = raw.split()
-        if section == "ROWS":
-            kind, name = toks
-            if kind.upper() == "N":
-                objective_row = name
-                continue
-            row_sense[name] = {"L": "<", "G": ">", "E": "="}[kind.upper()]
-            row_terms[name] = {}
-        elif section == "COLUMNS":
-            if len(toks) >= 3 and toks[2].strip("'") == "MARKER":
-                integral = toks[-1].strip("'") == "INTORG"
-                continue
-            if "'MARKER'" in toks:
-                integral = "'INTORG'" in toks
-                continue
-            col = toks[0]
-            if col not in seen:
-                seen.add(col)
-                order.append(col)
-                if integral:
-                    binaries.add(col)
-            for pos in range(1, len(toks) - 1, 2):
-                row, coef = toks[pos], float(toks[pos + 1])
-                if row == objective_row:
-                    if coef:
-                        objective[col] = objective.get(col, 0.0) + coef
-                elif row in row_terms:
-                    terms = row_terms[row]
-                    terms[col] = terms.get(col, 0.0) + coef
-                else:
-                    raise ValueError(f"column {col!r} names undeclared row {row!r}")
-        elif section == "RHS":
-            for pos in range(1, len(toks) - 1, 2):
-                rhs[toks[pos]] = float(toks[pos + 1])
-        elif section == "BOUNDS":
-            kind = toks[0].upper()
-            if kind == "FX":
-                fixed[toks[2]] = int(float(toks[3]))
-            elif kind == "BV":
-                binaries.add(toks[2])
-            else:
-                raise ValueError(f"unsupported bound type {kind}")
-
-    rows = [(name, {col: coef for col, coef in terms.items() if coef != 0.0}, row_sense[name], rhs.get(name, 0.0))
-            for name, terms in row_terms.items()]
-    return ParsedModel(var_names=order, objective=objective, rows=rows, fixed=fixed, binaries=binaries)
 
 
 def write_solution(status: str, assignment: dict | None = None) -> str:

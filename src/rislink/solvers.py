@@ -3,7 +3,8 @@
 Two ways to solve a model: "highs" hands the undecided part of the matrix to
 the HiGHS MILP engine shipped with scipy; an ``ExternalBackend`` writes the
 whole model as an LP file and shells out to any solver command.  Both are
-tested against the brute-force oracle in ``tests/oracle.py``.
+tested against the brute-force oracle in ``tests/oracle.py``; the external
+path runs ``tests/fake_lp_solver.py``, which reads the LP file with HiGHS.
 
 Before HiGHS runs, ``milp.settled_bounds`` settles every robot-slot with a
 link that no row but its serve row holds.  The columns then fixed, and those

@@ -15,6 +15,8 @@ from rislink.milp import build_model
 from rislink.scenario import (EXPERIMENT_CONFIG, _config_to_dict, ScenarioConfig, deserialize, generate,
                               precompute, serialize)
 
+from highs_read import highs
+
 
 def run_cli(*args):
     return main(list(args))
@@ -182,6 +184,16 @@ class TestExportModel:
         capsys.readouterr()
         assert run_cli("export-model", str(scenario_file), "--format", fmt, "-o", "-") == 0
         assert capsys.readouterr().out.encode() == expected
+
+    @pytest.mark.parametrize("fmt", ["lp", "mps"])
+    def test_highs_reads_the_export(self, scenario_file, tmp_path, fmt):
+        # four-field MPS marker lines once read as kWarning with two extra columns
+        scenario = deserialize(scenario_file.read_text())
+        model = build_model(precompute(scenario), scenario)
+        out = tmp_path / f"model.{fmt}"
+        assert run_cli("export-model", str(scenario_file), "--format", fmt, "--output", str(out)) == 0
+        h, status = highs(out)
+        assert (status, h.getNumCol()) == ("kOk", model.n_vars)
 
 
 class TestSweepCommand:
