@@ -136,7 +136,7 @@ def main():
         print(f"{name}:", flush=True)
         for n_robots in (8, 14):
             jobs = [(replace(cfg, n_robots=n_robots), args.seed0 + t) for t in range(args.seeds)]
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            with ProcessPoolExecutor(max_workers=harness.pool_size(args.workers, len(jobs))) as pool:
                 res = list(pool.map(blackout_probe, jobs))
             dark, short, blocked = (float(np.mean(col)) for col in zip(*res))
             print(f"  R={n_robots:<2} blackout {100 * dark:.0f}% of scenarios, "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -206,6 +207,13 @@ def _trial_job(args):
     return run_trial(*args)
 
 
+def pool_size(workers: int, jobs: int) -> int:
+    """Processes to start for ``jobs`` jobs: at most ``workers``, ``jobs`` and
+    the host's CPUs, and at least 1.  A fork-started pool starts every worker
+    at its first submit, so it must not be asked for more than can run."""
+    return max(1, min(workers, jobs, os.cpu_count() or 1))
+
+
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Run trials at every axis point with shared seeds and aggregate."""
     table = SweepTable()
@@ -214,8 +222,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         config = apply_axis(spec.base, spec.axis, value)
         for t in range(spec.trials):
             jobs.append((axis_label(spec.axis, value), (config, spec.seed0 + t, spec.methods, spec.timeout)))
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    workers = pool_size(spec.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_job, [j[1] for j in jobs]))
     else:
         results = [_trial_job(j[1]) for j in jobs]

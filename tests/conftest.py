@@ -67,3 +67,22 @@ def tiny_config(**overrides) -> ScenarioConfig:
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def recording_pool(sizes):
+    """A stand-in for ``ProcessPoolExecutor`` that appends each pool's
+    ``max_workers`` to ``sizes`` and runs its jobs in this process."""
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return Pool

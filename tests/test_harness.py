@@ -9,7 +9,7 @@ from rislink import harness
 from rislink.harness import SweepSpec, apply_axis, load_sweep_spec, run_sweep, run_trial, sweep_to_csv
 from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, ScenarioFormatError, _config_to_dict
 
-from conftest import tiny_config
+from conftest import recording_pool, tiny_config
 
 FAST_CFG = ScenarioConfig(n_robots=4, n_slots=8, n_ris=3, n_obstacles=3,
                           u_override=2, k_range=(3, 4))
@@ -104,6 +104,18 @@ class TestRunSweep:
         table = run_sweep(small_spec(trials=1, methods=("heuristic",)))
         for row in table.rows:
             assert row.ci95_outage == 0.0
+
+    @pytest.mark.parametrize("cpus, started", [(64, [6]), (2, [2]), (None, [])])
+    def test_pool_bounded_by_jobs_and_cpus(self, monkeypatch, cpus, started):
+        # 10,000 workers on 6 jobs start no more processes than jobs or CPUs;
+        # the pool is a stand-in, so none start at all
+        sizes = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool(sizes))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        serial = run_sweep(small_spec(methods=("heuristic",)))
+        bounded = run_sweep(small_spec(methods=("heuristic",), workers=10_000))
+        assert sizes == started
+        assert [r.feasible_pct for r in bounded.rows] == [r.feasible_pct for r in serial.rows]
 
     def test_parallel_workers_match_serial(self):
         serial = run_sweep(small_spec())

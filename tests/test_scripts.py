@@ -1,8 +1,11 @@
 """Smoke runs of the scripts under scripts/, so they keep up with the package API."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+
+from conftest import recording_pool
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -23,6 +26,22 @@ def test_calibrate_scans_every_candidate():
     assert sum("blackout" in line for line in lines) == 2 * len(candidates)
     # the scan counts live-link dark runs at the base budgets and at K=(4, 5)
     assert sum("% at K=4-5 |" in line for line in lines) == 2 * len(candidates)
+
+
+def test_calibrate_pool_bounded_by_jobs_and_cpus(monkeypatch, capsys):
+    # 10,000 workers on 3 seeds start 3 processes, and 2 on a 2-CPU host;
+    # the pool is a stand-in, so none start at all
+    spec = importlib.util.spec_from_file_location("calibrate", os.path.join(ROOT, "scripts", "calibrate.py"))
+    calibrate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(calibrate)
+    sizes = []
+    monkeypatch.setattr(calibrate, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(sys, "argv", ["calibrate.py", "chosen", "--seeds", "3", "--workers", "10000"])
+    for cpus in (64, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        calibrate.main()
+    assert sizes == [3, 3, 2, 2]
+    assert capsys.readouterr().out.count("blackout") == 4
 
 
 def test_run_experiments_help():
