@@ -34,6 +34,7 @@ __all__ = [
     "SweepTable",
     "SoundnessError",
     "run_trial",
+    "pool_size",
     "run_sweep",
     "sweep_to_csv",
     "load_sweep_spec",

@@ -7,8 +7,7 @@ use of it goes through this module, and ``test_highs_read.py`` pins the
 parts of that binding used here.
 """
 
-import math
-
+import numpy as np
 import scipy.sparse as sp
 from scipy.optimize._highspy import _core
 
@@ -38,9 +37,8 @@ def read_model(path):
 
 def model_by_name(model):
     """A ``rislink.milp.MilpModel`` by name, in the form ``read_model`` returns."""
-    inf = math.inf
-    sides = {"<": lambda b: (-inf, b), ">": lambda b: (b, inf), "=": lambda b: (b, b)}
-    lower, upper = zip(*[sides[s](b) for s, b in zip(model.row_sense, model.row_rhs)]) if model.n_rows else ((), ())
+    lower = np.where(model.row_sense == "<", -np.inf, model.row_rhs)
+    upper = np.where(model.row_sense == ">", np.inf, model.row_rhs)
     return by_name(model.var_names, model.row_names, model.matrix, model.objective, model.lb, model.ub,
                    [True] * model.n_vars, lower, upper)
 

@@ -107,8 +107,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("cpus, started", [(64, [6]), (2, [2]), (None, [])])
     def test_pool_bounded_by_jobs_and_cpus(self, monkeypatch, cpus, started):
-        # 10,000 workers on 6 jobs start no more processes than jobs or CPUs;
-        # the pool is a stand-in, so none start at all
+        # 10,000 workers on 6 jobs ask for no more processes than jobs or
+        # CPUs; the pool is a stand-in, so no process starts
         sizes = []
         monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool(sizes))
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)

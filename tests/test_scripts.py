@@ -29,8 +29,8 @@ def test_calibrate_scans_every_candidate():
 
 
 def test_calibrate_pool_bounded_by_jobs_and_cpus(monkeypatch, capsys):
-    # 10,000 workers on 3 seeds start 3 processes, and 2 on a 2-CPU host;
-    # the pool is a stand-in, so none start at all
+    # 10,000 workers on 3 seeds ask for a pool of 3, and of 2 on a 2-CPU
+    # host; the pool is a stand-in, so no process starts
     spec = importlib.util.spec_from_file_location("calibrate", os.path.join(ROOT, "scripts", "calibrate.py"))
     calibrate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(calibrate)
