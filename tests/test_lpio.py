@@ -182,6 +182,24 @@ class TestLpRoundTrip:
             parse_lp(text)
 
 
+class TestMpsRoundTrip:
+    """HiGHS reads ``write_mps``'s text back to the model's rows and terms."""
+
+    def test_constraint_count_and_coefficients(self, small_model, tmp_path):
+        status, got = read_back(small_model, "mps", tmp_path)
+        assert status == "kOk"
+        assert len(got["rows"]) == small_model.n_rows
+        assert got["rows"] == model_by_name(small_model)["rows"]
+
+    def test_full_precision_coefficients(self, small_model, tmp_path):
+        _, got = read_back(small_model, "mps", tmp_path)
+        for k in range(small_model.n_rows):
+            terms = got["rows"][small_model.row_names[k]][2]
+            for j, c in zip(small_model.row_cols[k], small_model.row_coefs[k]):
+                if c != 0.0:
+                    assert terms[small_model.var_names[j]] == float(c)  # bit-exact
+
+
 class TestExperimentScaleRoundTrip:
     def test_lp_and_mps_parse_back_alike(self, golden_models, tmp_path):
         model = golden_models["experiment"]
