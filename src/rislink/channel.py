@@ -60,13 +60,17 @@ def antenna_gain(theta: float) -> float:
     return 2.0 / (1.0 - math.cos(theta / 2.0))
 
 
-def path_gain(f: float, d: float) -> float:
-    """Free-space amplitude transfer c / (4 pi f d), clamped to d >= MIN_DISTANCE."""
+def path_gain(f: float, d):
+    """Free-space amplitude transfer c / (4 pi f d), elementwise over ``d``.
+
+    Ranges below MIN_DISTANCE, 0 included (a robot on a mast), are clamped
+    to it; an infinite range transfers nothing.
+    """
     if f <= 0:
         raise ValueError("frequency must be positive")
-    if d <= 0:
-        raise ValueError("distance must be positive")
-    return SPEED_OF_LIGHT / (4.0 * math.pi * f * max(d, MIN_DISTANCE))
+    if np.any(np.less(d, 0)):
+        raise ValueError("distance must be non-negative")
+    return SPEED_OF_LIGHT / (4.0 * math.pi * f * np.maximum(d, MIN_DISTANCE))
 
 
 def noise_power(temperature: float, bandwidth: float) -> float:
@@ -76,14 +80,14 @@ def noise_power(temperature: float, bandwidth: float) -> float:
     return BOLTZMANN * temperature * bandwidth
 
 
-def direct_power(d: float) -> float:
-    """Received power (before antenna gains) of a direct BS link at range ``d``."""
+def direct_power(d):
+    """Received power (before antenna gains) of a direct BS link at range ``d``, elementwise."""
     h = path_gain(FREQ, d)
     return P_BS * h * h
 
 
-def ris_power(d1: float, d2: float) -> float:
-    """Received power (before antenna gains) of a relayed link.
+def ris_power(d1, d2):
+    """Received power (before antenna gains) of a relayed link, elementwise.
 
     ``d1`` is BS-to-surface range, ``d2`` surface-to-robot range; the E
     elements add coherently, so the amplitude scales with E.

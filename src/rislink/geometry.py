@@ -1,4 +1,8 @@
-"""Planar factory geometry: occlusion, beam cones, coverage and conflict extraction.
+"""Planar factory geometry: occlusion, coverage and conflict extraction.
+
+The builders read the robot-to-source vectors, distances and pair angles
+that ``precompute`` derives once; ``tests/scalar_geometry.py`` holds a
+per-pair reference of each test.
 
 Everything here is pure and operates on immutable inputs, so it is safe to
 call from parallel trial workers.
@@ -21,11 +25,7 @@ __all__ = [
     "RisMount",
     "CoverageMap",
     "link_sources",
-    "los_blocked",
     "los_blocked_batch",
-    "footprint_diameter",
-    "in_beam_cone",
-    "angle_between",
     "build_coverage",
     "build_conflicts",
 ]
@@ -81,58 +81,15 @@ class RisMount:
         if not (0.0 < self.fov_half_angle <= math.pi / 2):
             raise ValueError("fov_half_angle must be in (0, pi/2]")
 
-    def sees(self, p: Point2D) -> bool:
-        """Field-of-view test only; occlusion is checked separately."""
-        dx, dy = p.x - self.position.x, p.y - self.position.y
-        d = math.hypot(dx, dy)
-        if d == 0.0:
-            return False
-        cos_a = (dx * self.normal[0] + dy * self.normal[1]) / d
-        cos_a = max(-1.0, min(1.0, cos_a))
-        return math.acos(cos_a) <= self.fov_half_angle + 1e-12
 
-
-def los_blocked(p: Point2D, q: Point2D, obstacles) -> bool:
-    """True iff segment pq intersects any obstacle, boundary contact included.
+def los_blocked_batch(starts: np.ndarray, ends: np.ndarray, obstacles) -> np.ndarray:
+    """True per row iff the segment between row-aligned (M, 2) endpoints
+    intersects any obstacle, boundary contact included.
 
     Slab clipping against the closed rectangle; grazing a corner or running
     along an edge counts as blocked (conservative, deterministic).  Endpoints
-    are ordered canonically first so the test is exactly symmetric.
-    """
-    if p.x == q.x and p.y == q.y:
-        raise ValueError("los_blocked requires two distinct points")
-    if (q.x, q.y) < (p.x, p.y):
-        p, q = q, p
-    dx = q.x - p.x
-    dy = q.y - p.y
-    for ob in obstacles:
-        t0, t1 = 0.0, 1.0
-        ok = True
-        for delta, lo, hi, start in ((dx, ob.xmin, ob.xmax, p.x), (dy, ob.ymin, ob.ymax, p.y)):
-            if delta == 0.0:
-                if start < lo or start > hi:
-                    ok = False
-                    break
-            else:
-                ta = (lo - start) / delta
-                tb = (hi - start) / delta
-                if ta > tb:
-                    ta, tb = tb, ta
-                t0 = max(t0, ta)
-                t1 = min(t1, tb)
-                if t0 > t1:
-                    ok = False
-                    break
-        if ok:
-            return True
-    return False
-
-
-def los_blocked_batch(starts: np.ndarray, ends: np.ndarray, obstacles) -> np.ndarray:
-    """Vectorized ``los_blocked`` over row-aligned (M, 2) endpoint arrays.
-
-    Agrees with the scalar routine on every input (including boundary
-    grazing); degenerate zero-length rows are reported unblocked.
+    are ordered canonically first so the test is exactly symmetric;
+    degenerate zero-length rows are reported unblocked.
     """
     a = np.asarray(starts, dtype=float)
     b = np.asarray(ends, dtype=float)
@@ -140,7 +97,7 @@ def los_blocked_batch(starts: np.ndarray, ends: np.ndarray, obstacles) -> np.nda
     if len(a) > step:  # bound the (rows, obstacles) work arrays
         return np.concatenate([los_blocked_batch(a[k:k + step], b[k:k + step], obstacles)
                                for k in range(0, len(a), step)])
-    # canonical endpoint order per row, matching the scalar routine
+    # canonical endpoint order per row
     swap = (b[:, 0] < a[:, 0]) | ((b[:, 0] == a[:, 0]) & (b[:, 1] < a[:, 1]))
     starts = np.where(swap[:, None], b, a)
     ends = np.where(swap[:, None], a, b)
@@ -149,8 +106,7 @@ def los_blocked_batch(starts: np.ndarray, ends: np.ndarray, obstacles) -> np.nda
     degenerate = (delta[:, 0] == 0.0) & (delta[:, 1] == 0.0)
     if m == 0 or not obstacles:
         return np.zeros(m, dtype=bool)
-    # rows against all obstacles at once: (M, O) slabs, same arithmetic as
-    # the per-obstacle scalar routine
+    # rows against all obstacles at once: (M, O) slabs
     box = np.array([(ob.xmin, ob.xmax, ob.ymin, ob.ymax) for ob in obstacles], dtype=float)
     t0 = np.zeros((m, len(obstacles)))
     t1 = np.ones((m, len(obstacles)))
@@ -171,49 +127,6 @@ def los_blocked_batch(starts: np.ndarray, ends: np.ndarray, obstacles) -> np.nda
         t1 = np.where(parallel, t1, np.minimum(t1, hi_t))
     blocked = (ok & (t0 <= t1)).any(axis=1)
     return blocked & ~degenerate
-
-
-def footprint_diameter(theta: float, d: float) -> float:
-    """Cross-section diameter of a conical beam of width ``theta`` at range ``d``."""
-    if not 0.0 < theta < math.pi:
-        raise ValueError("beamwidth must be in (0, pi)")
-    if d < 0.0:
-        raise ValueError("distance must be non-negative")
-    return 2.0 * math.tan(theta / 2.0) * d
-
-
-def angle_between(ux: float, uy: float, vx: float, vy: float) -> float:
-    """Unsigned angle between two nonzero vectors, in [0, pi]."""
-    nu = math.hypot(ux, uy)
-    nv = math.hypot(vx, vy)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("angle undefined for zero vector")
-    c = (ux * vx + uy * vy) / (nu * nv)
-    return math.acos(max(-1.0, min(1.0, c)))
-
-
-def in_beam_cone(origin: Point2D, target: Point2D, probe: Point2D, theta: float, obstacles) -> bool:
-    """Does ``probe`` receive the beam transmitted from ``origin`` toward ``target``?
-
-    True iff probe lies within theta/2 of the beam axis, on the target side of
-    the origin, with unobstructed sight from the origin.
-    """
-    if origin.x == target.x and origin.y == target.y:
-        raise ValueError("beam axis undefined: origin == target")
-    ax, ay = target.x - origin.x, target.y - origin.y
-    px, py = probe.x - origin.x, probe.y - origin.y
-    na = math.hypot(ax, ay)
-    np_ = math.hypot(px, py)
-    if np_ == 0.0:
-        return False
-    # normalized components avoid underflow on near-degenerate geometry
-    ax, ay = ax / na, ay / na
-    px, py = px / np_, py / np_
-    if px * ax + py * ay <= 0.0:
-        return False
-    if angle_between(ax, ay, px, py) > theta / 2.0 + 1e-12:
-        return False
-    return not los_blocked(origin, probe, obstacles)
 
 
 @dataclass
@@ -241,16 +154,16 @@ def link_sources(scenario) -> np.ndarray:
     return np.array([[p.x, p.y] for p in points], dtype=float).reshape(len(points), 2)
 
 
-def build_coverage(scenario) -> CoverageMap:
+def build_coverage(scenario, vec: np.ndarray, dist: np.ndarray) -> CoverageMap:
     """Compute coverage for every slot of a scenario.
 
-    A BS covers a robot with clear sight; a mount covers a robot with clear
-    sight inside its field of view, provided the mount itself is covered by
-    at least one BS (its serving BS is the nearest covering one).
+    ``vec`` (N, R, L, 2) holds each robot's position minus each link
+    source's, ``dist`` (N, R, L) their lengths, as ``precompute`` derives
+    them once.  A BS covers a robot with clear sight; a mount covers a robot
+    with clear sight inside its field of view, provided the mount itself is
+    covered by at least one BS (its serving BS is the nearest covering one).
     """
     obstacles = scenario.obstacles
-    n_slots = scenario.config.n_slots
-    n_robots = scenario.config.n_robots
     n_bs = len(scenario.bs_positions)
     n_ris = len(scenario.ris_mounts)
     src_xy = link_sources(scenario)                               # (L, 2)
@@ -270,37 +183,32 @@ def build_coverage(scenario) -> CoverageMap:
     normals = np.array([m.normal for m in scenario.ris_mounts], dtype=float).reshape(n_ris, 2)
     fov = np.array([m.fov_half_angle for m in scenario.ris_mounts], dtype=float)
 
-    # sight from every link source to every robot in every slot, one batch
-    pos = scenario.trajectories.transpose(1, 0, 2)               # (N, R, 2)
-    ends = np.broadcast_to(pos[:, :, None], (n_slots, n_robots, n_bs + n_ris, 2))
-    starts = np.broadcast_to(src_xy[None, None], ends.shape)
+    # sight from every link source to every robot in every slot, one batch;
+    # a robot standing on a source has none
+    ends = np.broadcast_to(scenario.trajectories.transpose(1, 0, 2)[:, :, None], vec.shape)
+    starts = np.broadcast_to(src_xy, vec.shape)
     sight = ~los_blocked_batch(starts.reshape(-1, 2), ends.reshape(-1, 2), obstacles)
-    sight = sight.reshape(ends.shape[:3]) & ~(starts == ends).all(axis=3)
+    sight = sight.reshape(dist.shape) & (vec != 0).any(axis=3)
 
-    vec = pos[:, :, None] - ris_xy[None, None]                   # (N, R, I, 2)
-    dist = np.linalg.norm(vec, axis=3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_a = (vec * normals[None, None]).sum(axis=3) / dist
-    in_fov = (dist > 0) & (np.arccos(np.clip(cos_a, -1.0, 1.0)) <= fov + 1e-12)
+        cos_a = (vec[:, :, n_bs:] * normals).sum(axis=3) / dist[:, :, n_bs:]
+    in_fov = (dist[:, :, n_bs:] > 0) & (np.arccos(np.clip(cos_a, -1.0, 1.0)) <= fov + 1e-12)
     covered = sight.copy()
     covered[:, :, n_bs:] &= in_fov & (serving_bs >= 0)
     return CoverageMap(covered=covered, sight=sight, bs_ris=bs_ris, serving_bs=serving_bs)
 
 
-def build_conflicts(scenario, coverage: CoverageMap) -> np.ndarray:
+def build_conflicts(coverage: CoverageMap, angle: np.ndarray) -> np.ndarray:
     """(N, I, R, R) mask of robot pairs angularly inseparable at a mount.
 
-    ``[n, i, ra, rb]`` is True, only where ra < rb, when mount i covers both
-    robots in slot n and the separation of the two mount-to-robot directions
-    is at most the beamwidth.  At most one robot of such a pair may be
-    scheduled through the mount.
+    ``angle[n, ra, rb, l]`` is the angle at link l's source between the
+    directions to robots ra and rb in slot n, as ``precompute`` derives it
+    once (NaN where a robot stands on the source).  ``[n, i, ra, rb]`` is
+    True, only where ra < rb, when mount i covers both robots in slot n and
+    that angle at the mount is at most the beamwidth.  At most one robot of
+    such a pair may be scheduled through the mount.
     """
-    ris_xy = np.array([[m.position.x, m.position.y] for m in scenario.ris_mounts],
-                      dtype=float).reshape(-1, 2)
-    vec = scenario.trajectories.transpose(1, 0, 2)[:, None] - ris_xy[None, :, None]   # (N, I, R, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unit = vec / np.linalg.norm(vec, axis=3, keepdims=True)
-        sep = np.arccos(np.clip(unit @ unit.swapaxes(2, 3), -1.0, 1.0))
-    cov = coverage.covered[:, :, len(scenario.bs_positions):].transpose(0, 2, 1)   # (N, I, R)
-    both = cov[..., :, None] & cov[..., None, :]
-    return np.triu(both & (sep <= channel.THETA + 1e-12), k=1)
+    n_bs = coverage.bs_ris.shape[0]
+    cov = coverage.covered[:, :, n_bs:]                                      # (N, R, I)
+    near = cov[:, :, None] & cov[:, None] & (angle[..., n_bs:] <= channel.THETA + 1e-12)
+    return np.triu(near.transpose(0, 3, 1, 2), k=1)

@@ -67,7 +67,7 @@ class SweepSpec:
     axis: str
     values: list
     trials: int = 100
-    methods: tuple = ("ilp", "heuristic", "no-ris")
+    methods: tuple = KNOWN_METHODS
     seed0: int = 0
     timeout: float | None = 600.0
     workers: int = 1
@@ -88,9 +88,12 @@ class SweepSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        self.methods = tuple(self.methods)
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must be non-empty and distinct, got {list(self.methods)!r}")
         if self.timeout is not None and not (_is_number(self.timeout) and 0 < self.timeout < math.inf):
             raise ValueError(f"timeout must be None or a positive finite number of seconds, got {self.timeout!r}")
         if not (isinstance(self.workers, int) and not isinstance(self.workers, bool) and self.workers >= 1):
@@ -296,16 +299,8 @@ def load_sweep_spec(text: str) -> SweepSpec:
     if pairs:
         values = [tuple(v) for v in values]
     try:
-        return SweepSpec(
-            base=base,
-            axis=doc["axis"],
-            values=values,
-            trials=doc.get("trials", 100),
-            methods=tuple(doc.get("methods", list(KNOWN_METHODS))),
-            seed0=doc.get("seed0", 0),
-            timeout=doc.get("timeout", 600.0),
-            workers=doc.get("workers", 1),
-        )
+        optional = {key: doc[key] for key in ("trials", "methods", "seed0", "timeout", "workers") if key in doc}
+        return SweepSpec(base=base, axis=doc["axis"], values=values, **optional)
     except TypeError as exc:
         raise ValueError(f"bad sweep spec field: {exc}") from exc
 

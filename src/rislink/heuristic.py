@@ -8,27 +8,27 @@ simultaneous SINR pass drops every violator at once.  Outage windows are not
 planned for at all; a service failure is only detected afterwards, which is
 exactly why this baseline is fragile.
 
-The proposals of every slot come from one (N, R, L) distance array, and each
-slot then runs on an (R,) array of links on ``channel``'s axis, -1 where a
-robot is dropped to outage.  ``random.Random(seed)`` is drawn from
-in a fixed order: per slot, once per conflicted pair whose robots both still
-propose the surface, visiting pairs by (surface, ra, rb), then once per
-overfull surface, by surface, sampling from its robots in index order.  The
-SINR pass is one ``channel.sinr_batch`` call per slot.
+The proposals of every slot come from ``precompute``'s (N, R, L) distance
+array, kept where the link covers the robot, and each slot then runs on an
+(R,) array of links on ``channel``'s axis, -1 where a robot is dropped to
+outage.  ``random.Random(seed)`` is drawn from in a fixed order: per slot,
+once per conflicted pair whose robots both still propose the surface,
+visiting pairs by (surface, ra, rb), then once per overfull surface, by
+surface, sampling from its robots in index order.  The SINR pass is one
+``channel.sinr_batch`` call per slot.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, geometry
+from . import channel
 from .allocation import AllocationSchedule, has_service_failure
 
-__all__ = ["HeuristicOutcome", "allocate", "link_distances"]
+__all__ = ["HeuristicOutcome", "allocate"]
 
 
 @dataclass
@@ -36,20 +36,6 @@ class HeuristicOutcome:
     schedule: AllocationSchedule
     feasible: bool
     failure_at: tuple | None  # first (robot, slot) hitting its outage budget
-
-
-def link_distances(scenario, coverage) -> np.ndarray:
-    """(N, R, L) distance from each robot to each link source it is covered
-    by, inf elsewhere; the L columns are the BSs, then the surfaces.
-
-    Every entry equals ``Point2D.distance_to`` between the same two points
-    bit for bit (``math.hypot``; ``np.hypot`` differs in the last bit).
-    """
-    n, r, link = np.nonzero(coverage.covered)
-    delta = geometry.link_sources(scenario)[link] - scenario.trajectories[r, n]
-    dist = np.full(coverage.covered.shape, np.inf)
-    dist[n, r, link] = list(map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist()))
-    return dist
 
 
 def allocate(tables, scenario, seed: int = 0) -> HeuristicOutcome:
@@ -62,7 +48,7 @@ def allocate(tables, scenario, seed: int = 0) -> HeuristicOutcome:
 
     # nearest covered link of every robot in every slot; argmin keeps the
     # first minimum, so ties go to the BS, then to the lowest index
-    dist = link_distances(scenario, tables.coverage)
+    dist = np.where(tables.coverage.covered, tables.distance, np.inf)
     nearest = dist.argmin(axis=2) if n_b + n_i else np.zeros((n_n, n_r), dtype=int)
     want = np.where(np.isfinite(dist).any(axis=2), nearest, -1).astype(np.int16)
     # conflicted pairs whose robots both propose the surface, by (n, i, ra, rb)

@@ -80,9 +80,9 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.n_slots < 1:
             raise ValueError("n_slots must be >= 1")
-        if not all(float(v).is_integer() for v in self.psi_range):
-            raise ValueError(f"psi_range ends must be whole numbers, as thresholds are drawn as integers, "
-                             f"got {self.psi_range!r}")
+        if self.psi_range[0] < 1 or not all(float(v).is_integer() for v in self.psi_range):
+            raise ValueError(f"psi_range ends must be whole numbers from 1 up, as thresholds are drawn as "
+                             f"positive integers, got {self.psi_range!r}")
         if self.psi_range[0] > self.psi_range[1] or self.k_range[0] > self.k_range[1]:
             raise ValueError("psi_range and k_range must be non-empty")
         if self.k_range[0] < 1:
@@ -156,6 +156,7 @@ class DerivedTables:
     u_effective: int
     psi_linear: np.ndarray
     live: np.ndarray       # (N, R, L) bool: covered, and the signal alone meets psi
+    distance: np.ndarray   # (N, R, L) range from each link source to each robot, m
 
 
 def _default_bs_positions(config: ScenarioConfig, rng) -> list:
@@ -325,37 +326,35 @@ def _pair_dots(v: np.ndarray) -> np.ndarray:
 
 
 def precompute(scenario: Scenario) -> DerivedTables:
-    """Build coverage, conflicts, and all link-power tables for a scenario."""
+    """Build coverage, conflicts, and all link-power tables for a scenario.
+
+    Each robot's vector from each link source, its length and the angle at
+    each source between every two robots are derived once, for all slots;
+    every table reads them.
+    """
     cfg = scenario.config
-    coverage = geometry.build_coverage(scenario)
-    conflicts = geometry.build_conflicts(scenario, coverage)
+    n_b = cfg.n_bs
+    vec = scenario.trajectories.transpose(1, 0, 2)[:, :, None] - geometry.link_sources(scenario)   # (N, R, L, 2)
+    dist = np.linalg.norm(vec, axis=3)                                   # (N, R, L)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angle = np.arccos(np.clip(_pair_dots(vec / dist[..., None]), -1, 1))   # (N, r, rp, L)
+    coverage = geometry.build_coverage(scenario, vec, dist)
+    conflicts = geometry.build_conflicts(coverage, angle)
     covered, sight = coverage.covered, coverage.sight                # (N, R, L)
 
-    n_b = cfg.n_bs
-    gain2 = channel.GAIN * channel.GAIN
-    # amplitude factor of each link ahead of its last hop: 1 for a BS; for a
-    # surface its elements times the free-space amplitude of its feed from
-    # its serving BS, or 0 without one
-    relay = (np.arange(covered.shape[2]) < n_b).astype(float)
-    for i, serving in enumerate(coverage.serving_bs.tolist()):
-        if serving >= 0:
-            d1 = scenario.bs_positions[serving].distance_to(scenario.ris_mounts[i].position)
-            feed = channel.SPEED_OF_LIGHT / (4.0 * math.pi * channel.FREQ * max(d1, channel.MIN_DISTANCE))
-            relay[n_b + i] = feed * channel.N_ELEMENTS
-
-    # all slots and links at once: (N, R, L, ...) arrays
-    vec = scenario.trajectories.transpose(1, 0, 2)[:, :, None] - geometry.link_sources(scenario)   # (N, R, L, 2)
-    dist = np.linalg.norm(vec, axis=3)
-    amp = relay * (channel.SPEED_OF_LIGHT / (4.0 * math.pi * channel.FREQ * np.maximum(dist, channel.MIN_DISTANCE)))
-    power = channel.P_BS * amp * amp
+    # a surface relays the BS that serves it; one no BS reaches relays nothing
+    feed = np.array([scenario.bs_positions[b].distance_to(m.position) if b >= 0 else math.inf
+                     for b, m in zip(coverage.serving_bs.tolist(), scenario.ris_mounts)])
+    power = np.empty(dist.shape)
+    power[:, :, :n_b] = channel.direct_power(dist[:, :, :n_b])
+    power[:, :, n_b:] = channel.ris_power(feed, dist[:, :, n_b:])
     # Beam-cone gating: victim r hears the beam of link l to robot rp when its
-    # direction from the source is within theta/2 of the axis with clear sight.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosm = _pair_dots(vec / dist[..., None])                      # (N, r, rp, L)
-        in_cone = (np.arccos(np.clip(cosm, -1, 1)) <= channel.THETA / 2.0 + 1e-12) & (_pair_dots(vec) > 0)
-    gate = sight[:, :, None, :] & in_cone & covered[:, None, :, :]
+    # direction from the source is within theta/2 of the axis (so ahead of the
+    # source) with clear sight.
+    gate = sight[:, :, None, :] & (angle <= channel.THETA / 2.0 + 1e-12) & covered[:, None, :, :]
     np.einsum("nrrl->nrl", gate)[:] = False                          # no self term
 
+    gain2 = channel.GAIN * channel.GAIN
     link_tables = LinkPowerTables(
         power=np.where(covered, power, 0.0),
         interference=np.where(gate, gain2 * power[:, :, None, :], 0.0),
@@ -370,6 +369,7 @@ def precompute(scenario: Scenario) -> DerivedTables:
         u_effective=u_effective,
         psi_linear=psi,
         live=covered & (power * gain2 / channel.NOISE >= psi[:, None]),
+        distance=dist,
     )
 
 
@@ -537,6 +537,8 @@ def deserialize(text: str) -> Scenario:
     if ((x < 0.0) | (x > config.floor_width) | (y < 0.0) | (y > config.floor_height)).any():
         raise ScenarioFormatError(
             f"a robot position lies outside the {config.floor_width:g} x {config.floor_height:g} m floor")
+    if (psi <= 0).any():
+        raise ScenarioFormatError("sinr_thresholds must be > 0")
     if (k_out < 1).any():
         raise ScenarioFormatError("outage_window_slots must be >= 1")
 

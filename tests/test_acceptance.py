@@ -15,12 +15,12 @@ import pytest
 
 from rislink import channel, harness, heuristic, solvers
 from rislink.allocation import AllocationSchedule, validate
-from rislink.geometry import footprint_diameter
 from rislink.milp import build_model, extract_schedule
 from rislink.scenario import EXPERIMENT_CONFIG, generate, precompute
 
 from conftest import build_showcase_scenario, tiny_config
 from oracle import brute_force_optimum
+from scalar_geometry import footprint_diameter
 
 SEEDS = int(os.environ.get("RISLINK_ACCEPT_SEEDS", "30"))
 # the no-RIS models are tiny, so that baseline always runs at full size
@@ -75,7 +75,7 @@ class TestCriterion1OracleEquivalence:
 class TestCriterion3ClosedForms:
     def test_channel_reference_values(self):
         assert channel.antenna_gain(math.radians(10)) == pytest.approx(525.58, abs=0.01)
-        assert channel.noise_power(290.0, 20e6) == pytest.approx(8.008e-14, rel=1e-3)
+        assert channel.noise_power(290.0, 20e6) == pytest.approx(8.008e-14, rel=1e-3, abs=0)
         assert channel.path_gain(28e9, 10.0) == pytest.approx(8.52e-5, rel=1e-3)
         assert footprint_diameter(math.radians(10), 10.0) == pytest.approx(1.7498, abs=1e-4)
         report(3, "antenna gain, noise power, path transfer, footprint all match")
@@ -128,7 +128,7 @@ class TestCriterion4NarrativeInstance:
         via_i2 = float(tables.tables.interference[1, 3, 4, scenario.config.n_bs + 1])
         via_b2 = float(tables.tables.interference[1, 3, 5, 1])
         assert via_i2 > 0 and via_b2 > 0
-        assert total == pytest.approx(via_i2 + via_b2, rel=1e-12)
+        assert total == pytest.approx(via_i2 + via_b2, rel=1e-12, abs=0)
         report(4, "pocket optimum {r1,r3} on i1 forced; relayed robot hears exactly r5/i2 and r6/b2")
 
 

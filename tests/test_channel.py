@@ -57,31 +57,44 @@ class TestPathGain:
     def test_near_field_clamp(self):
         assert path_gain(28e9, 1e-6) == path_gain(28e9, channel.MIN_DISTANCE)
 
+    def test_zero_range_clamped_negative_refused(self):
+        # a robot standing on a mast has range 0: clamped, not an error
+        assert path_gain(28e9, 0.0) == path_gain(28e9, channel.MIN_DISTANCE)
+        with pytest.raises(ValueError, match="non-negative"):
+            path_gain(28e9, np.array([3.0, -1e-9]))
+
+    def test_elementwise(self):
+        d = np.array([[0.0, 5.0], [12.5, math.inf]])
+        assert path_gain(28e9, d).tolist() == [[path_gain(28e9, x) for x in row] for row in d.tolist()]
+        assert path_gain(28e9, math.inf) == 0.0
+        assert ris_power(d, d.T).tolist() == [[ris_power(a, b) for a, b in zip(ra, rb)]
+                                            for ra, rb in zip(d.tolist(), d.T.tolist())]
+
 
 class TestNoisePower:
     def test_reference_value(self):
-        assert noise_power(290.0, 20e6) == pytest.approx(8.008e-14, rel=1e-3)
+        assert noise_power(290.0, 20e6) == pytest.approx(8.008e-14, rel=1e-3, abs=0)
 
     def test_linear_in_bandwidth(self):
-        assert noise_power(290.0, 40e6) == pytest.approx(2 * noise_power(290.0, 20e6), rel=1e-12)
+        assert noise_power(290.0, 40e6) == pytest.approx(2 * noise_power(290.0, 20e6), rel=1e-12, abs=0)
 
     def test_per_hertz_floor(self):
-        assert noise_power(290.0, 1.0) == pytest.approx(4.004e-21, rel=1e-3)
-        assert noise_power(290.0, 1.0) == pytest.approx(BOLTZMANN * 290.0, rel=1e-12)
+        assert noise_power(290.0, 1.0) == pytest.approx(4.004e-21, rel=1e-3, abs=0)
+        assert noise_power(290.0, 1.0) == pytest.approx(BOLTZMANN * 290.0, rel=1e-12, abs=0)
 
 
 class TestReceivedPowers:
     def test_direct_reference(self):
-        assert direct_power(10.0) == pytest.approx(7.261e-12, rel=5e-3)
+        assert direct_power(10.0) == pytest.approx(7.261e-12, rel=5e-3, abs=0)
 
     def test_inverse_square(self):
-        assert direct_power(20.0) == pytest.approx(direct_power(10.0) / 4, rel=1e-12)
+        assert direct_power(20.0) == pytest.approx(direct_power(10.0) / 4, rel=1e-12, abs=0)
 
     def test_ris_reference(self):
-        assert ris_power(10.0, 5.0) == pytest.approx(8.44e-15, rel=2e-3)
+        assert ris_power(10.0, 5.0) == pytest.approx(8.44e-15, rel=2e-3, abs=0)
 
     def test_symmetric_in_hops(self):
-        assert ris_power(7.0, 13.0) == pytest.approx(ris_power(13.0, 7.0), rel=1e-12)
+        assert ris_power(7.0, 13.0) == pytest.approx(ris_power(13.0, 7.0), rel=1e-12, abs=0)
 
     @given(st.floats(0.2, 100), st.floats(0.2, 100))
     @settings(max_examples=100)
@@ -89,7 +102,7 @@ class TestReceivedPowers:
         # relayed power equals the product of the two hop powers times E^2/P_b
         lhs = ris_power(d1, d2)
         rhs = direct_power(d1) * direct_power(d2) * channel.N_ELEMENTS**2 / channel.P_BS
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
     @given(st.floats(0.01, 200), st.floats(0.01, 200))
     @settings(max_examples=100)

@@ -78,6 +78,15 @@ class TestGenerateSolveValidate:
         assert run_cli(command, str(scenario_file)) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["solve", "heuristic"])
+    def test_nonpositive_threshold_in_file_is_error(self, scenario_file, command, capsys):
+        # a negative threshold once made every interferer harmless to the encoder
+        doc = json.loads(scenario_file.read_text())
+        doc["sinr_thresholds"][0] = -3.0
+        scenario_file.write_text(json.dumps(doc))
+        assert run_cli(command, str(scenario_file)) == 1
+        assert capsys.readouterr().err.startswith("error: sinr_thresholds must be > 0")
+
     @pytest.mark.parametrize("args", [
         ["solve", "SCENARIO", "--backend", "nope"],
         ["solve", "SCENARIO", "--backend", "bnb"],
@@ -105,6 +114,14 @@ class TestGenerateSolveValidate:
         out = tmp_path / "s.json"
         assert run_cli("generate", "--psi", "9.5", "9.9", "--output", str(out)) == 1
         assert "psi_range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lo, hi", [("-3", "-2"), ("0", "10")])
+    def test_nonpositive_threshold_range_is_error(self, tmp_path, capsys, lo, hi):
+        out = tmp_path / "s.json"
+        assert run_cli("generate", "--psi", lo, hi, "--output", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "psi_range" in err
         assert not out.exists()
 
     def test_dark_run_is_reported_without_a_model(self, tmp_path, monkeypatch, capsys):
@@ -233,9 +250,13 @@ class TestSweepCommand:
         ({"values": [2.5]}, []),
         ({"config": dict(_config_to_dict(ScenarioConfig(n_robots=2, n_slots=4)), robot_step_m=math.nan)}, []),
         ({"axis": "sinr_threshold", "values": [[9, 10], [9.5, 9.9]]}, []),
+        ({"axis": "sinr_threshold", "values": [[-3, -2]]}, []),
+        ({"methods": []}, []),
+        ({"methods": ["heuristic", "heuristic"]}, []),
     ], ids=["string-timeout", "zero-workers", "negative-workers", "zero-workers-flag",
             "fractional-trials", "string-trials", "boolean-seed0", "fractional-seed0",
-            "shared-midpoint", "fractional-robots", "nan-step", "fractional-threshold"])
+            "shared-midpoint", "fractional-robots", "nan-step", "fractional-threshold",
+            "negative-threshold", "no-methods", "repeated-method"])
     def test_malformed_spec_is_error(self, tmp_path, capsys, fields, flags):
         spec = {
             "format": "rislink-sweep",

@@ -8,19 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rislink import channel
-from rislink.geometry import (
-    Obstacle,
-    Point2D,
-    RisMount,
-    angle_between,
-    build_conflicts,
-    build_coverage,
-    footprint_diameter,
-    in_beam_cone,
-    los_blocked,
-    los_blocked_batch,
-)
-from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate
+from rislink.geometry import Obstacle, Point2D, RisMount, los_blocked_batch
+from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
+
+from scalar_geometry import angle_between, footprint_diameter, in_beam_cone, los_blocked, sees
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -173,6 +164,12 @@ class TestBeamCone:
         assert in_beam_cone(o, t, t, math.radians(10), [])
 
 
+def derive(s):
+    """Coverage and conflicts of a scenario, as precompute builds them."""
+    t = precompute(s)
+    return t.coverage, t.conflicts
+
+
 def small_scenario(seed, n_obstacles=3):
     cfg = ScenarioConfig(
         n_bs=2, n_ris=3, n_robots=4, n_slots=5,
@@ -186,7 +183,7 @@ class TestCoverage:
     def test_single_pair_no_obstacles(self):
         cfg = ScenarioConfig(n_bs=1, n_ris=0, n_robots=1, n_slots=6, n_obstacles=0)
         s = generate(cfg, 3)
-        cov = build_coverage(s)
+        cov = precompute(s).coverage
         assert cov.covered.shape == (6, 1, 1)
         assert cov.covered.all()
 
@@ -200,17 +197,17 @@ class TestCoverage:
         s.ris_mounts[0] = RM(Point2D(20.0, 40.0), (0.0, -1.0), math.radians(60.0))
         s.trajectories[0, 0] = (39.9, 39.99)
         mount = s.ris_mounts[0]
-        assert not mount.sees(Point2D(39.9, 39.99))
-        cov = build_coverage(s)
+        assert not sees(mount, Point2D(39.9, 39.99))
+        cov = precompute(s).coverage
         assert not cov.covered[0, 0, 1]   # link 1: the mount
 
     @pytest.mark.parametrize("seed", range(5))
     def test_extra_obstacle_is_monotone(self, seed):
         s = small_scenario(seed)
-        cov = build_coverage(s)
+        cov = precompute(s).coverage
         s_more = small_scenario(seed)
         s_more.obstacles = list(s.obstacles) + [Obstacle(12.0, 12.0, 18.0, 18.0)]
-        cov_more = build_coverage(s_more)
+        cov_more = precompute(s_more).coverage
         assert not (cov_more.sight & ~cov.sight).any()
         assert not (cov_more.covered & ~cov.covered).any()
         assert not (cov_more.bs_ris & ~cov.bs_ris).any()
@@ -220,7 +217,7 @@ class TestCoverage:
         # the batched masks equal their definition checked pair by pair with
         # the scalar routines, on a floor dense with machines
         s = generate(replace(EXPERIMENT_CONFIG, n_robots=6, n_slots=8), seed)
-        cov = build_coverage(s)
+        cov = precompute(s).coverage
         bs_ris = [[points_differ(p, m.position) and not los_blocked(p, m.position, s.obstacles)
                    for m in s.ris_mounts] for p in s.bs_positions]
         assert np.array_equal(cov.bs_ris, bs_ris)
@@ -230,7 +227,7 @@ class TestCoverage:
                   for p in s.bs_positions]
             sight = [[points_differ(m.position, q) and not los_blocked(m.position, q, s.obstacles)
                       for q in robots] for m in s.ris_mounts]
-            ris = [[cov.serving_bs[i] >= 0 and m.sees(q) and seen for q, seen in zip(robots, sight[i])]
+            ris = [[cov.serving_bs[i] >= 0 and sees(m, q) and seen for q, seen in zip(robots, sight[i])]
                    for i, m in enumerate(s.ris_mounts)]
             # a BS covers a robot exactly when it sees it; BS links come first
             assert np.array_equal(cov.sight[n].T, bs + sight)
@@ -264,8 +261,7 @@ class TestConflicts:
         s.trajectories[1, :, :] = (20.0, 15.0)
         s.psi = s.psi[:2]
         s.k_out = s.k_out[:2]
-        cov = build_coverage(s)
-        conf = build_conflicts(s, cov)
+        cov, conf = derive(s)
         assert conf[0, 0, 0, 1]
 
     def test_orthogonal_robots_do_not_conflict(self):
@@ -278,15 +274,13 @@ class TestConflicts:
         s.trajectories[1, :, :] = (5.0, 19.0)    # ~39 degrees off
         s.psi = s.psi[:2]
         s.k_out = s.k_out[:2]
-        cov = build_coverage(s)
-        conf = build_conflicts(s, cov)
+        cov, conf = derive(s)
         assert not conf[0, 0].any()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_conflict_pairs_are_covered(self, seed):
         s = small_scenario(seed)
-        cov = build_coverage(s)
-        conf = build_conflicts(s, cov)
+        cov, conf = derive(s)
         ris = surface_coverage(s, cov)
         assert not (conf & ~ris[..., :, None]).any()
         assert not (conf & ~ris[..., None, :]).any()
@@ -295,11 +289,9 @@ class TestConflicts:
     @pytest.mark.parametrize("seed", range(4))
     def test_surviving_conflicts_stay_under_extra_obstacle(self, seed):
         s = small_scenario(seed)
-        cov = build_coverage(s)
-        conf = build_conflicts(s, cov)
+        cov, conf = derive(s)
         s.obstacles = list(s.obstacles) + [Obstacle(12.0, 12.0, 18.0, 18.0)]
-        cov2 = build_coverage(s)
-        conf2 = build_conflicts(s, cov2)
+        cov2, conf2 = derive(s)
         ris2 = surface_coverage(s, cov2)
         both2 = ris2[..., :, None] & ris2[..., None, :]
         assert not (conf & both2 & ~conf2).any()
@@ -310,8 +302,7 @@ class TestConflicts:
         # angle, on the floor dense with machines, where some robots near in
         # angle are hidden from the surface
         s = generate(replace(EXPERIMENT_CONFIG, n_robots=14, n_slots=6), seed)
-        cov = build_coverage(s)
-        conf = build_conflicts(s, cov)
+        cov, conf = derive(s)
         theta = channel.THETA
         expected = np.zeros_like(conf)
         near_but_hidden = 0

@@ -195,12 +195,14 @@ class TestSweepSpecFile:
         _spec_doc(seed0=2.5),
         _spec_doc(seed0=True),
         _spec_doc(seed0="1000"),
+        _spec_doc(methods=[]),
+        _spec_doc(methods=["heuristic", "heuristic"]),
     ], ids=["not-an-object", "string-timeout", "zero-timeout", "infinite-timeout",
             "scalar-on-range-axis", "triple-on-range-axis", "null-in-range", "values-not-a-list",
             "pair-on-scalar-axis", "null-trials", "scalar-methods", "zero-workers",
             "negative-workers", "fractional-workers", "string-workers", "boolean-workers",
             "fractional-trials", "boolean-trials", "string-trials",
-            "fractional-seed0", "boolean-seed0", "string-seed0"])
+            "fractional-seed0", "boolean-seed0", "string-seed0", "no-methods", "repeated-method"])
     def test_malformed_spec_rejected(self, doc):
         with pytest.raises(ValueError):
             load_sweep_spec(json.dumps(doc))

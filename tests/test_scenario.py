@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from rislink import channel
+from rislink.geometry import Point2D
 from rislink.scenario import (
     DIRECTION_HOLD_SLOTS,
     GenerationError,
@@ -19,6 +21,9 @@ from rislink.scenario import (
     serialize,
     strip_ris,
 )
+
+from conftest import build_showcase_scenario, tiny_config
+from scalar_geometry import angle_between, in_beam_cone
 
 CFG = ScenarioConfig(n_robots=5, n_slots=25, n_ris=4, n_obstacles=4)
 # every field away from its default
@@ -174,6 +179,73 @@ class TestPrecompute:
         assert t.tables.power.shape == (25, 5, CFG.n_bs)
 
 
+def reference_mismatches(s) -> tuple:
+    """Entries of precompute's tables that disagree with the scalar formulas.
+
+    Power is compared on covered links with the ``Point2D.distance_to``
+    ranges; interference must be positive exactly where the victim sits in
+    the covered transmitter's beam cone; a conflict must be a covered pair
+    within the beamwidth at the surface.  Returns (mismatches, covered
+    links, heard pairs).
+    """
+    t = precompute(s)
+    cov, n_b = t.coverage.covered, s.config.n_bs
+    sources = list(s.bs_positions) + [m.position for m in s.ris_mounts]
+    feed = [s.bs_positions[b].distance_to(m.position) if b >= 0 else None
+            for b, m in zip(t.coverage.serving_bs.tolist(), s.ris_mounts)]
+    bad, links, heard = [], 0, 0
+    for n in range(s.config.n_slots):
+        robots = [Point2D(*xy) for xy in s.trajectories[:, n].tolist()]
+        for r, robot in enumerate(robots):
+            for link, src in enumerate(sources):
+                if not cov[n, r, link]:
+                    continue
+                links += 1
+                d = src.distance_to(robot)
+                want = channel.direct_power(d) if link < n_b else channel.ris_power(feed[link - n_b], d)
+                if not math.isclose(t.tables.power[n, r, link], want, rel_tol=1e-12):
+                    bad.append(("power", n, r, link))
+                for victim, probe in enumerate(robots):
+                    hears = victim != r and in_beam_cone(src, robot, probe, channel.THETA, s.obstacles)
+                    heard += hears
+                    if (t.tables.interference[n, victim, r, link] > 0) != hears:
+                        bad.append(("interference", n, victim, r, link))
+        for i, mount in enumerate(s.ris_mounts):
+            vec = [(q.x - mount.position.x, q.y - mount.position.y) for q in robots]
+            for ra in range(len(robots)):
+                for rb in range(ra + 1, len(robots)):
+                    both = cov[n, ra, n_b + i] and cov[n, rb, n_b + i]
+                    want = both and angle_between(*vec[ra], *vec[rb]) <= channel.THETA + 1e-12
+                    if t.conflicts[n, i, ra, rb] != want:
+                        bad.append(("conflict", n, i, ra, rb))
+    return bad, links, heard
+
+
+class TestPrecomputeReference:
+    def test_tables_match_scalar_formulas(self):
+        scenarios = [build_showcase_scenario()] + [generate(tiny_config(n_robots=5, n_slots=6), seed)
+                                                   for seed in range(8)]
+        bad, links, heard = [], 0, 0
+        for s in scenarios:
+            b, c, h = reference_mismatches(s)
+            bad, links, heard = bad + b, links + c, heard + h
+        assert bad == []
+        assert links > 500 and heard > 100
+
+    def test_robot_on_a_source_is_uncovered(self):
+        # a robot on a mast or a surface has no direction to it: no link,
+        # no beam, no conflict, and no error from the zero range
+        s = generate(tiny_config(n_robots=3, n_slots=2), 0)
+        s.trajectories[0, 0] = (s.bs_positions[0].x, s.bs_positions[0].y)
+        s.trajectories[1, 0] = (s.ris_mounts[0].position.x, s.ris_mounts[0].position.y)
+        t = precompute(s)
+        assert not t.coverage.covered[0, 0, 0] and not t.coverage.sight[0, 0, 0]
+        assert not t.coverage.covered[0, 1, s.config.n_bs]
+        assert t.distance[0, 0, 0] == 0.0 and t.distance[0, 1, s.config.n_bs] == 0.0
+        assert np.isfinite(t.tables.power).all() and np.isfinite(t.tables.interference).all()
+        assert not t.conflicts[0, 0, :2].any() and not t.conflicts[0, 0, :, 1].any()
+
+
 class TestSerialization:
     def test_round_trip_identity(self):
         s = generate(CFG, 77)
@@ -208,7 +280,10 @@ class TestSerialization:
         lambda d: d["trajectories_m"][0][0].__setitem__(0, 500.0),
         lambda d: d["trajectories_m"][2][4].__setitem__(1, -0.5),
         lambda d: d["outage_window_slots"].__setitem__(0, 0),
-    ], ids=["nan-x", "inf-y", "nan-threshold", "x-beyond-floor", "y-below-floor", "zero-window"])
+        lambda d: d["sinr_thresholds"].__setitem__(1, 0),
+        lambda d: d["sinr_thresholds"].__setitem__(0, -3.0),
+    ], ids=["nan-x", "inf-y", "nan-threshold", "x-beyond-floor", "y-below-floor", "zero-window",
+            "zero-threshold", "negative-threshold"])
     def test_impossible_robot_data_rejected(self, edit):
         doc = json.loads(serialize(generate(CFG, 1)))
         edit(doc)
@@ -312,11 +387,13 @@ class TestSerialization:
         ("wall_clearance_m", math.nan),
         ("ris_fov_half_angle_rad", -math.inf),
         ("bs_positions_m", [[5.0, math.nan], [10.0, 10.0]]),
+        ("psi_range", [-3.0, -2.0]),
+        ("psi_range", [0.0, 10.0]),
     ], ids=["string-slots", "zero-slots", "fractional-slots", "boolean-robots", "u-above-cap",
             "zero-window", "fractional-window", "short-window", "string-thresholds",
             "null-floor", "triple-position", "empty-phys", "nan-step", "infinite-floor",
             "nan-threshold", "fractional-threshold", "infinite-obstacle-size", "nan-clearance",
-            "infinite-field-of-view", "nan-position"])
+            "infinite-field-of-view", "nan-position", "negative-thresholds", "zero-threshold"])
     def test_malformed_config_value_rejected(self, key, value):
         doc = json.loads(serialize(generate(CFG, 1)))
         doc["config"][key] = value
