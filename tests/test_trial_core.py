@@ -170,7 +170,7 @@ def test_invalid_schedule_reports_pinned():
 
 
 def link_axis_tables(t) -> dict:
-    """precompute's arrays, each on its (slot, robot, link) axis with the BS links first."""
+    """precompute's arrays; those with a link axis have the BS links first."""
     return {
         "covered": t.coverage.covered,
         "sight": t.coverage.sight,
@@ -178,18 +178,23 @@ def link_axis_tables(t) -> dict:
         "interference": t.tables.interference,
         "live": t.live,
         "conflicts": t.conflicts,
+        "distance": t.distance,
+        "serving_bs": t.coverage.serving_bs,
     }
 
 
 # floor -> array -> digest of that array over seeds 1000-1004; interference is
-# (slot, victim, transmitter, link), conflicts (slot, surface, robot, robot)
+# (slot, victim, transmitter, link), conflicts (slot, surface, robot, robot),
+# serving_bs (surface,)
 TABLE_PINS = {
     "benchmark": {"covered": "1044538627a58c2e", "sight": "ba1b186006ca54e9", "power": "84057ccb5162ad68",
                   "interference": "d8c06c0b9ebb1218", "live": "1044538627a58c2e",
-                  "conflicts": "4d5fe7b7749267c9"},
+                  "conflicts": "4d5fe7b7749267c9", "distance": "29f6f64ec6d314ea",
+                  "serving_bs": "79518ff9cfd3953f"},
     "calibrated": {"covered": "44b197395edd7298", "sight": "566bda0c6d5b0a7a", "power": "40af42cda18edcc1",
                    "interference": "b33df12a545b785d", "live": "44b197395edd7298",
-                   "conflicts": "8091ee441e4dfdb8"},
+                   "conflicts": "8091ee441e4dfdb8", "distance": "af8548db2673620e",
+                   "serving_bs": "4728d32c88b18cf4"},
 }
 
 
