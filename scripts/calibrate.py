@@ -68,7 +68,7 @@ def blackout_probe(args):
     tables = precompute(scenario)
     # generate draws the budgets last, so the short-budget scenario differs in them alone
     short = generate(replace(cfg, k_range=SHORT_K), seed).k_out
-    bs = tables.coverage.covered[:, :, :cfg.n_bs].any(axis=2)     # (slot, robot)
+    bs = tables.covered[:, :, :cfg.n_bs].any(axis=2)     # (slot, robot)
     return (milp.dark_run(tables.live, scenario.k_out) is not None,
             milp.dark_run(tables.live, short) is not None, 100.0 * (1.0 - bs.mean()))
 

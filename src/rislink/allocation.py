@@ -136,7 +136,7 @@ def validate(scenario, tables, schedule: AllocationSchedule) -> ValidationReport
     if schedule.link.shape != (cfg.n_robots, cfg.n_slots):
         raise ValueError("schedule shape disagrees with scenario")
 
-    psi = tables.psi_linear
+    psi = scenario.psi
     u = tables.u_effective
     link = schedule.link.T  # (N, R)
     kind, index = channel.kind_index_of(link, cfg.n_bs)
@@ -147,7 +147,7 @@ def validate(scenario, tables, schedule: AllocationSchedule) -> ValidationReport
     exists = (link >= 0) & (link < cfg.n_bs + cfg.n_ris)
     ln, lr = np.nonzero(exists)
     covered = exists.copy()
-    covered[ln, lr] = tables.coverage.covered[ln, lr, link[ln, lr]]
+    covered[ln, lr] = tables.covered[ln, lr, link[ln, lr]]
     for n, r in zip(*np.nonzero(served & ~covered)):
         idx = int(index[n, r])
         text = f"BS {idx} without line of sight" if kind[n, r] == BS else f"surface {idx} outside its coverage"
@@ -172,7 +172,7 @@ def validate(scenario, tables, schedule: AllocationSchedule) -> ValidationReport
     linked = AllocationSchedule(np.where(exists, link, -1).T)
 
     # SINR of every served link, re-evaluated through the channel model
-    value = channel.sinr_batch(tables.tables, linked.link)
+    value = channel.sinr_batch(tables, linked.link)
     weak = value < psi[:, None] * (1.0 - SINR_REL_TOL)
     for n, r in zip(*np.nonzero(weak.T)):
         family = "sinr_bs(13)" if kind[n, r] == BS else "sinr_ris(14)"

@@ -7,18 +7,25 @@ robot relayed through a reflecting surface receives the product channel
 
 The link tables and schedules index every link of a robot on one axis of
 L = B + I links, the base stations first: BS b is link b, surface i is link
-B + i, and -1 is an outage.  ``sinr`` evaluates one robot's link;
-``sinr_batch`` evaluates every robot of one slot, or of all slots, from a
-schedule's link array.  Both add up the interferers in robot order, so they
-agree to the last bit.  ``kind_index_of`` names a link's BS or surface for
-text only.
+B + i, and -1 is an outage.  The SINR functions read three fields of the
+``tables`` they are given, as ``scenario.DerivedTables`` holds them:
+
+- ``power[n, r, l]``, the gainless received power of robot r's link l in
+  slot n, 0 where the link does not cover the robot;
+- ``interference[n, r, rp, l]``, the power landing on robot r when robot
+  rp transmits on link l, both antenna gains included, and 0 unless r sits
+  in that beam with clear sight;
+- ``n_bs``, the number B of BS links.
+
+``sinr`` evaluates one robot's link; ``sinr_batch`` evaluates every robot
+of one slot, or of all slots, from a schedule's link array.  Both add up
+the interferers in robot order, so they agree to the last bit.
+``kind_index_of`` names a link's BS or surface for text only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 BOLTZMANN = 1.380649e-23  # J/K
@@ -39,7 +46,6 @@ MIN_DISTANCE = 0.1
 OUTAGE, BS, RIS = 0, 1, 2
 
 __all__ = [
-    "LinkPowerTables",
     "kind_index_of",
     "antenna_gain",
     "path_gain",
@@ -111,31 +117,6 @@ GAIN = antenna_gain(THETA)
 NOISE = noise_power(TEMPERATURE, BANDWIDTH)
 
 
-@dataclass
-class LinkPowerTables:
-    """Precomputed per-slot link powers and pairwise interference terms.
-
-    ``power[n, r, l]`` is the gainless received power of robot r's link l in
-    slot n, 0 where the link does not cover the robot.
-    ``interference[n, r, rp, l]`` is the interference landing on robot r
-    when robot rp transmits on link l, already including both antenna
-    gains, and 0 unless r sits in that beam with clear sight.  Links
-    0 .. n_bs-1 are the base stations, the rest the surfaces.
-    """
-
-    power: np.ndarray         # (N, R, L)
-    interference: np.ndarray  # (N, R victim, R transmitter, L)
-    n_bs: int
-
-    @property
-    def n_ris(self) -> int:
-        return self.power.shape[2] - self.n_bs
-
-    @property
-    def n_robots(self) -> int:
-        return self.power.shape[1]
-
-
 def kind_index_of(link, n_bs: int) -> tuple:
     """(kind, index) of a link: (BS, link) below ``n_bs``, (RIS, link - n_bs)
     from there on, and (OUTAGE, -1) for the outage -1."""
@@ -144,23 +125,25 @@ def kind_index_of(link, n_bs: int) -> tuple:
     return np.where(ris, RIS, np.where(link == -1, OUTAGE, BS)), link - n_bs * ris
 
 
-def interference_sum(tables: LinkPowerTables, alloc, r: int, n: int, own_link: int | None = None) -> float:
+def interference_sum(tables, alloc, r: int, n: int, own_link: int | None = None) -> float:
     """Total interference power received by robot r in slot n under ``alloc``.
 
-    Sums the beam of every other allocated robot; transmissions on
-    ``own_link``, when it is a surface (at or above B), are skipped because
-    nulling removes same-surface interference.
+    Sums ``tables.interference`` over the beam of every other allocated
+    robot; transmissions on ``own_link``, when it is a surface (at or above
+    ``tables.n_bs``), are skipped because nulling removes same-surface
+    interference.
     """
     total = 0.0
-    for rp in range(tables.n_robots):
+    for rp in range(tables.power.shape[1]):
         link = int(alloc.link[rp, n])
         if rp != r and link != -1 and not (link == own_link and link >= tables.n_bs):
             total += float(tables.interference[n, r, rp, link])
     return total
 
 
-def sinr(tables: LinkPowerTables, alloc, r: int, n: int) -> float:
-    """Signal-to-interference-plus-noise ratio of robot r's link in slot n."""
+def sinr(tables, alloc, r: int, n: int) -> float:
+    """Signal-to-interference-plus-noise ratio of robot r's link in slot n,
+    from ``tables.power`` and ``interference_sum``."""
     link = int(alloc.link[r, n])
     if link == -1:
         raise ValueError(f"robot {r} is unallocated in slot {n}; SINR undefined")
@@ -168,8 +151,9 @@ def sinr(tables: LinkPowerTables, alloc, r: int, n: int) -> float:
     return signal * GAIN * GAIN / (NOISE + interference_sum(tables, alloc, r, n, own_link=link))
 
 
-def sinr_batch(tables: LinkPowerTables, link: np.ndarray, n: int | None = None) -> np.ndarray:
-    """SINR of every robot's link, NaN where a robot is unallocated (-1).
+def sinr_batch(tables, link: np.ndarray, n: int | None = None) -> np.ndarray:
+    """SINR of every robot's link, NaN where a robot is unallocated (-1),
+    from the ``power``, ``interference`` and ``n_bs`` of ``tables``.
 
     With ``n`` given, ``link`` is slot n's (R,) column of a schedule and the
     result is (R,); without it ``link`` is the whole (R, N) schedule and the
@@ -184,7 +168,7 @@ def sinr_batch(tables: LinkPowerTables, link: np.ndarray, n: int | None = None) 
     return _slot_sinr(tables, link.T, np.arange(link.shape[1])).T
 
 
-def _slot_sinr(tables: LinkPowerTables, link: np.ndarray, slots: np.ndarray) -> np.ndarray:
+def _slot_sinr(tables, link: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """``sinr_batch`` on a slot-major (S, R) link array of the given slots."""
     served = link != -1
     if (served & ((link < 0) | (link >= tables.power.shape[2]))).any():

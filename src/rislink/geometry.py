@@ -23,7 +23,6 @@ __all__ = [
     "Point2D",
     "Obstacle",
     "RisMount",
-    "CoverageMap",
     "link_sources",
     "los_blocked_batch",
     "build_coverage",
@@ -129,39 +128,25 @@ def los_blocked_batch(starts: np.ndarray, ends: np.ndarray, obstacles) -> np.nda
     return blocked & ~degenerate
 
 
-@dataclass
-class CoverageMap:
-    """Line-of-sight coverage as boolean arrays indexed (slot, robot, link).
-
-    The links are every BS, then every surface, as ``link_sources`` orders
-    their positions.  ``sight[n, r, l]`` is clear sight between link l's
-    source and robot r in slot n.  ``covered`` keeps the pairs the link can
-    serve: every one of a BS, and those of a surface that are also inside
-    its field of view, provided it has a serving BS.  ``bs_ris[b, i]`` is
-    the static sight between BS b and mount i; ``serving_bs[i]`` is the
-    nearest covering BS of mount i (the BS whose signal it redirects), or -1.
-    """
-
-    covered: np.ndarray     # (N, R, L) bool
-    sight: np.ndarray       # (N, R, L) bool
-    bs_ris: np.ndarray      # (B, I) bool
-    serving_bs: np.ndarray  # (I,) int
-
-
 def link_sources(scenario) -> np.ndarray:
     """(L, 2) positions of the link sources: every BS, then every surface."""
     points = list(scenario.bs_positions) + [m.position for m in scenario.ris_mounts]
     return np.array([[p.x, p.y] for p in points], dtype=float).reshape(len(points), 2)
 
 
-def build_coverage(scenario, vec: np.ndarray, dist: np.ndarray) -> CoverageMap:
-    """Compute coverage for every slot of a scenario.
+def build_coverage(scenario, vec: np.ndarray, dist: np.ndarray) -> tuple:
+    """Line-of-sight coverage of every slot: ``(covered, sight, serving_bs)``.
 
     ``vec`` (N, R, L, 2) holds each robot's position minus each link
     source's, ``dist`` (N, R, L) their lengths, as ``precompute`` derives
-    them once.  A BS covers a robot with clear sight; a mount covers a robot
-    with clear sight inside its field of view, provided the mount itself is
-    covered by at least one BS (its serving BS is the nearest covering one).
+    them once.  The links are every BS, then every surface, as
+    ``link_sources`` orders their positions.  ``sight[n, r, l]`` (bool) is
+    clear sight between link l's source and robot r in slot n.
+    ``serving_bs[i]`` (int64) is the BS whose signal mount i redirects: the
+    nearest BS with clear sight to it (one standing on the mount has none),
+    ties to the lower index, or -1 when there is none.  ``covered`` keeps the pairs a link can serve: every one
+    of a BS, and those of a mount with a serving BS that lie inside its
+    field of view.
     """
     obstacles = scenario.obstacles
     n_bs = len(scenario.bs_positions)
@@ -195,20 +180,20 @@ def build_coverage(scenario, vec: np.ndarray, dist: np.ndarray) -> CoverageMap:
     in_fov = (dist[:, :, n_bs:] > 0) & (np.arccos(np.clip(cos_a, -1.0, 1.0)) <= fov + 1e-12)
     covered = sight.copy()
     covered[:, :, n_bs:] &= in_fov & (serving_bs >= 0)
-    return CoverageMap(covered=covered, sight=sight, bs_ris=bs_ris, serving_bs=serving_bs)
+    return covered, sight, serving_bs
 
 
-def build_conflicts(coverage: CoverageMap, angle: np.ndarray) -> np.ndarray:
+def build_conflicts(covered: np.ndarray, n_bs: int, angle: np.ndarray) -> np.ndarray:
     """(N, I, R, R) mask of robot pairs angularly inseparable at a mount.
 
-    ``angle[n, ra, rb, l]`` is the angle at link l's source between the
-    directions to robots ra and rb in slot n, as ``precompute`` derives it
-    once (NaN where a robot stands on the source).  ``[n, i, ra, rb]`` is
+    ``covered`` is ``build_coverage``'s (N, R, L) mask, whose first ``n_bs``
+    links are the BSs.  ``angle[n, ra, rb, l]`` is the angle at link l's
+    source between the directions to robots ra and rb in slot n, as
+    ``precompute`` derives it once (NaN where a robot stands on the source).  ``[n, i, ra, rb]`` is
     True, only where ra < rb, when mount i covers both robots in slot n and
     that angle at the mount is at most the beamwidth.  At most one robot of
     such a pair may be scheduled through the mount.
     """
-    n_bs = coverage.bs_ris.shape[0]
-    cov = coverage.covered[:, :, n_bs:]                                      # (N, R, I)
+    cov = covered[:, :, n_bs:]                                      # (N, R, I)
     near = cov[:, :, None] & cov[:, None] & (angle[..., n_bs:] <= channel.THETA + 1e-12)
     return np.triu(near.transpose(0, 3, 1, 2), k=1)

@@ -44,11 +44,11 @@ def allocate(tables, scenario, seed: int = 0) -> HeuristicOutcome:
     rng = random.Random(seed)
     n_r, n_n, n_b, n_i = cfg.n_robots, cfg.n_slots, cfg.n_bs, cfg.n_ris
     u = tables.u_effective
-    psi = tables.psi_linear
+    psi = scenario.psi
 
     # nearest covered link of every robot in every slot; argmin keeps the
     # first minimum, so ties go to the BS, then to the lowest index
-    dist = np.where(tables.coverage.covered, tables.distance, np.inf)
+    dist = np.where(tables.covered, tables.distance, np.inf)
     nearest = dist.argmin(axis=2) if n_b + n_i else np.zeros((n_n, n_r), dtype=int)
     want = np.where(np.isfinite(dist).any(axis=2), nearest, -1).astype(np.int16)
     # conflicted pairs whose robots both propose the surface, by (n, i, ra, rb)
@@ -82,7 +82,7 @@ def allocate(tables, scenario, seed: int = 0) -> HeuristicOutcome:
         link[on[(on | recent).sum(axis=1) > u].any(axis=0)] = -1
 
         # one simultaneous SINR pass drops every violator at once
-        link[channel.sinr_batch(tables.tables, link, n) < psi] = -1
+        link[channel.sinr_batch(tables, link, n) < psi] = -1
         schedule.link[:, n] = link
         used[n] = wants[n] & (link != -1)
 

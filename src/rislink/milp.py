@@ -291,8 +291,7 @@ def build_model(tables, scenario) -> MilpModel:
     y, o = col["Y"], col["O"]
     xi = col["X"][n_b:]                                                      # surface links (I, R, N)
 
-    lt = tables.tables
-    psi = tables.psi_linear
+    psi = scenario.psi
     u = float(tables.u_effective)
     d_reconfig = cfg.d_reconfig
 
@@ -300,9 +299,9 @@ def build_model(tables, scenario) -> MilpModel:
     # allocation bit, its coverage, and its conditioned signal and
     # interference levels; all SINR rows are divided through by the noise
     links = col["X"].transpose(2, 1, 0)                                      # (N, R, L)
-    covered = tables.coverage.covered
-    signal = lt.power * (channel.GAIN * channel.GAIN) / channel.NOISE
-    cross = lt.interference / channel.NOISE                                 # (N, R, R, L)
+    covered = tables.covered
+    signal = tables.power * (channel.GAIN * channel.GAIN) / channel.NOISE
+    cross = tables.interference / channel.NOISE                                 # (N, R, R, L)
     live = tables.live
     n_live = live.sum(axis=2)                                                # (N, R)
     # the dense columns that are emitted: each live allocation bit and each

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel, geometry
-from .channel import LinkPowerTables
-from .geometry import CoverageMap, Obstacle, Point2D, RisMount
+from .geometry import Obstacle, Point2D, RisMount
 
 SCHEMA_NAME = "rislink-scenario"
 SCHEMA_VERSION = 3
@@ -145,18 +144,23 @@ class Scenario:
 class DerivedTables:
     """Everything the optimizers need, precomputed once per scenario.
 
-    ``coverage``, ``tables`` and ``live`` put every link of a robot on one
-    axis of L = B + I links, the BSs first, so a direct and a relayed link
-    are read alike; ``conflicts`` concerns the surfaces alone.
+    The (N, R, L) arrays put every link of a robot on one axis of
+    L = B + I links, the BSs first, so a direct and a relayed link are read
+    alike; ``serving_bs`` and ``conflicts`` concern the surfaces alone.
+    ``power``, ``interference`` and ``n_bs`` are what ``channel``'s SINR
+    functions read.  The robots' SINR thresholds stay in ``Scenario.psi``.
     """
 
-    coverage: CoverageMap
-    conflicts: np.ndarray  # (N, I, R, R) bool, see geometry.build_conflicts
-    tables: LinkPowerTables
+    covered: np.ndarray       # (N, R, L) bool, see geometry.build_coverage
+    sight: np.ndarray         # (N, R, L) bool: clear sight from the link's source
+    serving_bs: np.ndarray    # (I,) int64: the BS each surface relays, or -1
+    conflicts: np.ndarray     # (N, I, R, R) bool, see geometry.build_conflicts
+    power: np.ndarray         # (N, R, L) gainless received power, 0 where not covered, W
+    interference: np.ndarray  # (N, R victim, R transmitter, L) with both gains, W
+    live: np.ndarray          # (N, R, L) bool: covered, and the signal alone meets psi
+    distance: np.ndarray      # (N, R, L) range from each link source to each robot, m
+    n_bs: int
     u_effective: int
-    psi_linear: np.ndarray
-    live: np.ndarray       # (N, R, L) bool: covered, and the signal alone meets psi
-    distance: np.ndarray   # (N, R, L) range from each link source to each robot, m
 
 
 def _default_bs_positions(config: ScenarioConfig, rng) -> list:
@@ -338,13 +342,12 @@ def precompute(scenario: Scenario) -> DerivedTables:
     dist = np.linalg.norm(vec, axis=3)                                   # (N, R, L)
     with np.errstate(divide="ignore", invalid="ignore"):
         angle = np.arccos(np.clip(_pair_dots(vec / dist[..., None]), -1, 1))   # (N, r, rp, L)
-    coverage = geometry.build_coverage(scenario, vec, dist)
-    conflicts = geometry.build_conflicts(coverage, angle)
-    covered, sight = coverage.covered, coverage.sight                # (N, R, L)
+    covered, sight, serving_bs = geometry.build_coverage(scenario, vec, dist)   # (N, R, L), (I,)
+    conflicts = geometry.build_conflicts(covered, n_b, angle)
 
     # a surface relays the BS that serves it; one no BS reaches relays nothing
     feed = np.array([scenario.bs_positions[b].distance_to(m.position) if b >= 0 else math.inf
-                     for b, m in zip(coverage.serving_bs.tolist(), scenario.ris_mounts)])
+                     for b, m in zip(serving_bs.tolist(), scenario.ris_mounts)])
     power = np.empty(dist.shape)
     power[:, :, :n_b] = channel.direct_power(dist[:, :, :n_b])
     power[:, :, n_b:] = channel.ris_power(feed, dist[:, :, n_b:])
@@ -355,21 +358,17 @@ def precompute(scenario: Scenario) -> DerivedTables:
     np.einsum("nrrl->nrl", gate)[:] = False                          # no self term
 
     gain2 = channel.GAIN * channel.GAIN
-    link_tables = LinkPowerTables(
+    return DerivedTables(
+        covered=covered,
+        sight=sight,
+        serving_bs=serving_bs,
+        conflicts=conflicts,
         power=np.where(covered, power, 0.0),
         interference=np.where(gate, gain2 * power[:, :, None, :], 0.0),
-        n_bs=n_b,
-    )
-    u_effective = cfg.u_override if cfg.u_override is not None else channel.max_concurrent(channel.N_ELEMENTS)
-    psi = scenario.psi.astype(float)
-    return DerivedTables(
-        coverage=coverage,
-        conflicts=conflicts,
-        tables=link_tables,
-        u_effective=u_effective,
-        psi_linear=psi,
-        live=covered & (power * gain2 / channel.NOISE >= psi[:, None]),
+        live=covered & (power * gain2 / channel.NOISE >= scenario.psi[:, None]),
         distance=dist,
+        n_bs=n_b,
+        u_effective=cfg.u_override if cfg.u_override is not None else channel.max_concurrent(channel.N_ELEMENTS),
     )
 
 

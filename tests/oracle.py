@@ -30,9 +30,8 @@ def brute_force_optimum(tables, scenario):
             raise ValueError(f"brute force guard exceeded: {attr} > {limit}")
 
     n_r, n_n, n_b, n_i = cfg.n_robots, cfg.n_slots, cfg.n_bs, cfg.n_ris
-    lt = tables.tables
     g2 = channel.GAIN * channel.GAIN
-    psi = tables.psi_linear
+    psi = scenario.psi
     u = tables.u_effective
     d_reconfig = cfg.d_reconfig
     k_out = scenario.k_out.astype(int)
@@ -43,7 +42,7 @@ def brute_force_optimum(tables, scenario):
     # a robot's option is -1 (outage) or a covering link l: BS l below
     # n_b, surface l - n_b from there on
     def slot_combos(n):
-        options = [[-1] + np.flatnonzero(tables.coverage.covered[n, r]).tolist() for r in range(n_r)]
+        options = [[-1] + np.flatnonzero(tables.covered[n, r]).tolist() for r in range(n_r)]
         feasible = []
         for combo in itertools.product(*options):
             per_ris = {}
@@ -58,13 +57,13 @@ def brute_force_optimum(tables, scenario):
             for r, a in enumerate(combo):
                 if a == -1:
                     continue
-                signal = lt.power[n, r, a]
+                signal = tables.power[n, r, a]
                 own = a if a >= n_b else None  # a surface nulls its own beams
                 interference = 0.0
                 for rp, ap in enumerate(combo):
                     if rp == r or ap == -1 or ap == own:
                         continue
-                    interference += lt.interference[n, r, rp, ap]
+                    interference += tables.interference[n, r, rp, ap]
                 if signal * g2 / (channel.NOISE + interference) < psi[r]:
                     ok = False
                     break

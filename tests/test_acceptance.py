@@ -93,8 +93,8 @@ class TestCriterion4NarrativeInstance:
     def test_coverage_matches_story(self, solved):
         scenario, tables, _, _ = solved
         surface = scenario.config.n_bs   # link of surface 0
-        assert np.flatnonzero(tables.coverage.covered[1, :, surface]).tolist() == [0, 1, 2, 3]
-        assert np.flatnonzero(tables.coverage.covered[1, :, surface + 1]).tolist() == [3, 4, 5]
+        assert np.flatnonzero(tables.covered[1, :, surface]).tolist() == [0, 1, 2, 3]
+        assert np.flatnonzero(tables.covered[1, :, surface + 1]).tolist() == [3, 4, 5]
         assert np.argwhere(tables.conflicts[1, 0]).tolist() == [[0, 1]]
         assert np.argwhere(tables.conflicts[1, 1]).tolist() == [[3, 4], [3, 5], [4, 5]]
 
@@ -124,9 +124,9 @@ class TestCriterion4NarrativeInstance:
         alloc.link[3, 1] = surface      # the probed robot
         alloc.link[4, 1] = surface + 1
         alloc.link[5, 1] = 1            # BS 1
-        total = channel.interference_sum(tables.tables, alloc, 3, 1, own_link=surface)
-        via_i2 = float(tables.tables.interference[1, 3, 4, scenario.config.n_bs + 1])
-        via_b2 = float(tables.tables.interference[1, 3, 5, 1])
+        total = channel.interference_sum(tables, alloc, 3, 1, own_link=surface)
+        via_i2 = float(tables.interference[1, 3, 4, scenario.config.n_bs + 1])
+        via_b2 = float(tables.interference[1, 3, 5, 1])
         assert via_i2 > 0 and via_b2 > 0
         assert total == pytest.approx(via_i2 + via_b2, rel=1e-12, abs=0)
         report(4, "pocket optimum {r1,r3} on i1 forced; relayed robot hears exactly r5/i2 and r6/b2")

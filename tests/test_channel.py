@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from rislink import channel, heuristic, milp, solvers
 from rislink.allocation import AllocationSchedule
 from rislink.channel import (
     BOLTZMANN,
-    LinkPowerTables,
     antenna_gain,
     direct_power,
     interference_sum,
@@ -133,8 +133,9 @@ class TestMaxConcurrent:
 
 
 def hand_tables(n_bs=1, n_ris=0, n_robots=1, n_slots=1):
-    """Zero tables; link l is BS l below n_bs, surface l - n_bs from there on."""
-    return LinkPowerTables(
+    """Zero tables holding the fields the SINR functions read; link l is BS l
+    below n_bs, surface l - n_bs from there on."""
+    return types.SimpleNamespace(
         power=np.zeros((n_slots, n_robots, n_bs + n_ris)),
         interference=np.zeros((n_slots, n_robots, n_robots, n_bs + n_ris)),
         n_bs=n_bs,
@@ -228,7 +229,7 @@ class TestSinrBatch:
         cfg = ScenarioConfig(n_robots=10, n_slots=12, u_override=2, k_range=(3, 4))
         s = generate(cfg, seed)
         t = precompute(s)
-        assert assert_batch_matches_scalar(t.tables, heuristic.allocate(t, s, seed=seed).schedule) > 0
+        assert assert_batch_matches_scalar(t, heuristic.allocate(t, s, seed=seed).schedule) > 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ilp_schedules(self, seed):
@@ -237,7 +238,7 @@ class TestSinrBatch:
         model = milp.build_model(t, s)
         result = solvers.solve(model, "highs")
         assert result.status == "optimal"
-        assert_batch_matches_scalar(t.tables, milp.extract_schedule(model, result.values))
+        assert_batch_matches_scalar(t, milp.extract_schedule(model, result.values))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_schedules_sharing_surfaces(self, seed):
@@ -249,7 +250,7 @@ class TestSinrBatch:
         kind = rng.choice(3, size=(10, 6), p=[0.1, 0.3, 0.6])  # outage, BS, surface
         index = rng.integers(0, 2, size=(10, 6))  # B = I = 2
         sched = AllocationSchedule(np.where(kind == 0, -1, index + 2 * (kind == 2)).astype(np.int16))
-        assert assert_batch_matches_scalar(t.tables, sched) > 40
+        assert assert_batch_matches_scalar(t, sched) > 40
 
     def test_interferers_added_in_robot_order(self):
         # one strong interferer, then 15 terms each below half an ulp of it:

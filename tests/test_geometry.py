@@ -165,9 +165,9 @@ class TestBeamCone:
 
 
 def derive(s):
-    """Coverage and conflicts of a scenario, as precompute builds them."""
+    """The tables of a scenario and their conflicts, as precompute builds them."""
     t = precompute(s)
-    return t.coverage, t.conflicts
+    return t, t.conflicts
 
 
 def small_scenario(seed, n_obstacles=3):
@@ -183,7 +183,7 @@ class TestCoverage:
     def test_single_pair_no_obstacles(self):
         cfg = ScenarioConfig(n_bs=1, n_ris=0, n_robots=1, n_slots=6, n_obstacles=0)
         s = generate(cfg, 3)
-        cov = precompute(s).coverage
+        cov = precompute(s)
         assert cov.covered.shape == (6, 1, 1)
         assert cov.covered.all()
 
@@ -198,29 +198,35 @@ class TestCoverage:
         s.trajectories[0, 0] = (39.9, 39.99)
         mount = s.ris_mounts[0]
         assert not sees(mount, Point2D(39.9, 39.99))
-        cov = precompute(s).coverage
+        cov = precompute(s)
         assert not cov.covered[0, 0, 1]   # link 1: the mount
 
     @pytest.mark.parametrize("seed", range(5))
     def test_extra_obstacle_is_monotone(self, seed):
         s = small_scenario(seed)
-        cov = precompute(s).coverage
+        cov = precompute(s)
         s_more = small_scenario(seed)
         s_more.obstacles = list(s.obstacles) + [Obstacle(12.0, 12.0, 18.0, 18.0)]
-        cov_more = precompute(s_more).coverage
+        cov_more = precompute(s_more)
         assert not (cov_more.sight & ~cov.sight).any()
         assert not (cov_more.covered & ~cov.covered).any()
-        assert not (cov_more.bs_ris & ~cov.bs_ris).any()
+        # no surface gains a serving BS it lacked
+        assert not ((cov_more.serving_bs >= 0) & (cov.serving_bs < 0)).any()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_pairwise_definition(self, seed):
         # the batched masks equal their definition checked pair by pair with
         # the scalar routines, on a floor dense with machines
         s = generate(replace(EXPERIMENT_CONFIG, n_robots=6, n_slots=8), seed)
-        cov = precompute(s).coverage
-        bs_ris = [[points_differ(p, m.position) and not los_blocked(p, m.position, s.obstacles)
-                   for m in s.ris_mounts] for p in s.bs_positions]
-        assert np.array_equal(cov.bs_ris, bs_ris)
+        cov = precompute(s)
+        # each surface relays the nearest BS with clear sight to it, ties to
+        # the lower index, and none (-1) when no BS sees it
+        serving = []
+        for m in s.ris_mounts:
+            seen = [(p.distance_to(m.position), b) for b, p in enumerate(s.bs_positions)
+                    if points_differ(p, m.position) and not los_blocked(p, m.position, s.obstacles)]
+            serving.append(min(seen)[1] if seen else -1)
+        assert cov.serving_bs.tolist() == serving
         for n in range(s.config.n_slots):
             robots = [Point2D(*xy) for xy in s.trajectories[:, n].tolist()]
             bs = [[points_differ(p, q) and not los_blocked(p, q, s.obstacles) for q in robots]

@@ -214,12 +214,12 @@ class TestBigMInertness:
 
 def link_facts(tables):
     """Conditioned signals (N, R, L) and interference levels (N, R victim, R sender, L), BS links first."""
-    lt = tables.tables
-    return lt.power * channel.GAIN * channel.GAIN / channel.NOISE, lt.interference / channel.NOISE
+    return tables.power * channel.GAIN * channel.GAIN / channel.NOISE, tables.interference / channel.NOISE
 
 
-def sinr_rows(model, tables):
-    """The SINR rows of a built model, with their link facts read from the tables.
+def sinr_rows(model, tables, psi):
+    """The SINR rows of a built model, with their link facts read from the
+    tables and the robots' thresholds ``psi``.
 
     Returns (sig, psi, own) per SINR row, where ``own`` is the coefficient of
     the row's own allocation bit, and (pos, level) per interference term,
@@ -248,22 +248,23 @@ def sinr_rows(model, tables):
     assert at_own.sum() == len(rows)
     pos, col = pos[~at_own], sub.indices[~at_own]
     level = levels[slot[pos], vr[pos], robot_of[col], link_of[col]]
-    return signal[slot, vr, link_of[victim]], tables.psi_linear[vr], own, pos, level
+    return signal[slot, vr, link_of[victim]], psi[vr], own, pos, level
 
 
-def killing_pairs(model, tables):
-    """Unordered column pairs (usable link, interferer) whose interference alone breaks the link.
+def killing_pairs(model, tables, psi):
+    """Unordered column pairs (usable link, interferer) whose interference
+    alone breaks the link, under the robots' thresholds ``psi``.
 
     An interferer that is not emitted is never on, and so pairs with nothing."""
     signal, levels = link_facts(tables)
-    covered = tables.coverage.covered
+    covered = tables.covered
     cols = model.columns["X"]                                                 # (L, R, N)
     n_b = model.n_bs
     pairs = set()
-    for n, r, l in zip(*np.nonzero(covered & (signal >= tables.psi_linear[:, None]))):
+    for n, r, l in zip(*np.nonzero(covered & (signal >= psi[:, None]))):
         for rp, lp in zip(*np.nonzero(covered[n])):
             same_surface = lp == l and l >= n_b
-            if rp != r and not same_surface and levels[n, r, rp, lp] > signal[n, r, l] / tables.psi_linear[r] - 1.0:
+            if rp != r and not same_surface and levels[n, r, rp, lp] > signal[n, r, l] / psi[r] - 1.0:
                 assert cols[l, r, n] >= 0
                 if cols[lp, rp, n] >= 0:
                     pairs.add(frozenset((int(cols[l, r, n]), int(cols[lp, rp, n]))))
@@ -301,12 +302,12 @@ class TestKillRows:
     def case(self, request):
         s = generate(*(self.CASES | self.THREE_ROBOTS)[request.param])
         t = precompute(s)
-        return build_model(t, s), t
+        return build_model(t, s), t, s
 
     @pytest.mark.parametrize("case", CASES, indirect=True)
     def test_no_sinr_row_holds_a_killer(self, case):
-        model, t = case
-        sig, psi, _, pos, level = sinr_rows(model, t)
+        model, t, s = case
+        sig, psi, _, pos, level = sinr_rows(model, t, s.psi)
         assert len(pos)
         assert not (level > (sig / psi - 1.0)[pos]).any()
 
@@ -315,8 +316,8 @@ class TestKillRows:
         # Two columns of one robot and slot exclude each other through its
         # serve row, so a row over a clique of these pairs has the integer
         # points of the pairwise rows it covers.
-        model, t = case
-        kills = killing_pairs(model, t)
+        model, t, s = case
+        kills = killing_pairs(model, t, s.psi)
         assert kills
         pairs = kills | conflict_pairs(model, t)
         slot, robot = allocation_cells(model)
@@ -339,8 +340,8 @@ class TestKillRows:
         # The own coefficient is (sig - mu)/sig, so mu = (1 - own)*sig, which
         # keeps about 7 digits where sig exceeds mu by 1e8 or more.  A killer
         # left in the sum would add more than sig - psi to mu.
-        model, t = case
-        sig, psi, own, pos, level = sinr_rows(model, t)
+        model, t, s = case
+        sig, psi, own, pos, level = sinr_rows(model, t, s.psi)
         total = np.bincount(pos, weights=level, minlength=len(sig))
         np.testing.assert_allclose((1.0 - own) * sig, psi * (1.0 + total) * MU_SAFETY + 1.0, rtol=1e-6)
 

@@ -55,7 +55,7 @@ class TestGenerate:
         s = generate(replace(CFG, n_robots=0), 5)
         assert s.trajectories.shape == (0, 25, 2)
         tables = precompute(s)
-        assert tables.tables.power.shape == (25, 0, CFG.n_bs + CFG.n_ris)
+        assert tables.power.shape == (25, 0, CFG.n_bs + CFG.n_ris)
 
     def test_positions_strictly_inside_floor(self):
         for seed in range(10):
@@ -148,20 +148,20 @@ class TestPrecompute:
         cfg = ScenarioConfig(n_bs=1, n_ris=0, n_robots=1, n_slots=8, n_obstacles=0)
         s = generate(cfg, 2)
         t = precompute(s)
-        assert t.coverage.covered.shape == (8, 1, 1)
-        assert t.coverage.covered.all()
+        assert t.covered.shape == (8, 1, 1)
+        assert t.covered.all()
         assert t.conflicts.shape == (8, 0, 1, 1)
-        assert (t.tables.power > 0).all()
-        assert not t.tables.interference.any()
+        assert (t.power > 0).all()
+        assert not t.interference.any()
 
     def test_recompute_is_bit_exact(self):
         s = generate(CFG, 9)
         t1 = precompute(s)
         t2 = precompute(deserialize(serialize(s)))
-        assert np.array_equal(t1.tables.power, t2.tables.power)
-        assert np.array_equal(t1.tables.interference, t2.tables.interference)
-        assert np.array_equal(t1.coverage.covered, t2.coverage.covered)
-        assert np.array_equal(t1.coverage.sight, t2.coverage.sight)
+        assert np.array_equal(t1.power, t2.power)
+        assert np.array_equal(t1.interference, t2.interference)
+        assert np.array_equal(t1.covered, t2.covered)
+        assert np.array_equal(t1.sight, t2.sight)
         assert np.array_equal(t1.conflicts, t2.conflicts)
 
     def test_u_derived_from_elements(self):
@@ -176,7 +176,7 @@ class TestPrecompute:
         assert bare.config.n_ris == 0
         assert bare.ris_mounts == []
         t = precompute(bare)
-        assert t.tables.power.shape == (25, 5, CFG.n_bs)
+        assert t.power.shape == (25, 5, CFG.n_bs)
 
 
 def reference_mismatches(s) -> tuple:
@@ -189,10 +189,10 @@ def reference_mismatches(s) -> tuple:
     links, heard pairs).
     """
     t = precompute(s)
-    cov, n_b = t.coverage.covered, s.config.n_bs
+    cov, n_b = t.covered, s.config.n_bs
     sources = list(s.bs_positions) + [m.position for m in s.ris_mounts]
     feed = [s.bs_positions[b].distance_to(m.position) if b >= 0 else None
-            for b, m in zip(t.coverage.serving_bs.tolist(), s.ris_mounts)]
+            for b, m in zip(t.serving_bs.tolist(), s.ris_mounts)]
     bad, links, heard = [], 0, 0
     for n in range(s.config.n_slots):
         robots = [Point2D(*xy) for xy in s.trajectories[:, n].tolist()]
@@ -203,12 +203,12 @@ def reference_mismatches(s) -> tuple:
                 links += 1
                 d = src.distance_to(robot)
                 want = channel.direct_power(d) if link < n_b else channel.ris_power(feed[link - n_b], d)
-                if not math.isclose(t.tables.power[n, r, link], want, rel_tol=1e-12):
+                if not math.isclose(t.power[n, r, link], want, rel_tol=1e-12):
                     bad.append(("power", n, r, link))
                 for victim, probe in enumerate(robots):
                     hears = victim != r and in_beam_cone(src, robot, probe, channel.THETA, s.obstacles)
                     heard += hears
-                    if (t.tables.interference[n, victim, r, link] > 0) != hears:
+                    if (t.interference[n, victim, r, link] > 0) != hears:
                         bad.append(("interference", n, victim, r, link))
         for i, mount in enumerate(s.ris_mounts):
             vec = [(q.x - mount.position.x, q.y - mount.position.y) for q in robots]
@@ -239,10 +239,10 @@ class TestPrecomputeReference:
         s.trajectories[0, 0] = (s.bs_positions[0].x, s.bs_positions[0].y)
         s.trajectories[1, 0] = (s.ris_mounts[0].position.x, s.ris_mounts[0].position.y)
         t = precompute(s)
-        assert not t.coverage.covered[0, 0, 0] and not t.coverage.sight[0, 0, 0]
-        assert not t.coverage.covered[0, 1, s.config.n_bs]
+        assert not t.covered[0, 0, 0] and not t.sight[0, 0, 0]
+        assert not t.covered[0, 1, s.config.n_bs]
         assert t.distance[0, 0, 0] == 0.0 and t.distance[0, 1, s.config.n_bs] == 0.0
-        assert np.isfinite(t.tables.power).all() and np.isfinite(t.tables.interference).all()
+        assert np.isfinite(t.power).all() and np.isfinite(t.interference).all()
         assert not t.conflicts[0, 0, :2].any() and not t.conflicts[0, 0, :, 1].any()
 
 
@@ -406,4 +406,4 @@ class TestSerialization:
         assert s.config.n_robots == 1
         assert s.config.n_slots == 2
         t = precompute(s)
-        assert t.coverage.covered[0, 0, 0]
+        assert t.covered[0, 0, 0]

@@ -172,14 +172,14 @@ def test_invalid_schedule_reports_pinned():
 def link_axis_tables(t) -> dict:
     """precompute's arrays; those with a link axis have the BS links first."""
     return {
-        "covered": t.coverage.covered,
-        "sight": t.coverage.sight,
-        "power": t.tables.power,
-        "interference": t.tables.interference,
+        "covered": t.covered,
+        "sight": t.sight,
+        "power": t.power,
+        "interference": t.interference,
         "live": t.live,
         "conflicts": t.conflicts,
         "distance": t.distance,
-        "serving_bs": t.coverage.serving_bs,
+        "serving_bs": t.serving_bs,
     }
 
 
