@@ -273,6 +273,10 @@ def sweep_to_csv(table: SweepTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+# SweepSpec fields a sweep-spec document may set; it must set the others
+_OPTIONAL_SPEC_KEYS = ("trials", "methods", "seed0", "timeout", "workers")
+
+
 def load_sweep_spec(text: str) -> SweepSpec:
     """Parse a sweep-spec JSON document."""
     try:
@@ -284,6 +288,9 @@ def load_sweep_spec(text: str) -> SweepSpec:
     for key in ("axis", "values", "config"):
         if key not in doc:
             raise ValueError(f"sweep spec missing {key!r}")
+    unknown = doc.keys() - {"format", "version", "axis", "values", "config", *_OPTIONAL_SPEC_KEYS}
+    if unknown:
+        raise ValueError(f"unknown sweep spec keys: {', '.join(sorted(unknown))}")
     base = scen._config_from_dict(doc["config"])
     values = doc["values"]
     pairs = doc["axis"] in ("k_window", "sinr_threshold")
@@ -299,7 +306,7 @@ def load_sweep_spec(text: str) -> SweepSpec:
     if pairs:
         values = [tuple(v) for v in values]
     try:
-        optional = {key: doc[key] for key in ("trials", "methods", "seed0", "timeout", "workers") if key in doc}
+        optional = {key: doc[key] for key in _OPTIONAL_SPEC_KEYS if key in doc}
         return SweepSpec(base=base, axis=doc["axis"], values=values, **optional)
     except TypeError as exc:
         raise ValueError(f"bad sweep spec field: {exc}") from exc

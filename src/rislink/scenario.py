@@ -88,6 +88,10 @@ class ScenarioConfig:
             raise ValueError("outage windows must be >= 1 slot")
         if self.bs_clearance < 0 or self.wall_clearance < 0:
             raise ValueError("clearances must be >= 0")
+        if not 0 < self.obstacle_size[0] <= self.obstacle_size[1]:
+            raise ValueError(f"obstacle_size must be (low, high) with 0 < low <= high, got {self.obstacle_size!r}")
+        if not 0 < self.ris_fov_half_angle <= math.pi / 2:
+            raise ValueError(f"ris_fov_half_angle must be in (0, pi/2], got {self.ris_fov_half_angle!r}")
         if self.d_reconfig < 1:
             raise ValueError("d_reconfig must be >= 1")
         cap = channel.max_concurrent(channel.N_ELEMENTS)
@@ -471,6 +475,13 @@ def _config_from_dict(d: dict) -> ScenarioConfig:
     return config
 
 
+# The keys of a scenario file besides its format and version, and of each
+# of its surface mounts; the reader refuses any other.
+_BODY_KEYS = ("config", "bs_positions_m", "ris_mounts", "obstacles_m",
+              "trajectories_m", "sinr_thresholds", "outage_window_slots")
+_MOUNT_KEYS = ("position_m", "normal", "fov_half_angle_rad")
+
+
 def serialize(scenario: Scenario) -> str:
     """Render a scenario as versioned, human-readable JSON text."""
     doc = {
@@ -506,15 +517,20 @@ def deserialize(text: str) -> Scenario:
         raise ScenarioFormatError(f"unknown format {doc.get('format')!r}; expected {SCHEMA_NAME!r}")
     if doc.get("version") != SCHEMA_VERSION:
         raise ScenarioFormatError(f"unsupported version {doc.get('version')!r}; expected {SCHEMA_VERSION}")
-    for key in ("config", "bs_positions_m", "ris_mounts", "obstacles_m",
-                "trajectories_m", "sinr_thresholds", "outage_window_slots"):
+    for key in _BODY_KEYS:
         if key not in doc:
             raise ScenarioFormatError(f"missing field {key!r}")
+    unknown = doc.keys() - {"format", "version", *_BODY_KEYS}
+    if unknown:
+        raise ScenarioFormatError(f"unknown keys: {', '.join(sorted(unknown))}")
 
     config = _config_from_dict(doc["config"])
     try:
         bs_positions = list(itertools.starmap(Point2D, _numbers(doc, "bs_positions_m", (config.n_bs, 2)).tolist()))
-        mounts = {key: [m[key] for m in doc["ris_mounts"]] for key in ("position_m", "normal", "fov_half_angle_rad")}
+        mounts = {key: [m[key] for m in doc["ris_mounts"]] for key in _MOUNT_KEYS}
+        unknown = set().union(*(m.keys() for m in doc["ris_mounts"])) - set(_MOUNT_KEYS)
+        if unknown:
+            raise ValueError(f"unknown ris_mounts keys: {', '.join(sorted(unknown))}")
         ris_mounts = list(map(
             RisMount,
             itertools.starmap(Point2D, _numbers(mounts, "position_m", (config.n_ris, 2)).tolist()),
@@ -522,7 +538,7 @@ def deserialize(text: str) -> Scenario:
             _numbers(mounts, "fov_half_angle_rad", (config.n_ris,)).tolist(),
         ))
         obstacles = list(itertools.starmap(
-            Obstacle, _numbers(doc, "obstacles_m", (len(doc["obstacles_m"]), 4)).tolist()))
+            Obstacle, _numbers(doc, "obstacles_m", (config.n_obstacles, 4)).tolist()))
         trajectories = _numbers(doc, "trajectories_m", (config.n_robots, config.n_slots, 2))
         psi = _numbers(doc, "sinr_thresholds", (config.n_robots,))
         k_out = _numbers(doc, "outage_window_slots", (config.n_robots,), int)

@@ -148,6 +148,30 @@ class TestGenerateSolveValidate:
         assert run_cli("solve", str(scenario_file), "--backend", backend) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d.__setitem__("obstacle", []), "obstacle"),
+        (lambda d: d["ris_mounts"][0].__setitem__("tilt_rad", 0.1), "tilt_rad"),
+        (lambda d: d["obstacles_m"].pop(), "obstacles_m"),
+        (lambda d: d["config"].__setitem__("obstacle_size_m", [6.0, 3.0]), "obstacle_size"),
+        (lambda d: d["config"].__setitem__("ris_fov_half_angle_rad", 3.0), "ris_fov_half_angle"),
+    ], ids=["unknown-key", "unknown-mount-key", "obstacle-count", "reversed-obstacle-size",
+            "wide-field-of-view"])
+    def test_malformed_scenario_file_is_error(self, scenario_file, edit, named, capsys):
+        doc = json.loads(scenario_file.read_text())
+        edit(doc)
+        scenario_file.write_text(json.dumps(doc))
+        assert run_cli("solve", str(scenario_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("size", [("6", "3"), ("-1", "2")], ids=["reversed", "negative"])
+    def test_bad_obstacle_size_is_error(self, tmp_path, capsys, size):
+        out = tmp_path / "s.json"
+        assert run_cli("generate", "--obstacle-size", *size, "--output", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "obstacle_size" in err
+        assert not out.exists()
+
     def test_malformed_file_is_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{1 not json")
@@ -253,10 +277,11 @@ class TestSweepCommand:
         ({"axis": "sinr_threshold", "values": [[-3, -2]]}, []),
         ({"methods": []}, []),
         ({"methods": ["heuristic", "heuristic"]}, []),
+        ({"trails": 2}, []),
     ], ids=["string-timeout", "zero-workers", "negative-workers", "zero-workers-flag",
             "fractional-trials", "string-trials", "boolean-seed0", "fractional-seed0",
             "shared-midpoint", "fractional-robots", "nan-step", "fractional-threshold",
-            "negative-threshold", "no-methods", "repeated-method"])
+            "negative-threshold", "no-methods", "repeated-method", "misspelt-trials"])
     def test_malformed_spec_is_error(self, tmp_path, capsys, fields, flags):
         spec = {
             "format": "rislink-sweep",

@@ -197,12 +197,15 @@ class TestSweepSpecFile:
         _spec_doc(seed0="1000"),
         _spec_doc(methods=[]),
         _spec_doc(methods=["heuristic", "heuristic"]),
+        _spec_doc(trails=2),
+        _spec_doc(note="draft"),
     ], ids=["not-an-object", "string-timeout", "zero-timeout", "infinite-timeout",
             "scalar-on-range-axis", "triple-on-range-axis", "null-in-range", "values-not-a-list",
             "pair-on-scalar-axis", "null-trials", "scalar-methods", "zero-workers",
             "negative-workers", "fractional-workers", "string-workers", "boolean-workers",
             "fractional-trials", "boolean-trials", "string-trials",
-            "fractional-seed0", "boolean-seed0", "string-seed0", "no-methods", "repeated-method"])
+            "fractional-seed0", "boolean-seed0", "string-seed0", "no-methods", "repeated-method",
+            "misspelt-trials", "stray-key"])
     def test_malformed_spec_rejected(self, doc):
         with pytest.raises(ValueError):
             load_sweep_spec(json.dumps(doc))

@@ -324,9 +324,14 @@ class TestSerialization:
         (lambda d: d["obstacles_m"][0].__setitem__(2, "3.0"), "obstacles_m holds str values"),
         (lambda d: d["obstacles_m"][3].__setitem__(0, False), "obstacles_m holds bool values"),
         (lambda d: d["obstacles_m"][1].append(1.0), "obstacles_m is not nested as"),
+        (lambda d: d.__setitem__("obstacles", []), "unknown keys: obstacles$"),
+        (lambda d: d["ris_mounts"][1].__setitem__("tilt_rad", 0.1), "unknown ris_mounts keys: tilt_rad"),
+        (lambda d: d["obstacles_m"].pop(), r"obstacles_m is not nested as \(4, 4\)"),
+        (lambda d: d["obstacles_m"].append([1.0, 1.0, 2.0, 2.0]), r"obstacles_m is not nested as \(4, 4\)"),
     ], ids=["boolean-mast-coordinate", "three-coordinate-mast", "missing-mast", "three-coordinate-mount",
             "string-normal", "string-field-of-view", "missing-mount", "string-obstacle-corner",
-            "boolean-obstacle-corner", "five-value-obstacle"])
+            "boolean-obstacle-corner", "five-value-obstacle", "unknown-top-level-key", "unknown-mount-key",
+            "fewer-obstacles-than-config", "more-obstacles-than-config"])
     def test_malformed_geometry_rejected(self, edit, message):
         doc = json.loads(serialize(generate(CFG, 1)))
         edit(doc)
@@ -389,11 +394,18 @@ class TestSerialization:
         ("bs_positions_m", [[5.0, math.nan], [10.0, 10.0]]),
         ("psi_range", [-3.0, -2.0]),
         ("psi_range", [0.0, 10.0]),
+        ("obstacle_size_m", [6.0, 3.0]),
+        ("obstacle_size_m", [-1.0, 2.0]),
+        ("obstacle_size_m", [0.0, 2.0]),
+        ("ris_fov_half_angle_rad", 3.0),
+        ("ris_fov_half_angle_rad", 0.0),
     ], ids=["string-slots", "zero-slots", "fractional-slots", "boolean-robots", "u-above-cap",
             "zero-window", "fractional-window", "short-window", "string-thresholds",
             "null-floor", "triple-position", "empty-phys", "nan-step", "infinite-floor",
             "nan-threshold", "fractional-threshold", "infinite-obstacle-size", "nan-clearance",
-            "infinite-field-of-view", "nan-position", "negative-thresholds", "zero-threshold"])
+            "infinite-field-of-view", "nan-position", "negative-thresholds", "zero-threshold",
+            "reversed-obstacle-size", "negative-obstacle-size", "zero-obstacle-size",
+            "field-of-view-past-right-angle", "zero-field-of-view"])
     def test_malformed_config_value_rejected(self, key, value):
         doc = json.loads(serialize(generate(CFG, 1)))
         doc["config"][key] = value
