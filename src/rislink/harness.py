@@ -33,6 +33,8 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "SoundnessError",
+    "apply_axis",
+    "axis_label",
     "run_trial",
     "pool_size",
     "run_sweep",
