@@ -1,8 +1,9 @@
 """Planar factory geometry: occlusion, coverage and conflict extraction.
 
 The builders read the robot-to-source vectors, distances and pair angles
-that ``precompute`` derives once; ``tests/scalar_geometry.py`` holds a
-per-pair reference of each test.
+that ``precompute`` derives once, and return plain arrays, which
+``precompute`` stores in ``DerivedTables`` as they are;
+``tests/scalar_geometry.py`` holds a per-pair reference of each test.
 
 Everything here is pure and operates on immutable inputs, so it is safe to
 call from parallel trial workers.

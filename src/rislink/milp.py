@@ -301,7 +301,7 @@ def build_model(tables, scenario) -> MilpModel:
     links = col["X"].transpose(2, 1, 0)                                      # (N, R, L)
     covered = tables.covered
     signal = tables.power * (channel.GAIN * channel.GAIN) / channel.NOISE
-    cross = tables.interference / channel.NOISE                                 # (N, R, R, L)
+    cross = tables.interference / channel.NOISE                             # (N, R, R, L)
     live = tables.live
     n_live = live.sum(axis=2)                                                # (N, R)
     # the dense columns that are emitted: each live allocation bit and each
