@@ -15,6 +15,7 @@ from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precom
 from conftest import tiny_config
 from highs_read import model_by_name, read_model
 from oracle import brute_force_optimum
+from test_trial_core import BENCHMARK_FLOOR
 
 HERE = os.path.dirname(__file__)
 FAKE_SOLVER = [sys.executable, os.path.join(HERE, "fake_lp_solver.py"), "{model}", "{solution}"]
@@ -65,14 +66,17 @@ def empty_model():
     return build_model(precompute(s), s)
 
 
-def experiment_model():
-    s = generate(replace(EXPERIMENT_CONFIG, n_robots=14), 1000)
+def built_model(config, seed):
+    s = generate(config, seed)
     return build_model(precompute(s), s)
 
 
 @pytest.fixture(scope="module")
 def golden_models(small_model):
-    return {"small": small_model, "empty": empty_model(), "experiment": experiment_model(),
+    return {"small": small_model, "empty": empty_model(),
+            "experiment": built_model(replace(EXPERIMENT_CONFIG, n_robots=14), 1000),
+            "benchmark": built_model(BENCHMARK_FLOOR, 1000),
+            "experiment_r12_d4": built_model(replace(EXPERIMENT_CONFIG, n_robots=12, d_reconfig=4), 2026),
             "hand_built": hand_built_model()}
 
 
@@ -86,7 +90,11 @@ class TestGoldenText:
     fewer usage bits and no SINR row that holds with all its columns at 1.
     All four MPS digests were re-pinned when the integer-section marker
     lines took their standard three fields (``M1 'MARKER' 'INTORG'``); the
-    earlier four-field lines read as an extra column named MARKER."""
+    earlier four-field lines read as an extra column named MARKER.  The
+    benchmark-floor model at R=14 (seed 1000, the model the export benchmark
+    writes) and the experiment floor at R=12 with D=4 (seed 2026) were pinned
+    from the slot-by-slot SINR rows before those rows were built for all
+    slots at once."""
 
     DIGESTS = {
         ("small", "lp"):
@@ -101,6 +109,14 @@ class TestGoldenText:
             "8d9be8dfa05a1a14e580f5ed997e695c5a5b08f418c9152476f9adfb2621273d",
         ("experiment", "mps"):
             "d827c60dd9126d25b7a1b8234db71e4ef41beb3ede7291ce87c37249802bffbb",
+        ("benchmark", "lp"):
+            "f134a33ed7c293d78365bde646981e48573d1dfafa17b66b06fe2b4120e673ba",
+        ("benchmark", "mps"):
+            "92b92489b96ffcb90de6d093979f7b4fc1fd2e03b2b23f302b20f6a7c16da27c",
+        ("experiment_r12_d4", "lp"):
+            "bdfc7aa26293533fffcd4940a9fe15fec274443dc7a8a52bfced98bda61872e6",
+        ("experiment_r12_d4", "mps"):
+            "8955085c0d7169a2681d987077ddbbba2182e457280977fedd03db69e879d8b8",
         ("hand_built", "lp"):
             "b5fe0ad2c2aeb0fb0151d7e1f222fb8e00b6aa1bfdeafb8d1fd1f6b4001d9db6",
         ("hand_built", "mps"):

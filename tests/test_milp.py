@@ -296,6 +296,7 @@ class TestKillRows:
     # seeds have killers but no SINR row that can bind.
     CASES = {str(seed): (cfg, seed) for cfg, seed in SINR_CASES}
     CASES["r14"] = (replace(EXPERIMENT_CONFIG, n_robots=14), 1003)
+    CASES["floor_r14"] = (BENCHMARK_FLOOR, 1003)     # the export benchmark's model
     THREE_ROBOTS = {str(seed): (tiny_config(), seed) for seed in (3, 9, 16, 18)}
 
     @pytest.fixture(scope="class")
