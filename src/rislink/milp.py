@@ -33,12 +33,14 @@ usage window stay at U or fewer, which no valid schedule breaks (see
 ``build_model``), so the paper's busy flag is zero and its served-through-a-
 ready-surface flag equals the surface link's X at every integer point.
 
-Each constraint family is emitted as numpy COO triplets on the dense index
-of every family (``_family_columns``), over all slots at once or slot by
-slot.  One dense-to-emitted map then renumbers the columns, keeping the
-family order and the order within each family, and the model holds the
-rows as one CSR matrix.  Row and variable names are made only when
-something reads them.
+Each constraint family is emitted once, for all slots, as numpy COO
+triplets on the dense index of every family (``_family_columns``).  A
+row's sort key holds its slot, so rows still come out slot by slot in
+emission order, and one ``bincount`` sums each SINR row's levels in term
+order, as a row built alone would, so no big-M moves.  One dense-to-emitted
+map renumbers the columns, keeping the family order and the order within
+each family, and the model holds the rows as one CSR matrix.  Row and
+variable names are made only when something reads them.
 """
 
 from __future__ import annotations
@@ -225,8 +227,8 @@ def _link_names(n_bs, bs_head, ris_head, link, *indices) -> np.ndarray:
 
 
 def _sinr_names(dims, links) -> np.ndarray:
-    """Names ``snrB_b_r_n`` and ``snrI_i_r_n`` of a slot's SINR rows, whose
-    own allocation bits are the dense columns ``links``."""
+    """Names ``snrB_b_r_n`` and ``snrI_i_r_n`` of the SINR rows whose own
+    allocation bits are the dense columns ``links``."""
     return _link_names(dims[0], "snrB", "snrI", *np.unravel_index(links, _family_shapes(*dims)["X"]))
 
 
@@ -326,42 +328,39 @@ def build_model(tables, scenario) -> MilpModel:
              np.concatenate([o[sr, sn], links[ln, lr, ll]]), 1.0, lambda: _names("serve", sr, sn),
              rows=np.concatenate([cell, np.repeat(cell, n_live[sn, sr])]))
 
-    # SINR rows, per slot: every live link of every victim robot hears the
-    # covered links of every other robot (same-surface links are nulled)
-    robots = np.arange(n_r)
-    killers = []
-    for n in range(n_n):
-        levels = cross[n]  # [r, rp, l]: interference victim r hears when robot rp uses link l
-        heard = (levels > 0.0) & covered[n]
-        heard[robots, robots] = False
-        vr, vl = np.nonzero(live[n])
-        sig = signal[n, vr, vl]
-        p = psi[vr]
-        mask = heard[vr]
-        on_ris = np.nonzero(vl >= n_b)[0]
-        mask[on_ris, :, vl[on_ris]] = False  # nulling removes same-surface interference
-        tv, trp, tl = np.nonzero(mask)
-        level = levels[vr[tv], trp, tl]
-        x = links[n, vr, vl]
-        t_col = links[n, trp, tl]
-        # an interferer that alone exceeds the interference a live link
-        # tolerates goes to the exclusion rows and leaves the SINR row
-        tolerated = sig / p - 1.0
-        kill = level > tolerated[tv]
-        killers.append(np.stack([x[tv[kill]], t_col[kill]]))
-        tv, t_col, level = tv[~kill], t_col[~kill], level[~kill]
-        # a row that holds with all its terms on holds everywhere in the box
-        total = np.bincount(tv, weights=level, minlength=len(vr))
-        binds = total > tolerated
-        term = binds[tv]
-        tv, t_col, level = (np.cumsum(binds) - 1)[tv[term]], t_col[term], level[term]
-        x, sig, p, total = x[binds], sig[binds], p[binds], total[binds]
-        n_v = len(x)
-        mu_v = p * (1.0 + total) * MU_SAFETY + 1.0
-        scale = 1.0 / sig
-        rows.add(key(n, _SINR, np.arange(n_v)), ">", p * scale - mu_v * scale, np.concatenate([x, t_col]),
-                 np.concatenate([sig * scale - mu_v * scale, -p[tv] * level * scale[tv]]),
-                 functools.partial(_sinr_names, dims, x), rows=np.concatenate([np.arange(n_v), tv]))
+    # SINR rows, all slots at once: every live link of every victim robot
+    # hears the covered links of every other robot in its slot (same-surface
+    # links are nulled); victims run in (slot, robot, link) order
+    heard = (cross > 0.0) & covered[:, None] & ~np.eye(n_r, dtype=bool)[:, :, None]  # [n, r, rp, l]
+    vn, vr, vl = np.nonzero(live)
+    sig = signal[vn, vr, vl]
+    p = psi[vr]
+    mask = heard[vn, vr]
+    on_ris = np.nonzero(vl >= n_b)[0]
+    mask[on_ris, :, vl[on_ris]] = False  # nulling removes same-surface interference
+    tv, trp, tl = np.nonzero(mask)
+    level = cross[vn[tv], vr[tv], trp, tl]
+    x = links[vn, vr, vl]
+    t_col = links[vn[tv], trp, tl]
+    # an interferer that alone exceeds the interference a live link
+    # tolerates goes to the exclusion rows and leaves the SINR row
+    tolerated = sig / p - 1.0
+    kill = level > tolerated[tv]
+    killers = np.stack([x[tv[kill]], t_col[kill]])
+    tv, t_col, level = tv[~kill], t_col[~kill], level[~kill]
+    # a row that holds with all its terms on holds everywhere in the box
+    total = np.bincount(tv, weights=level, minlength=len(vn))
+    binds = total > tolerated
+    term = binds[tv]
+    tv, t_col, level = (np.cumsum(binds) - 1)[tv[term]], t_col[term], level[term]
+    x, sig, p, total, bn = x[binds], sig[binds], p[binds], total[binds], vn[binds]
+    n_v = len(x)
+    mu_v = p * (1.0 + total) * MU_SAFETY + 1.0
+    scale = 1.0 / sig
+    # group j is the row's place within slot bn, so the key sort keeps each slot's rows in order
+    rows.add(key(bn, _SINR, np.arange(n_v) - np.searchsorted(bn, bn)), ">", p * scale - mu_v * scale,
+             np.concatenate([x, t_col]), np.concatenate([sig * scale - mu_v * scale, -p[tv] * level * scale[tv]]),
+             functools.partial(_sinr_names, dims, x), rows=np.concatenate([np.arange(n_v), tv]))
 
     # exclusion rows over the killing and arrival-angle conflict pairs; link l
     # of robot r in slot n is column (l*R + r)*N + n.  Each pair's first column
@@ -369,7 +368,7 @@ def build_model(tables, scenario) -> MilpModel:
     # rb, and T the links of rb it excludes; the first columns S of ra in slot
     # n with the same rb and T share the row sum_S X + sum_T X' <= 1
     pn, pi, pa, pb = np.nonzero(tables.conflicts)
-    a, b = np.concatenate([np.stack([xi[pi, pa, pn], xi[pi, pb, pn]])] + killers, axis=1)
+    a, b = np.concatenate([np.stack([xi[pi, pa, pn], xi[pi, pb, pn]]), killers], axis=1)
     a, b = np.where(a // n_n % n_r < b // n_n % n_r, [a, b], [b, a])
     group_key, group = np.unique(a * n_r + b // n_n % n_r, return_inverse=True)
     first, rb = np.divmod(group_key, n_r)
