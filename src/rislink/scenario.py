@@ -389,6 +389,11 @@ def strip_ris(scenario: Scenario) -> Scenario:
     )
 
 
+def _plain(exc: Exception) -> str:
+    """The message of a reader error as plain text; a KeyError names its key."""
+    return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _real(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"expected a number, got {v!r}")
@@ -469,7 +474,7 @@ def _config_from_dict(d: dict) -> ScenarioConfig:
             values.update(zip(field, value) if isinstance(field, tuple) else [(field, value)])
         config = ScenarioConfig(**values)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioFormatError(f"bad config block: {exc!r}") from exc
+        raise ScenarioFormatError(f"bad config block: {_plain(exc)}") from exc
     if d:
         raise ScenarioFormatError(f"unknown config keys: {', '.join(sorted(d))}")
     return config
@@ -543,7 +548,7 @@ def deserialize(text: str) -> Scenario:
         psi = _numbers(doc, "sinr_thresholds", (config.n_robots,))
         k_out = _numbers(doc, "outage_window_slots", (config.n_robots,), int)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioFormatError(f"bad scenario body: {exc!r}") from exc
+        raise ScenarioFormatError(f"bad scenario body: {_plain(exc)}") from exc
 
     # per-robot data that generate could never produce
     if not (np.isfinite(trajectories).all() and np.isfinite(psi).all()):

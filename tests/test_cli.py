@@ -154,15 +154,18 @@ class TestGenerateSolveValidate:
         (lambda d: d["obstacles_m"].pop(), "obstacles_m"),
         (lambda d: d["config"].__setitem__("obstacle_size_m", [6.0, 3.0]), "obstacle_size"),
         (lambda d: d["config"].__setitem__("ris_fov_half_angle_rad", 3.0), "ris_fov_half_angle"),
+        (lambda d: d["ris_mounts"][0].pop("normal"), "error: bad scenario body: missing key 'normal'\n"),
+        (lambda d: d["config"].pop("n_bs"), "error: bad config block: missing key 'n_bs'\n"),
     ], ids=["unknown-key", "unknown-mount-key", "obstacle-count", "reversed-obstacle-size",
-            "wide-field-of-view"])
+            "wide-field-of-view", "missing-mount-key", "missing-config-key"])
     def test_malformed_scenario_file_is_error(self, scenario_file, edit, named, capsys):
+        # the message is plain text, never the repr of the reader's exception
         doc = json.loads(scenario_file.read_text())
         edit(doc)
         scenario_file.write_text(json.dumps(doc))
         assert run_cli("solve", str(scenario_file)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and named in err
+        assert err.startswith("error:") and named in err and "Error(" not in err
 
     @pytest.mark.parametrize("size", [("6", "3"), ("-1", "2")], ids=["reversed", "negative"])
     def test_bad_obstacle_size_is_error(self, tmp_path, capsys, size):

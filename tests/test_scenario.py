@@ -328,15 +328,21 @@ class TestSerialization:
         (lambda d: d["ris_mounts"][1].__setitem__("tilt_rad", 0.1), "unknown ris_mounts keys: tilt_rad"),
         (lambda d: d["obstacles_m"].pop(), r"obstacles_m is not nested as \(4, 4\)"),
         (lambda d: d["obstacles_m"].append([1.0, 1.0, 2.0, 2.0]), r"obstacles_m is not nested as \(4, 4\)"),
+        (lambda d: d["ris_mounts"][1].pop("normal"), "^bad scenario body: missing key 'normal'$"),
+        (lambda d: d["ris_mounts"][0].__setitem__("tilt_rad", 0.1),
+         "^bad scenario body: unknown ris_mounts keys: tilt_rad$"),
     ], ids=["boolean-mast-coordinate", "three-coordinate-mast", "missing-mast", "three-coordinate-mount",
             "string-normal", "string-field-of-view", "missing-mount", "string-obstacle-corner",
             "boolean-obstacle-corner", "five-value-obstacle", "unknown-top-level-key", "unknown-mount-key",
-            "fewer-obstacles-than-config", "more-obstacles-than-config"])
+            "fewer-obstacles-than-config", "more-obstacles-than-config", "missing-mount-key",
+            "unknown-mount-key-plain-text"])
     def test_malformed_geometry_rejected(self, edit, message):
+        # the message is plain text, never the repr of the reader's exception
         doc = json.loads(serialize(generate(CFG, 1)))
         edit(doc)
-        with pytest.raises(ScenarioFormatError, match=message):
+        with pytest.raises(ScenarioFormatError, match=message) as info:
             deserialize(json.dumps(doc))
+        assert "Error(" not in str(info.value)
 
     def test_version_1_file_rejected(self):
         doc = json.loads(serialize(generate(CFG, 1)))
@@ -364,7 +370,7 @@ class TestSerialization:
         for key in written:
             d = dict(written)
             del d[key]
-            with pytest.raises(ScenarioFormatError, match=key):
+            with pytest.raises(ScenarioFormatError, match=f"^bad config block: missing key '{key}'$"):
                 _config_from_dict(d)
         with pytest.raises(ScenarioFormatError, match="unknown config keys: extra_m$"):
             _config_from_dict(dict(written, extra_m=1.0))
@@ -409,8 +415,9 @@ class TestSerialization:
     def test_malformed_config_value_rejected(self, key, value):
         doc = json.loads(serialize(generate(CFG, 1)))
         doc["config"][key] = value
-        with pytest.raises(ScenarioFormatError, match="config"):
+        with pytest.raises(ScenarioFormatError, match="config") as info:
             deserialize(json.dumps(doc))
+        assert "Error(" not in str(info.value)
 
     def test_minimal_hand_written_fixture(self, tmp_path):
         with open("tests/data/minimal_scenario.json") as fh:
