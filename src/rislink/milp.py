@@ -35,7 +35,7 @@ ready-surface flag equals the surface link's X at every integer point.
 
 Each constraint family is emitted once, for all slots, as numpy COO
 triplets on the dense index of every family (``_family_columns``).  A
-row's sort key holds its slot, so rows still come out slot by slot in
+row's sort key holds its slot, so the rows come out slot by slot in
 emission order, and one ``bincount`` sums each SINR row's levels in term
 order, as a row built alone would, so no big-M moves.  One dense-to-emitted
 map renumbers the columns, keeping the family order and the order within
