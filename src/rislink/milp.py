@@ -58,7 +58,7 @@ from .allocation import AllocationSchedule, run_ends
 
 MU_SAFETY = 1.01
 
-__all__ = ["MilpModel", "build_model", "settled_bounds", "extract_schedule", "dark_run"]
+__all__ = ["MilpModel", "build_model", "settled_bounds", "fold_usage", "extract_schedule", "dark_run"]
 
 
 def _family_shapes(n_bs, n_ris, n_robots, n_slots) -> dict:
@@ -461,6 +461,52 @@ def settled_bounds(model: MilpModel) -> tuple:
     chosen = np.take_along_axis(links, free.argmax(axis=0)[None], axis=0)[0][settled]
     lb[chosen] = ub[chosen] = 1.0
     return lb, ub
+
+
+def fold_usage(model: MilpModel, lb: np.ndarray, ub: np.ndarray) -> tuple:
+    """Fold the usage bits that bounds (lb, ub) leave with at most one free link.
+
+    Returns (ub, twin, dropped).  A usage bit Y whose ``used_*`` rows hold no
+    free allocation bit is fixed at 0 in ``ub``.  One whose ``used_*`` rows
+    hold exactly one free allocation bit X takes X's value: ``twin[Y]`` is
+    X's column, its ``ready_*`` coefficients belong on X's column, and
+    ``dropped`` marks its ``used_*`` rows.  Every other column is its own
+    twin.
+
+    Both are exact for bounds from ``settled_bounds``.  Y has cost 0 and
+    lies only in its ``used_*`` rows ``X - Y <= 0`` and in one ``<=`` ready
+    row with coefficient +1, so lowering Y to the largest X of its window
+    keeps every point feasible and its objective: the fold keeps every
+    integer optimum and the LP bound.  That largest X is the free one, or 0,
+    since no allocation bit of a ``used_*`` row is fixed at 1: settling
+    fixes at 1 only free links, which lie in no row but their serve row,
+    and the model fixes at 1 only outage bits.  A point of the folded
+    program with each folded Y set to its X thus keeps every row of the
+    whole model.  The ready rows keep distinct columns, since the Y of one
+    window belong to distinct robots and so do their X.
+    """
+    n_vars, matrix = model.n_vars, model.matrix
+    is_y = np.zeros(n_vars, dtype=bool)
+    ys = model.columns["Y"][model.columns["Y"] >= 0]
+    is_y[ys] = True
+    entry_row = np.repeat(np.arange(model.n_rows), np.diff(matrix.indptr))
+    # the usage bit of each used_* row: the one Y with coefficient -1
+    at_y = is_y[matrix.indices] & (matrix.data < 0)
+    row_y = np.full(model.n_rows, -1)
+    row_y[entry_row[at_y]] = matrix.indices[at_y]
+    # the free allocation bits of the used_* rows, by usage bit
+    at_x = (row_y[entry_row] >= 0) & ~at_y
+    x, y = matrix.indices[at_x], row_y[entry_row[at_x]]
+    open_x = lb[x] < ub[x]
+    x, y = x[open_x], y[open_x]
+    n_open = np.bincount(y, minlength=n_vars)
+    ub = ub.copy()
+    ub[ys[n_open[ys] == 0]] = 0.0
+    twin = np.arange(n_vars)
+    single = n_open[y] == 1
+    twin[y[single]] = x[single]
+    folded = twin != np.arange(n_vars)
+    return ub, twin, (row_y >= 0) & folded[row_y]
 
 
 def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule:

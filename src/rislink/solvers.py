@@ -7,12 +7,18 @@ tested against the brute-force oracle in ``tests/oracle.py``; the external
 path runs ``tests/fake_lp_solver.py``, which reads the LP file with HiGHS.
 
 Before HiGHS runs, ``milp.settled_bounds`` settles every robot-slot with a
-link that no row but its serve row holds.  The columns then fixed, and those
-the model fixes itself, leave the program with their value folded into the
-row sides, and so does every row that holds everywhere in the remaining 0/1
-box.  HiGHS gets the rest; a program with no column left is decided without
-it.  ``scipy.optimize`` is imported on the first HiGHS solve, so a path that
-never solves does not pay for it.
+link that no row but its serve row holds, and ``milp.fold_usage`` then fixes
+at 0 each usage bit whose ``used_*`` rows hold no free allocation bit and
+replaces one whose rows hold exactly one by that bit, dropping those rows.
+The columns then fixed, and those the model fixes itself, leave the program
+with their value folded into the row sides, and so does every row that holds
+everywhere in the remaining 0/1 box.  HiGHS gets the rest through scipy's
+bundled binding (``scipy.optimize._highspy._core``, whose parts used here
+``tests/test_highs_read.py`` pins); a program with no column left is decided
+without it.  Every optimum HiGHS returns is checked against the bounds and
+every row of the whole model before ``solve`` returns it.  The binding is
+imported on the first HiGHS solve, so a path that never solves does not pay
+for it.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lpio
-from .milp import MilpModel, settled_bounds
+from .milp import MilpModel, fold_usage, settled_bounds
 
 INT_TOL = 1e-6
 ROW_TOL = 1e-6
@@ -51,7 +57,8 @@ class SolveResult:
     nodes: int | None = None
     dual_bound: float | None = None
     gap: float | None = None
-    # (columns, rows, nonzeros) left for HiGHS once settled; None for an external backend
+    lp_iterations: int | None = None
+    # (columns, rows, nonzeros) left for HiGHS once settled and folded; None for an external backend
     solved_size: tuple | None = None
 
 
@@ -97,37 +104,36 @@ def solve(model: MilpModel, backend="highs", time_budget: float | None = None) -
     return _solve_highs(model, time_budget)
 
 
-def _stat(res, name, kind):
-    value = res.get(name)
-    return None if value is None else kind(value)
-
-
 def _solve_highs(model: MilpModel, time_budget) -> SolveResult:
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize._highspy import _core
 
     start = time.perf_counter()
     lb, ub = settled_bounds(model)
-    free = lb < ub
-    values = np.where(free, 0.0, lb)       # fixed columns at their value, free ones at 0
+    ub, twin, dropped = fold_usage(model, lb, ub)
+    folded = twin != np.arange(model.n_vars)
+    free = (lb < ub) & ~folded
+    values = np.where(lb < ub, 0.0, lb)    # fixed columns at their value, the rest at 0
     offset = float(model.objective @ values)
     matrix, sense, rhs = model.matrix, model.row_sense, model.row_rhs
     activity = matrix @ values
     lower = np.where(sense == "<", -np.inf, rhs) - activity
     upper = np.where(sense == ">", np.inf, rhs) - activity
+    # each entry's column in the program HiGHS gets: a folded bit's is its
+    # twin's, a fixed column has none
+    solved = np.where(free[twin], np.cumsum(free)[twin] - 1, -1)[matrix.indices]
+    on_free = solved >= 0
     # a row whose least and greatest activity over the free columns' 0/1 box
     # lie within its sides holds everywhere in the box; exact comparisons,
     # since keeping a row that holds is harmless
     entry_row = np.repeat(np.arange(model.n_rows), np.diff(matrix.indptr))
-    on_free = free[matrix.indices]
     coefs = np.where(on_free, matrix.data, 0.0)
     least = np.bincount(entry_row, np.minimum(coefs, 0.0), model.n_rows)
     most = np.bincount(entry_row, np.maximum(coefs, 0.0), model.n_rows)
-    kept = (lower > least) | (upper < most)
+    kept = ((lower > least) | (upper < most)) & ~dropped
     # the kept rows over the free columns, built once and column-major, as HiGHS takes them
     entry = kept[entry_row] & on_free
     n_free, n_kept = int(free.sum()), int(kept.sum())
-    reduced = sp.csc_matrix((matrix.data[entry], ((np.cumsum(kept) - 1)[entry_row[entry]],
-                                                  (np.cumsum(free) - 1)[matrix.indices[entry]])),
+    reduced = sp.csc_matrix((matrix.data[entry], ((np.cumsum(kept) - 1)[entry_row[entry]], solved[entry])),
                             shape=(n_kept, n_free))
     size = (n_free, n_kept, reduced.nnz)
     if not free.any():
@@ -136,34 +142,43 @@ def _solve_highs(model: MilpModel, time_budget) -> SolveResult:
         if kept.any():
             return SolveResult("infeasible", None, None, runtime, solved_size=size)
         return SolveResult("optimal", offset, values, runtime, solved_size=size)
-    options = {"mip_rel_gap": 0.0}
+    lp = _core.HighsLp()
+    lp.num_col_, lp.num_row_ = n_free, n_kept
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = model.objective[free], lb[free], ub[free]
+    lp.row_lower_, lp.row_upper_ = lower[kept], upper[kept]
+    a = lp.a_matrix_
+    a.format_, a.num_col_, a.num_row_ = _core.MatrixFormat.kColwise, n_free, n_kept
+    a.start_, a.index_, a.value_ = reduced.indptr, reduced.indices, reduced.data
+    lp.integrality_ = [_core.HighsVarType.kInteger] * n_free
+    h = _core._Highs()
+    h.setOptionValue("log_to_console", False)
+    h.setOptionValue("mip_rel_gap", 0.0)
     if time_budget is not None:
-        options["time_limit"] = float(time_budget)
-    res = milp(
-        c=model.objective[free],
-        constraints=LinearConstraint(reduced, lower[kept], upper[kept]) if kept.any() else None,
-        integrality=np.ones(size[0]),
-        bounds=Bounds(lb[free], ub[free]),
-        options=options,
-    )
+        h.setOptionValue("time_limit", float(time_budget))
+    if h.passModel(lp) == _core.HighsStatus.kError or h.run() == _core.HighsStatus.kError:
+        raise BackendError(f"HiGHS failed: {h.modelStatusToString(h.getModelStatus())}")
     runtime = time.perf_counter() - start
-    bound = _stat(res, "mip_dual_bound", float)
-    stats = {"nodes": _stat(res, "mip_node_count", int), "dual_bound": None if bound is None else bound + offset,
-             "gap": _stat(res, "mip_gap", float), "solved_size": size}
+    status, info = h.getModelStatus(), h.getInfo()
+    bound = info.mip_dual_bound + offset
+    stats = {"nodes": info.mip_node_count, "dual_bound": bound if math.isfinite(bound) else None,
+             "gap": info.mip_gap if math.isfinite(info.mip_gap) else None,
+             "lp_iterations": info.simplex_iteration_count, "solved_size": size}
     incumbent = None
-    if res.status in (0, 1) and res.x is not None:
-        values[free] = _round_binary(res.x)
+    if info.primal_solution_status == _core.SolutionStatus.kSolutionStatusFeasible:
+        values[free] = _round_binary(np.asarray(h.getSolution().col_value))
+        values[folded] = values[twin[folded]]
         incumbent = float(model.objective @ values)
-        if bound is not None and incumbent:
+        if stats["dual_bound"] is not None and incumbent:
             # HiGHS's relative gap, taken on the full objective
             stats["gap"] = abs(incumbent - stats["dual_bound"]) / abs(incumbent)
-    if res.status == 0:
+    if status == _core.HighsModelStatus.kOptimal:
+        _check_point(model, values)
         return SolveResult("optimal", incumbent, values, runtime, **stats)
-    if res.status == 1:
+    if status == _core.HighsModelStatus.kTimeLimit:
         return SolveResult("timeout", None, None, runtime, incumbent, **stats)
-    if res.status == 2:
+    if status == _core.HighsModelStatus.kInfeasible:
         return SolveResult("infeasible", None, None, runtime, **stats)
-    raise BackendError(f"HiGHS failed: status {res.status} ({res.message})")
+    raise BackendError(f"HiGHS failed: {h.modelStatusToString(status)}")
 
 
 # ----------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Pins the parts of scipy's private HiGHS binding that ``highs_read`` uses.
+"""Pins the parts of scipy's private HiGHS binding that ``highs_read`` and
+``rislink.solvers`` use.
 
 ``scipy.optimize._highspy._core`` is no public API and may move in a scipy
 upgrade.  These tests then fail first and name what moved.
@@ -47,7 +48,8 @@ PIN_MODEL = {"columns": {"x": (1.0, 0.0, 1.0, True), "y": (2.0, 0.0, 0.0, True)}
 
 
 def _moved(what):
-    return f"scipy {scipy.__version__}'s private HiGHS binding moved ({what}); update tests/highs_read.py"
+    return (f"scipy {scipy.__version__}'s private HiGHS binding moved ({what}); "
+            "update tests/highs_read.py and src/rislink/solvers.py")
 
 
 def test_binding_has_what_highs_read_uses():
@@ -80,3 +82,52 @@ def test_reads_and_solves_a_pinned_model(tmp_path, suffix, text):
     path.write_text(text)
     assert highs_read.read_model(path) == ("kOk", PIN_MODEL), _moved("the pinned model reads back otherwise")
     assert highs_read.solve(path) == ("kOptimal", {"x": 1.0, "y": 0.0}), _moved("the pinned model solves otherwise")
+
+
+def test_binding_has_what_solvers_uses():
+    from scipy.optimize._highspy import _core
+
+    missing = [f"_core.{name}" for name in ("HighsLp", "HighsStatus", "HighsModelStatus", "SolutionStatus")
+               if not hasattr(_core, name)]
+    assert not missing, _moved(f"missing {missing}")
+    h = _core._Highs()
+    missing = [f"_Highs.{name}" for name in ("passModel", "getInfo", "modelStatusToString")
+               if not hasattr(h, name)]
+    missing += [f"HighsInfo.{name}" for name in ("mip_node_count", "mip_dual_bound", "mip_gap",
+                                                 "simplex_iteration_count", "primal_solution_status")
+                if not hasattr(h.getInfo(), name)]
+    missing += [f"HighsModelStatus.{name}" for name in ("kOptimal", "kTimeLimit", "kInfeasible")
+                if not hasattr(_core.HighsModelStatus, name)]
+    missing += [f"HighsStatus.{name}" for name in ("kOk", "kError") if not hasattr(_core.HighsStatus, name)]
+    missing += [f"SolutionStatus.{name}" for name in ("kSolutionStatusFeasible",)
+                if not hasattr(_core.SolutionStatus, name)]
+    missing += [f"HighsSparseMatrix.{name}" for name in ("num_col_", "num_row_")
+                if not hasattr(_core.HighsLp().a_matrix_, name)]
+    assert not missing, _moved(f"missing {missing}")
+    for option, value in (("log_to_console", False), ("mip_rel_gap", 0.0), ("time_limit", 5.0)):
+        assert h.setOptionValue(option, value) == _core.HighsStatus.kOk, _moved(f"no option {option}")
+
+
+def test_passes_and_solves_a_pinned_model():
+    # the pinned model, as solvers hands a program to HiGHS
+    from scipy.optimize._highspy import _core
+
+    lp = _core.HighsLp()
+    lp.num_col_, lp.num_row_ = 2, 1
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = [1.0, 2.0], [0.0, 0.0], [1.0, 1.0]
+    lp.row_lower_, lp.row_upper_ = [1.0], [math.inf]
+    a = lp.a_matrix_
+    a.format_, a.num_col_, a.num_row_ = _core.MatrixFormat.kColwise, 2, 1
+    a.start_, a.index_, a.value_ = [0, 1, 2], [0, 0], [1.0, 1.0]
+    lp.integrality_ = [_core.HighsVarType.kInteger] * 2
+    h = _core._Highs()
+    h.setOptionValue("log_to_console", False)
+    assert h.passModel(lp) == _core.HighsStatus.kOk, _moved("passModel refuses the pinned model")
+    assert h.run() == _core.HighsStatus.kOk, _moved("the pinned model does not run")
+    info = h.getInfo()
+    assert h.getModelStatus() == _core.HighsModelStatus.kOptimal, _moved("the pinned model solves otherwise")
+    assert info.primal_solution_status == _core.SolutionStatus.kSolutionStatusFeasible, _moved("no solution")
+    assert list(h.getSolution().col_value) == [1.0, 0.0], _moved("the pinned model solves otherwise")
+    assert (info.mip_dual_bound, info.mip_gap) == (1.0, 0.0), _moved("the pinned model's bound reads otherwise")
+    assert isinstance(info.mip_node_count, int) and isinstance(info.simplex_iteration_count, int), \
+        _moved("the node and iteration counts are no integers")

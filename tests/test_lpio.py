@@ -261,7 +261,8 @@ class TestExternalAdapter:
         assert round(external.objective) == round(highs.objective)
         bf_obj, _ = brute_force_optimum(t, s)
         assert round(external.objective) == bf_obj
-        assert external.nodes is external.dual_bound is external.gap is external.solved_size is None
+        assert external.nodes is external.dual_bound is external.gap is external.lp_iterations is None
+        assert external.solved_size is None
 
     def test_trimmed_model_round_trip_matches_highs(self):
         # seed 9 leaves 44 of 63 bits, fixes a dark cell's outage bit at 1 and

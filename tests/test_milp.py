@@ -409,8 +409,13 @@ class TestSettledBounds:
         untouched[touched[touched >= 0]] = False
         assert (lb[untouched] == model.lb[untouched]).all() and (ub[untouched] == model.ub[untouched]).all()
 
-    def test_settled_solve_matches_highs_on_the_full_model(self, case):
-        s, t, model = case
+    @pytest.mark.parametrize("config, seed", [(BENCHMARK_FLOOR, 1002), (BENCHMARK_FLOOR, 1003),
+                                              (replace(EXPERIMENT_CONFIG, n_robots=12, d_reconfig=4), 2001)],
+                             ids=["1002", "1003", "2001"])
+    def test_settled_solve_matches_highs_on_the_full_model(self, config, seed):
+        s = generate(config, seed)
+        t = precompute(s)
+        model = build_model(t, s)
         res = solvers.solve(model, "highs")
         sense, rhs = model.row_sense, model.row_rhs
         full = milp(model.objective, integrality=np.ones(model.n_vars), bounds=Bounds(model.lb, model.ub),
@@ -419,7 +424,9 @@ class TestSettledBounds:
                     options={"mip_rel_gap": 0.0})
         assert full.status == 0 and res.status == "optimal"
         assert res.objective == round(full.fun)
-        assert res.solved_size[0] < (model.lb < model.ub).sum()
+        solvers._check_point(model, res.values)
+        lb, ub = settled_bounds(model)
+        assert res.solved_size[0] < (lb < ub).sum() < (model.lb < model.ub).sum()
         assert validate(s, t, extract_schedule(model, res.values)).ok
 
 

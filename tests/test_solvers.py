@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.optimize
+from scipy.optimize._highspy import _core
 
 from rislink import solvers
 from rislink.geometry import Obstacle
-from rislink.milp import build_model, extract_schedule, settled_bounds
+from rislink.milp import build_model, extract_schedule, fold_usage, settled_bounds
 from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
@@ -82,12 +82,15 @@ class TestSolverStatistics:
         assert res.gap == pytest.approx(0.0, abs=1e-9)
         assert res.dual_bound == pytest.approx(res.objective, abs=1e-9)
         assert isinstance(res.nodes, int) and res.nodes >= 0
+        assert isinstance(res.lp_iterations, int) and res.lp_iterations > 0
 
     def test_solved_size_is_the_undecided_part(self, r14_model):
         res = solvers.solve(r14_model, "highs")
         lb, ub = settled_bounds(r14_model)
+        folded_ub, twin, _ = fold_usage(r14_model, lb, ub)
         columns, rows, nonzeros = res.solved_size
-        assert columns == (lb < ub).sum() < (r14_model.lb < r14_model.ub).sum()
+        assert columns == ((lb < folded_ub) & (twin == np.arange(r14_model.n_vars))).sum()
+        assert columns < (lb < ub).sum() < (r14_model.lb < r14_model.ub).sum()
         assert 0 < rows < r14_model.n_rows and 0 < nonzeros < r14_model.matrix.nnz
 
     def test_timeout_bound_never_above_incumbent(self, r14_model):
@@ -110,11 +113,27 @@ class TestSettledSolve:
         def refuse(*args, **kwargs):
             raise AssertionError("HiGHS called on a settled model")
 
-        monkeypatch.setattr(scipy.optimize, "milp", refuse)
+        monkeypatch.setattr(_core, "_Highs", refuse)
         res = solvers.solve(model, "highs")
         assert res.status == "optimal" and res.objective == 0.0
         assert len(res.values) == model.n_vars and res.solved_size == (0, 0, 0)
         assert extract_schedule(model, res.values).outage_count() == 0
+
+    def test_wrong_fold_is_caught_before_it_is_returned(self, monkeypatch):
+        # a fold that fixes every usage bit at 0 and drops all its used_*
+        # rows lets a surface link serve with its usage bit at 0
+        s = generate(replace(EXPERIMENT_CONFIG, n_robots=14), 1002)
+        model = build_model(precompute(s), s)
+        ys = model.columns["Y"][model.columns["Y"] >= 0]
+
+        def fix_every_usage_bit(model, lb, ub):
+            ub = ub.copy()
+            ub[ys] = 0.0
+            return ub, np.arange(model.n_vars), model.matrix[:, ys].min(axis=1).toarray().ravel() < 0
+
+        monkeypatch.setattr(solvers, "fold_usage", fix_every_usage_bit)
+        with pytest.raises(solvers.BackendError, match="breaks row used_"):
+            solvers.solve(model, "highs")
 
 
 def test_cli_import_leaves_the_optimizer_out():
