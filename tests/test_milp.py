@@ -9,7 +9,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from rislink import channel, solvers
 from rislink.allocation import AllocationSchedule, derive_history, validate
 from rislink.heuristic import allocate
-from rislink.milp import MU_SAFETY, build_model, dark_run, extract_schedule, settled_bounds
+from rislink.milp import MU_SAFETY, build_model, dark_run, extract_schedule, fold_usage, settled_bounds
 from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
@@ -408,6 +408,31 @@ class TestSettledBounds:
         untouched = np.ones(model.n_vars, dtype=bool)
         untouched[touched[touched >= 0]] = False
         assert (lb[untouched] == model.lb[untouched]).all() and (ub[untouched] == model.ub[untouched]).all()
+
+    def test_each_folded_usage_bit_had_at_most_one_free_link(self, case):
+        _, _, model = case
+        lb, ub = settled_bounds(model)
+        folded_ub, twin, dropped = fold_usage(model, lb, ub)
+        csc = model.matrix.tocsc()
+        used = np.array([name.startswith("used_") for name in model.row_names])
+        counts = collections.Counter()
+        for y in model.columns["Y"][model.columns["Y"] >= 0]:
+            rows = csc.indices[csc.indptr[y]:csc.indptr[y + 1]]
+            rows = rows[used[rows]]
+            links = np.concatenate([model.row_cols[k][model.row_cols[k] != y] for k in rows])
+            assert (lb[links] == 0).all(), "an allocation bit of a used_* row is fixed at 1"
+            free = links[lb[links] < ub[links]]
+            counts[min(len(free), 2)] += 1
+            assert folded_ub[y] == (0.0 if len(free) == 0 else 1.0)
+            assert twin[y] == (free[0] if len(free) == 1 else y)
+            assert (dropped[rows] == (len(free) == 1)).all()
+        # the floor holds usage bits with none, one and several free links
+        assert min(counts[k] for k in range(3)) > 100, counts
+        # only usage bits change, and only used_* rows are dropped
+        others = np.ones(model.n_vars, dtype=bool)
+        others[model.columns["Y"][model.columns["Y"] >= 0]] = False
+        assert (folded_ub[others] == ub[others]).all() and (twin[others] == np.flatnonzero(others)).all()
+        assert not dropped[~used].any()
 
     @pytest.mark.parametrize("config, seed", [(BENCHMARK_FLOOR, 1002), (BENCHMARK_FLOOR, 1003),
                                               (replace(EXPERIMENT_CONFIG, n_robots=12, d_reconfig=4), 2001)],
