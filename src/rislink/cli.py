@@ -55,17 +55,6 @@ def _config_from_args(args) -> scen.ScenarioConfig:
     return scen.ScenarioConfig(**overrides)
 
 
-def _parse_backend(value: str):
-    if value == "highs":
-        return value
-    if value.startswith("external:"):
-        try:
-            return solvers.ExternalBackend(value[len("external:"):].split())
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-    raise argparse.ArgumentTypeError("backend must be 'highs' or 'external:CMD {model} {solution}'")
-
-
 def _seconds(value: str) -> float:
     seconds = float(value)
     if not (math.isfinite(seconds) and seconds > 0):
@@ -120,7 +109,7 @@ def cmd_solve(args) -> int:
         print("infeasible: robot {} has no live link in slots {}-{}".format(*run), file=sys.stderr)
         return EXIT_INFEASIBLE
     model = milp.build_model(tables, scenario)
-    result = solvers.solve(model, backend=args.backend, time_budget=args.timeout)
+    result = solvers.solve(model, time_budget=args.timeout)
     if result.status == "infeasible":
         print("infeasible: no schedule satisfies the outage windows", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -184,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a scenario to optimality")
     p.add_argument("scenario")
-    p.add_argument("--backend", type=_parse_backend, default="highs")
     p.add_argument("--timeout", type=_seconds, default=600.0)
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_solve)

@@ -224,7 +224,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     """Run trials at every axis point with shared seeds and aggregate."""
     table = SweepTable()
     jobs = []
-    for value in spec.values:
+    # last point first: on the robot and delay axes the last points are the
+    # slowest, and a long trial that starts when the pool is nearly done idles the other workers
+    for value in reversed(spec.values):
         config = apply_axis(spec.base, spec.axis, value)
         for t in range(spec.trials):
             jobs.append((axis_label(spec.axis, value), (config, spec.seed0 + t, spec.methods, spec.timeout)))

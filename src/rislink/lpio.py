@@ -1,4 +1,4 @@
-"""Model interchange: LP and MPS writers, a reader of the LP text, solution files.
+"""Model interchange: LP and MPS writers and a reader of the LP text.
 
 Writers emit full-precision coefficients (``repr`` round-trips floats), so an
 exported file reconstructs the exact model.  Their text is stable to the
@@ -8,8 +8,7 @@ text pieces built from the model's CSR/CSC arrays and joined once.  They
 read ``model.row_names``, which the model makes only on demand.  HiGHS
 reads both formats back to exactly the model; ``tests/test_lpio.py`` checks
 that.  ``parse_lp`` reads only ``write_lp``'s own text and is kept for the
-benchmark's self-test of its interchange check.  Solution files carry an
-external solver's answer back to ``solvers.ExternalBackend``.
+benchmark's self-test of its interchange check.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ __all__ = [
     "write_lp",
     "parse_lp",
     "write_mps",
-    "write_solution",
-    "parse_solution",
 ]
 
 _LP_SENSE = {"<": " <= ", ">": " >= ", "=": " = "}
@@ -161,30 +158,3 @@ def write_mps(model) -> str:
         _join((" " + names + " ")[col[order]], row[order], _texts(value, "{!r}\n".format)[order]),
         " M2 'MARKER' 'INTEND'\nRHS\n", _join(" RHS ", rows[rhs], _texts(model.row_rhs[rhs], " {!r}\n".format)),
         "BOUNDS\n", _join(np.where(fixed, " FX BND ", " BV BND "), names, bound), "ENDATA\n"])
-
-
-def write_solution(status: str, assignment: dict | None = None) -> str:
-    lines = [status]
-    for name, value in (assignment or {}).items():
-        lines.append(f"{name} {repr(float(value))}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_solution(text: str):
-    """Returns (status, {name: value}); status is the first non-empty line."""
-    status = None
-    assignment = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if status is None:
-            status = line.split()[0].lower()
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed solution line {line!r}")
-        assignment[parts[0]] = float(parts[1])
-    if status not in ("optimal", "infeasible", "timeout"):
-        raise ValueError(f"unknown solution status {status!r}")
-    return status, assignment

@@ -513,7 +513,7 @@ def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule
     """Map a 0/1 solution vector back to an allocation schedule.
 
     Every robot and slot is in outage or holds exactly one allocation bit
-    (``O + sum X = 1``); a solution that breaks this indicates a backend bug.
+    (``O + sum X = 1``); a solution that breaks this indicates a solver bug.
     A bit that is not emitted reads 0: its column -1 picks the appended 0.
     """
     on = np.append(np.asarray(values) >= 0.5, False)

@@ -1,10 +1,9 @@
-"""Solver backends behind a common contract.
+"""The HiGHS solve of a model.
 
-Two ways to solve a model: "highs" hands the undecided part of the matrix to
-the HiGHS MILP engine shipped with scipy; an ``ExternalBackend`` writes the
-whole model as an LP file and shells out to any solver command.  Both are
-tested against the brute-force oracle in ``tests/oracle.py``; the external
-path runs ``tests/fake_lp_solver.py``, which reads the LP file with HiGHS.
+``solve`` hands the undecided part of the matrix to the HiGHS MILP engine
+shipped with scipy; it is tested against the brute-force oracle in
+``tests/oracle.py``.  ``lpio.export_model`` writes the whole model as LP or
+MPS text for any other solver.
 
 Before HiGHS runs, ``milp.settled_bounds`` settles every robot-slot with a
 link that no row but its serve row holds, and ``milp.fold_usage`` then fixes
@@ -24,26 +23,22 @@ for it.
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import lpio
 from .milp import MilpModel, fold_usage, settled_bounds
 
 INT_TOL = 1e-6
 ROW_TOL = 1e-6
 
-__all__ = ["SolveResult", "BackendError", "ExternalBackend", "solve"]
+__all__ = ["SolveResult", "BackendError", "solve"]
 
 
 class BackendError(RuntimeError):
-    """The requested backend is unavailable or returned garbage."""
+    """HiGHS failed, or returned a point that is not a 0/1 solution of the model."""
 
 
 @dataclass
@@ -53,12 +48,12 @@ class SolveResult:
     values: np.ndarray | None       # rounded 0/1 vector, present iff optimal
     runtime: float
     incumbent_objective: float | None = None
-    # HiGHS branch-and-bound statistics; None where the solver reports none
+    # HiGHS branch-and-bound statistics; None where HiGHS did not run or reports none
     nodes: int | None = None
     dual_bound: float | None = None
     gap: float | None = None
     lp_iterations: int | None = None
-    # (columns, rows, nonzeros) left for HiGHS once settled and folded; None for an external backend
+    # (columns, rows, nonzeros) left for HiGHS once settled and folded
     solved_size: tuple | None = None
 
 
@@ -87,20 +82,16 @@ def _check_point(model: MilpModel, values: np.ndarray) -> None:
         raise BackendError(f"solver's solution breaks row {model.row_names[k]} by {excess[k]:g}")
 
 
-def solve(model: MilpModel, backend="highs", time_budget: float | None = None) -> SolveResult:
-    """Solve a model with "highs" or an ExternalBackend.
+def solve(model: MilpModel, time_budget: float | None = None) -> SolveResult:
+    """Solve a model with HiGHS.
 
     ``time_budget`` is None (no limit) or a positive, finite number of seconds.
     """
     if time_budget is not None and not (math.isfinite(time_budget) and time_budget > 0):
         raise ValueError(f"time budget must be positive and finite, got {time_budget!r}")
-    if not (backend == "highs" or isinstance(backend, ExternalBackend)):
-        raise BackendError(f"unknown backend {backend!r}")
     start = time.perf_counter()
     if model.n_vars == 0:
         return SolveResult("optimal", 0.0, np.zeros(0), time.perf_counter() - start)
-    if isinstance(backend, ExternalBackend):
-        return backend.solve(model, time_budget)
     return _solve_highs(model, time_budget)
 
 
@@ -179,66 +170,3 @@ def _solve_highs(model: MilpModel, time_budget) -> SolveResult:
     if status == _core.HighsModelStatus.kInfeasible:
         return SolveResult("infeasible", None, None, runtime, **stats)
     raise BackendError(f"HiGHS failed: {h.modelStatusToString(status)}")
-
-
-# ----------------------------------------------------------------------------
-# external solver adapter
-# ----------------------------------------------------------------------------
-
-
-class ExternalBackend:
-    """Shells a model out to a solver command through an LP file.
-
-    ``command`` is a list of argv strings where "{model}" and "{solution}"
-    are replaced by file paths.  The solver must write a solution file whose
-    first line is the status (optimal/infeasible/timeout) followed by one
-    "name value" line per nonzero or listed variable.  An optimal solution
-    must set every variable to 0 or 1 within its bounds and keep every row;
-    anything else raises ``BackendError``.
-    """
-
-    def __init__(self, command):
-        self.command = list(command)
-        if not self.command:
-            raise ValueError("external solver command is empty")
-
-    def solve(self, model: MilpModel, time_budget=None) -> SolveResult:
-        start = time.perf_counter()
-        text = lpio.write_lp(model)
-        with tempfile.TemporaryDirectory(prefix="rislink-") as tmp:
-            model_path = os.path.join(tmp, "model.lp")
-            solution_path = os.path.join(tmp, "solution.txt")
-            with open(model_path, "w") as fh:
-                fh.write(text)
-            argv = [arg.format(model=model_path, solution=solution_path) for arg in self.command]
-            try:
-                proc = subprocess.run(
-                    argv, capture_output=True, text=True,
-                    timeout=None if time_budget is None else float(time_budget) + 5.0,
-                )
-            except FileNotFoundError as exc:
-                raise BackendError(f"external solver not found: {argv[0]}") from exc
-            except subprocess.TimeoutExpired:
-                return SolveResult("timeout", None, None, time.perf_counter() - start)
-            if proc.returncode != 0:
-                raise BackendError(
-                    f"external solver exited with {proc.returncode}: {proc.stderr.strip()[:500]}")
-            try:
-                with open(solution_path) as fh:
-                    status, assignment = lpio.parse_solution(fh.read())
-            except OSError as exc:
-                raise BackendError("external solver wrote no solution file") from exc
-        runtime = time.perf_counter() - start
-        if status == "infeasible":
-            return SolveResult("infeasible", None, None, runtime)
-        if status == "timeout":
-            return SolveResult("timeout", None, None, runtime)
-        values = np.zeros(model.n_vars)
-        index = {name: j for j, name in enumerate(model.var_names)}
-        for name, v in assignment.items():
-            if name not in index:
-                raise BackendError(f"solution references unknown variable {name!r}")
-            values[index[name]] = v
-        values = _round_binary(values)
-        _check_point(model, values)
-        return SolveResult("optimal", float(model.objective @ values), values, runtime)

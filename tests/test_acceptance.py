@@ -63,7 +63,7 @@ class TestCriterion1OracleEquivalence:
             scenario = generate(cfg, seed)
             tables = precompute(scenario)
             bf_obj, bf_sched = brute_force_optimum(tables, scenario)
-            res = solvers.solve(build_model(tables, scenario), "highs")
+            res = solvers.solve(build_model(tables, scenario))
             got = round(res.objective) if res.status == "optimal" else None
             assert got == bf_obj, f"seed {seed}: solver {got} vs enumeration {bf_obj}"
             checked += 1
@@ -87,7 +87,7 @@ class TestCriterion4NarrativeInstance:
         scenario = build_showcase_scenario()
         tables = precompute(scenario)
         model = build_model(tables, scenario)
-        res = solvers.solve(model, "highs")
+        res = solvers.solve(model)
         return scenario, tables, model, res
 
     def test_coverage_matches_story(self, solved):
@@ -113,7 +113,7 @@ class TestCriterion4NarrativeInstance:
         model = build_model(tables, scenario)
         col = model.columns["X"][scenario.config.n_bs, 0, 1]
         model.lb[col] = model.ub[col] = 0  # forbid robot 0 on surface 0 in slot 1
-        res = solvers.solve(model, "highs")
+        res = solvers.solve(model)
         assert res.status == "infeasible"
 
     def test_interference_terms_of_relayed_robot(self, solved):
@@ -339,7 +339,7 @@ class TestCriterion2EncoderSoundness:
             scenario = generate(cfg, 9000 + seed)
             tables = precompute(scenario)
             model = build_model(tables, scenario)
-            res = solvers.solve(model, "highs", time_budget=TIMEOUT)
+            res = solvers.solve(model, time_budget=TIMEOUT)
             if res.status != "optimal":
                 continue
             sched = extract_schedule(model, res.values)
@@ -367,7 +367,7 @@ class TestCriterion7PropertySuites:
             scenario = generate(cfg, 500 + seed)
             tables = precompute(scenario)
             out = allocate(tables, scenario, seed=seed)
-            res = solvers.solve(build_model(tables, scenario), "highs")
+            res = solvers.solve(build_model(tables, scenario))
             assert res.status == "optimal"
             assert out.schedule.outage_count() >= round(res.objective)
             worse += out.schedule.outage_count() > round(res.objective)

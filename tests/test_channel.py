@@ -236,7 +236,7 @@ class TestSinrBatch:
         s = generate(tiny_config(n_robots=3, n_slots=3, k_range=(4, 4)), seed)
         t = precompute(s)
         model = milp.build_model(t, s)
-        result = solvers.solve(model, "highs")
+        result = solvers.solve(model)
         assert result.status == "optimal"
         assert_batch_matches_scalar(t, milp.extract_schedule(model, result.values))
 

@@ -1,13 +1,12 @@
 import hashlib
 import json
 import math
-import os
-import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from rislink import milp
+from rislink import milp, solvers
 from rislink.cli import EXIT_INFEASIBLE, main
 from rislink.harness import CSV_HEADER
 from rislink.lpio import export_model
@@ -88,15 +87,13 @@ class TestGenerateSolveValidate:
         assert capsys.readouterr().err.startswith("error: sinr_thresholds must be > 0")
 
     @pytest.mark.parametrize("args", [
-        ["solve", "SCENARIO", "--backend", "nope"],
-        ["solve", "SCENARIO", "--backend", "bnb"],
-        ["solve", "SCENARIO", "--backend", "external:"],
+        ["solve", "SCENARIO", "--backend", "highs"],
         ["solve", "SCENARIO", "--timeout", "soon"],
         ["sweep"],
         ["frobnicate"],
         [],
-    ], ids=["unknown-backend", "removed-backend", "empty-external-command", "non-numeric-timeout",
-            "sweep-without-spec", "unknown-command", "no-command"])
+    ], ids=["removed-backend-option", "non-numeric-timeout", "sweep-without-spec", "unknown-command",
+            "no-command"])
     def test_usage_error_exits_1(self, scenario_file, args, capsys):
         argv = [str(scenario_file) if a == "SCENARIO" else a for a in args]
         assert run_cli(*argv) == 1
@@ -139,14 +136,20 @@ class TestGenerateSolveValidate:
         assert run_cli("solve", str(path), "--timeout", "-1") == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("value", ["nan", "1"])
-    def test_external_solver_garbage_is_error(self, scenario_file, value, capsys):
-        # a solver that reports every variable at one value: NaN is no 0/1
-        # value, and all ones breaks every serve row
-        solver = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fake_lp_solver.py")
-        backend = f"external:{sys.executable} {solver} {{model}} {{solution}} {value}"
-        assert run_cli("solve", str(scenario_file), "--backend", backend) == 1
-        assert capsys.readouterr().err.startswith("error:")
+    def test_solver_fault_is_error(self, tmp_path, monkeypatch, capsys):
+        # a fold that fixes every usage bit at 0 and drops all its used_*
+        # rows lets a surface link serve with its usage bit at 0
+        path = tmp_path / "r14.json"
+        path.write_text(serialize(generate(replace(EXPERIMENT_CONFIG, n_robots=14), 1002)))
+
+        def fix_every_usage_bit(model, lb, ub):
+            ys = model.columns["Y"][model.columns["Y"] >= 0]
+            ub = ub.copy()
+            ub[ys] = 0.0
+            return ub, np.arange(model.n_vars), model.matrix[:, ys].min(axis=1).toarray().ravel() < 0
+        monkeypatch.setattr(solvers, "fold_usage", fix_every_usage_bit)
+        assert run_cli("solve", str(path)) == 1
+        assert capsys.readouterr().err.startswith("error: solver's solution breaks row used_")
 
     @pytest.mark.parametrize("edit, named", [
         (lambda d: d.__setitem__("obstacle", []), "obstacle"),

@@ -112,7 +112,7 @@ class TestInvariants:
             t = precompute(s)
             out = allocate(t, s, seed=seed)
             assert out.feasible
-            res = solvers.solve(build_model(t, s), "highs")
+            res = solvers.solve(build_model(t, s))
             assert res.status == "optimal"
             assert out.schedule.outage_count() >= round(res.objective)
             wins += out.schedule.outage_count() > round(res.objective)

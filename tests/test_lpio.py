@@ -1,24 +1,17 @@
 import hashlib
-import os
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rislink import solvers
-from rislink.lpio import export_model, parse_lp, parse_solution, write_lp, write_mps, write_solution
+from rislink.lpio import export_model, parse_lp, write_lp, write_mps
 from rislink.milp import MilpModel, build_model
 from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
 from highs_read import model_by_name, read_model
-from oracle import brute_force_optimum
 from test_trial_core import BENCHMARK_FLOOR
-
-HERE = os.path.dirname(__file__)
-FAKE_SOLVER = [sys.executable, os.path.join(HERE, "fake_lp_solver.py"), "{model}", "{solution}"]
 
 
 def model_multiset(model):
@@ -233,68 +226,3 @@ class TestEmptyModel:
     def test_unknown_format_rejected(self, small_model):
         with pytest.raises(ValueError):
             export_model(small_model, "sav")
-
-
-class TestSolutionFormat:
-    def test_round_trip(self):
-        text = write_solution("optimal", {"X_1": 1.0, "O_0": 0.0})
-        status, values = parse_solution(text)
-        assert status == "optimal"
-        assert values == {"X_1": 1.0, "O_0": 0.0}
-
-    def test_status_only(self):
-        assert parse_solution(write_solution("infeasible")) == ("infeasible", {})
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            parse_solution("927 whatever\n")
-
-
-class TestExternalAdapter:
-    def test_cross_solver_objective_matches(self):
-        s = generate(tiny_config(n_slots=3), 2)
-        t = precompute(s)
-        model = build_model(t, s)
-        highs = solvers.solve(model, "highs")
-        external = solvers.solve(model, solvers.ExternalBackend(FAKE_SOLVER))
-        assert external.status == highs.status == "optimal"
-        assert round(external.objective) == round(highs.objective)
-        bf_obj, _ = brute_force_optimum(t, s)
-        assert round(external.objective) == bf_obj
-        assert external.nodes is external.dual_bound is external.gap is external.lp_iterations is None
-        assert external.solved_size is None
-
-    def test_trimmed_model_round_trip_matches_highs(self):
-        # seed 9 leaves 44 of 63 bits, fixes a dark cell's outage bit at 1 and
-        # writes one single-link serve row O + X >= 1
-        s = generate(tiny_config(n_slots=3), 9)
-        t = precompute(s)
-        model = build_model(t, s)
-        assert model.n_vars < model.n_robots * model.n_slots * (model.n_bs + 2 * model.n_ris + 1)
-        assert (model.lb == 1).any() and (model.row_sense == ">").any()
-        highs = solvers.solve(model, "highs")
-        external = solvers.solve(model, solvers.ExternalBackend(FAKE_SOLVER))
-        assert external.status == highs.status == "optimal"
-        assert external.objective == highs.objective == brute_force_optimum(t, s)[0] == 1
-        assert (external.values[model.lb == 1] == 1).all()
-
-    def test_unknown_variable_refused(self):
-        # the bit of a link that is not live is no column of the model
-        s = generate(tiny_config(n_slots=3), 9)
-        model = build_model(precompute(s), s)
-        b, r, n = np.argwhere(model.columns["X"][:model.n_bs] < 0)[0]
-        absent = f"Xb_{b}_{r}_{n}"
-        assert absent not in model.var_names
-        writer = [sys.executable, "-c", "import sys; open(sys.argv[2], 'w').write(sys.argv[3])",
-                  "{model}", "{solution}", f"optimal\n{absent} 1.0\n"]
-        with pytest.raises(solvers.BackendError, match=f"unknown variable '{absent}'"):
-            solvers.solve(model, solvers.ExternalBackend(writer))
-
-    def test_empty_command_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            solvers.ExternalBackend([])
-
-    def test_missing_binary_reported(self, small_model):
-        backend = solvers.ExternalBackend(["/nonexistent/solver", "{model}", "{solution}"])
-        with pytest.raises(solvers.BackendError, match="not found"):
-            backend.solve(small_model)

@@ -19,7 +19,7 @@ from test_trial_core import BENCHMARK_FLOOR
 
 def solve_objective(scenario, tables):
     model = build_model(tables, scenario)
-    res = solvers.solve(model, "highs")
+    res = solvers.solve(model)
     if res.status == "infeasible":
         return None, None, model
     assert res.status == "optimal"
@@ -192,7 +192,7 @@ class TestBigMInertness:
         s = generate(cfg, seed)
         t = precompute(s)
         model = build_model(t, s)
-        res = solvers.solve(model, "highs")
+        res = solvers.solve(model)
         x = res.values if res.status == "optimal" else None
         checked = 0
         for k, name in enumerate(model.row_names):
@@ -371,7 +371,7 @@ class TestDarkRunCertificate:
                 continue
             r, first, last = run
             assert last - first + 1 == s.k_out[r] and not t.live[first:last + 1, r].any()
-            assert solvers.solve(build_model(t, s), "highs").status == "infeasible"
+            assert solvers.solve(build_model(t, s)).status == "infeasible"
             certified.append(seed)
         assert certified
 
@@ -441,7 +441,7 @@ class TestSettledBounds:
         s = generate(config, seed)
         t = precompute(s)
         model = build_model(t, s)
-        res = solvers.solve(model, "highs")
+        res = solvers.solve(model)
         sense, rhs = model.row_sense, model.row_rhs
         full = milp(model.objective, integrality=np.ones(model.n_vars), bounds=Bounds(model.lb, model.ub),
                     constraints=LinearConstraint(model.matrix, np.where(sense == "<", -np.inf, rhs),

@@ -33,7 +33,7 @@ class TestBackendContract:
     def test_forced_outage_objective(self):
         s, t = walled_in()
         model = build_model(t, s)
-        res = solvers.solve(model, "highs")
+        res = solvers.solve(model)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0)
         sched = extract_schedule(model, res.values)
@@ -41,13 +41,7 @@ class TestBackendContract:
 
     def test_uncoverable_window_is_infeasible(self):
         s, t = walled_in(k_range=(2, 2))
-        assert solvers.solve(build_model(t, s), "highs").status == "infeasible"
-
-    def test_unknown_backend_rejected(self):
-        s, t = walled_in()
-        for model in (build_model(t, s), empty_model()):
-            with pytest.raises(solvers.BackendError):
-                solvers.solve(model, "cplex")
+        assert solvers.solve(build_model(t, s)).status == "infeasible"
 
     def test_empty_model_short_circuits(self):
         res = solvers.solve(empty_model())
@@ -57,7 +51,7 @@ class TestBackendContract:
         cfg = tiny_config(n_robots=3, n_slots=4)
         s = generate(cfg, 1)
         model = build_model(precompute(s), s)
-        res = solvers.solve(model, "highs", time_budget=1e-9)
+        res = solvers.solve(model, time_budget=1e-9)
         assert res.status == "timeout"
         assert res.values is None
 
@@ -66,7 +60,7 @@ class TestBackendContract:
         s = generate(tiny_config(n_robots=3, n_slots=4), 1)
         model = build_model(precompute(s), s)
         with pytest.raises(ValueError, match="time budget"):
-            solvers.solve(model, "highs", time_budget=budget)
+            solvers.solve(model, time_budget=budget)
 
 
 class TestSolverStatistics:
@@ -76,7 +70,7 @@ class TestSolverStatistics:
         return build_model(precompute(s), s)
 
     def test_optimal_solve_closes_the_gap(self, r14_model):
-        res = solvers.solve(r14_model, "highs")
+        res = solvers.solve(r14_model)
         assert res.status == "optimal"
         # the bound is an LP value: on some seeds it sits 3e-14 below the integer optimum
         assert res.gap == pytest.approx(0.0, abs=1e-9)
@@ -85,7 +79,7 @@ class TestSolverStatistics:
         assert isinstance(res.lp_iterations, int) and res.lp_iterations > 0
 
     def test_solved_size_is_the_undecided_part(self, r14_model):
-        res = solvers.solve(r14_model, "highs")
+        res = solvers.solve(r14_model)
         lb, ub = settled_bounds(r14_model)
         folded_ub, twin, _ = fold_usage(r14_model, lb, ub)
         columns, rows, nonzeros = res.solved_size
@@ -94,7 +88,7 @@ class TestSolverStatistics:
         assert 0 < rows < r14_model.n_rows and 0 < nonzeros < r14_model.matrix.nnz
 
     def test_timeout_bound_never_above_incumbent(self, r14_model):
-        res = solvers.solve(r14_model, "highs", time_budget=1e-9)
+        res = solvers.solve(r14_model, time_budget=1e-9)
         assert res.status == "timeout"
         if res.dual_bound is not None and res.incumbent_objective is not None:
             assert res.dual_bound <= res.incumbent_objective
@@ -114,7 +108,7 @@ class TestSettledSolve:
             raise AssertionError("HiGHS called on a settled model")
 
         monkeypatch.setattr(_core, "_Highs", refuse)
-        res = solvers.solve(model, "highs")
+        res = solvers.solve(model)
         assert res.status == "optimal" and res.objective == 0.0
         assert len(res.values) == model.n_vars and res.solved_size == (0, 0, 0)
         assert extract_schedule(model, res.values).outage_count() == 0
@@ -133,7 +127,7 @@ class TestSettledSolve:
 
         monkeypatch.setattr(solvers, "fold_usage", fix_every_usage_bit)
         with pytest.raises(solvers.BackendError, match="breaks row used_"):
-            solvers.solve(model, "highs")
+            solvers.solve(model)
 
 
 def test_cli_import_leaves_the_optimizer_out():
@@ -166,7 +160,7 @@ class TestCheckPoint:
     def test_optimum_passes(self):
         s = generate(tiny_config(n_robots=2, n_slots=3), 1)
         model = build_model(precompute(s), s)
-        solvers._check_point(model, solvers.solve(model, "highs").values)
+        solvers._check_point(model, solvers.solve(model).values)
 
     def test_bit_outside_its_bounds_rejected(self):
         # the walled-in robot's outage bits are fixed at 1
