@@ -54,3 +54,13 @@ def by_name(col_names, row_names, matrix, cost, col_lower, col_upper, integer, r
         if v != 0.0:
             rows[row_names[k]][2][col_names[j]] = v
     return {"columns": columns, "rows": rows}
+
+
+def solve(path):
+    """Solve the model in ``path`` with HiGHS: its model status name and ``{column name: value}``."""
+    h, status = highs(path)
+    if status != "kOk":
+        raise ValueError(f"HiGHS read {path} with {status}")
+    h.run()
+    names = h.getLp().col_names_
+    return h.getModelStatus().name, dict(zip(names, h.getSolution().col_value))

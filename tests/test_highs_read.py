@@ -75,12 +75,13 @@ def test_binding_has_what_highs_read_uses():
 
 
 @pytest.mark.parametrize("suffix, text", [("lp", PIN_LP), ("mps", PIN_MPS)])
-def test_reads_a_pinned_model(tmp_path, suffix, text):
+def test_reads_and_solves_a_pinned_model(tmp_path, suffix, text):
     import highs_read
 
     path = tmp_path / f"pin.{suffix}"
     path.write_text(text)
     assert highs_read.read_model(path) == ("kOk", PIN_MODEL), _moved("the pinned model reads back otherwise")
+    assert highs_read.solve(path) == ("kOptimal", {"x": 1.0, "y": 0.0}), _moved("the pinned model solves otherwise")
 
 
 def test_binding_has_what_solvers_uses():
