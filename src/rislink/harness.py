@@ -55,6 +55,11 @@ class MethodResult:
     timed_out: bool = False
     objective: float | None = None
     dark_run: tuple | None = None   # (robot, first slot, last slot) that proves the ILP infeasible
+    # the program HiGHS received, as (columns, rows, nonzeros), and its statistics;
+    # None where no model was solved or HiGHS reports none
+    solved_size: tuple | None = None
+    nodes: int | None = None
+    lp_iterations: int | None = None
 
 
 @dataclass
@@ -154,6 +159,7 @@ def _solve_ilp(scenario, tables, timeout) -> MethodResult:
         return MethodResult(False, None, time.perf_counter() - t0, dark_run=run)
     model = milp.build_model(tables, scenario)
     result = solvers.solve(model, time_budget=timeout)
+    stats = {"solved_size": result.solved_size, "nodes": result.nodes, "lp_iterations": result.lp_iterations}
     if result.status == "optimal":
         sched = milp.extract_schedule(model, result.values)
         report = allocation.validate(scenario, tables, sched)
@@ -165,11 +171,12 @@ def _solve_ilp(scenario, tables, timeout) -> MethodResult:
             outage_pct=allocation.outage_percentage(sched) if scenario.config.n_robots else 0.0,
             runtime_s=result.runtime,
             objective=result.objective,
+            **stats,
         )
     if result.status == "timeout":
         return MethodResult(False, None, result.runtime, timed_out=True,
-                            objective=result.incumbent_objective)
-    return MethodResult(False, None, result.runtime)
+                            objective=result.incumbent_objective, **stats)
+    return MethodResult(False, None, result.runtime, **stats)
 
 
 def run_trial(config: scen.ScenarioConfig, seed: int, methods=KNOWN_METHODS,

@@ -41,6 +41,14 @@ order, as a row built alone would, so no big-M moves.  One dense-to-emitted
 map renumbers the columns, keeping the family order and the order within
 each family, and the model holds the rows as one CSR matrix.  Row and
 variable names are made only when something reads them.
+
+Before a solve, ``dominated_bounds`` and ``fold_usage`` shrink the program
+without moving an optimum, and are alternated until neither changes a
+bound.  The first fixes at 0 each link that another open link of its
+robot-slot dominates, and settles a robot-slot with a link in no row but
+its serve row; the second folds each usage bit whose window has at most one
+link left.  ``restrict`` gives the rows left on the resulting box: their
+sides less the fixed part, without the rows that hold everywhere in it.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,7 +66,8 @@ from .allocation import AllocationSchedule, run_ends
 
 MU_SAFETY = 1.01
 
-__all__ = ["MilpModel", "build_model", "settled_bounds", "fold_usage", "extract_schedule", "dark_run"]
+__all__ = ["MilpModel", "build_model", "restrict", "dominated_bounds", "fold_usage", "extract_schedule",
+           "dark_run"]
 
 
 def _family_shapes(n_bs, n_ris, n_robots, n_slots) -> dict:
@@ -94,6 +103,20 @@ def _variable_names(*dims) -> np.ndarray:
         index = np.indices(shape).reshape(len(shape), -1)
         parts.append(_link_names(dims[0], "Xb", "Xi", *index) if label == "X" else _names(label, *index))
     return np.concatenate(parts)
+
+
+class _Parts(NamedTuple):
+    """What the reductions before a solve read of a model's rows."""
+    by_column: sp.csc_matrix    # the matrix column-major, each column's rows ascending
+    keys: np.ndarray            # column * n_rows + row of each entry of by_column, ascending
+    pattern: sp.csr_matrix      # 1 at each entry, and in ``transposed`` its transpose
+    transposed: sp.csr_matrix
+    negative: sp.csr_matrix     # min(a, 0) and max(a, 0) at each entry a
+    positive: sp.csr_matrix
+    lower: np.ndarray           # each row's sides
+    upper: np.ndarray
+    serve: np.ndarray           # mask of the serve_<r>_<n> rows
+    used: tuple                 # (row, X, Y) of each used_* row X - Y <= 0
 
 
 @dataclass
@@ -144,6 +167,33 @@ class MilpModel:
     @functools.cached_property
     def row_names(self) -> list:
         return self.make_row_names()
+
+    @functools.cached_property
+    def parts(self) -> "_Parts":
+        """What the reductions before a solve read of the rows, built once."""
+        a, at = self.matrix, self.matrix.tocsc()
+        is_o = np.zeros(self.n_vars)
+        is_o[self.columns["O"]] = 1.0
+        pattern = sp.csr_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+        # each usage bit's used_* rows, where it has coefficient -1, and the
+        # allocation bit each holds beside it
+        ys = self.columns["Y"][self.columns["Y"] >= 0]
+        pos, owner = _entries(at.indptr, ys)
+        pos, y = pos[at.data[pos] < 0], ys[owner[at.data[pos] < 0]]
+        row = at.indices[pos]
+        x = a.indices[a.indptr[row]]
+        return _Parts(
+            by_column=at,
+            keys=np.repeat(np.arange(self.n_vars) * self.n_rows, np.diff(at.indptr)) + at.indices,
+            pattern=pattern,
+            transposed=sp.csr_matrix((np.ones(a.nnz), at.indices, at.indptr), shape=a.shape[::-1]),
+            negative=sp.csr_matrix((np.minimum(a.data, 0.0), a.indices, a.indptr), shape=a.shape),
+            positive=sp.csr_matrix((np.maximum(a.data, 0.0), a.indices, a.indptr), shape=a.shape),
+            lower=np.where(self.row_sense == "<", -np.inf, self.row_rhs),
+            upper=np.where(self.row_sense == ">", np.inf, self.row_rhs),
+            serve=(pattern @ is_o > 0) & (self.row_sense != "<"),
+            used=(row, np.where(x == y, a.indices[a.indptr[row] + 1], x), y),
+        )
 
     @functools.cached_property
     def row_cols(self) -> list:
@@ -428,85 +478,146 @@ def build_model(tables, scenario) -> MilpModel:
                      make_row_names=row_names)
 
 
-def settled_bounds(model: MilpModel) -> tuple:
-    """Column bounds (lb, ub) that settle every robot-slot with a free link.
+def _entries(indptr: np.ndarray, cols: np.ndarray) -> tuple:
+    """(positions, owners): the positions of the entries of every column of
+    ``cols`` in a compressed matrix with ``indptr``, and for each the index
+    into ``cols`` of its column."""
+    count = indptr[cols + 1] - indptr[cols]
+    owner = np.repeat(np.arange(len(cols)), count)
+    return np.arange(len(owner)) + np.repeat(indptr[cols] - np.cumsum(count) + count, count), owner
 
-    A free link is a live link whose column has exactly one nonzero, which
-    is then the ``serve_<r>_<n>`` row of its robot-slot.  For each robot-slot
-    with one, the first in link order (every BS, then every surface) is
-    fixed at 1, and the robot-slot's O and its other links at 0.  On the
-    benchmark floor only BS links qualify, since a live surface link always
-    holds a ``used_*`` row.
 
-    The restriction keeps an optimum, and keeps infeasibility.  Every row
-    other than the serve row is monotone in the bits this fixes at 0:
-    ``excl_*`` and ``used_*`` are ``<=`` rows with +1 coefficients on them;
-    in a SINR ``>=`` row the victim coefficient ``sig - M`` is negative (a
-    row is emitted only where ``M > psi*(1 + sum of its levels) >= sig``)
-    and so are the interferer coefficients; ``win_*`` rows have +1
-    coefficients on O.  So moving a robot-slot of any feasible point onto
-    its free link, which no other row holds, keeps every row, and it does
-    not raise the objective, which counts O.  Bounds the model already
-    fixes are kept: a robot-slot with a free link has a live link, so its
-    O is not fixed at 1.
+def restrict(model: MilpModel, lb: np.ndarray, ub: np.ndarray, twin: np.ndarray, dropped: np.ndarray) -> tuple:
+    """The program left on the box (lb, ub) once ``twin`` folds usage bits.
+
+    Returns (values, free, lower, upper, kept).  ``values`` holds each fixed
+    column at its value, each folded bit at its twin's and every other
+    column at 0; ``free`` marks the columns left open, folded bits excluded;
+    ``lower`` and ``upper`` are the row sides less the activity of
+    ``values``.  ``kept`` marks the rows that are not ``dropped`` and do not
+    hold everywhere in the 0/1 box of the free columns, where a folded bit's
+    entries count on its twin: those whose least or greatest activity there
+    lies outside their sides.  The comparisons are exact, since keeping a
+    row that holds is harmless.
     """
-    lb, ub = model.lb.copy(), model.ub.copy()
-    links = model.columns["X"]                                                 # (L, R, N)
-    nonzeros = np.append(np.bincount(model.matrix.indices, minlength=model.n_vars), 0)
-    free = (links >= 0) & (nonzeros[links] == 1)
-    settled = free.any(axis=0)                                                # (R, N)
-    others = links[:, settled]
-    ub[others[others >= 0]] = 0.0
-    ub[model.columns["O"][settled]] = 0.0
-    chosen = np.take_along_axis(links, free.argmax(axis=0)[None], axis=0)[0][settled]
-    lb[chosen] = ub[chosen] = 1.0
+    parts = model.parts
+    values = np.where(lb < ub, 0.0, lb)[twin]
+    free = (lb < ub) & (twin == np.arange(model.n_vars))
+    activity = model.matrix @ values
+    lower, upper = parts.lower - activity, parts.upper - activity
+    on = free[twin].astype(float)
+    kept = ((lower > parts.negative @ on) | (upper < parts.positive @ on)) & ~dropped
+    return values, free, lower, upper, kept
+
+
+def dominated_bounds(model: MilpModel, lb: np.ndarray, ub: np.ndarray, twin: np.ndarray,
+                     dropped: np.ndarray) -> tuple:
+    """Column bounds (lb, ub) that fix every dominated link at 0.
+
+    ``twin`` and ``dropped`` are ``fold_usage``'s fold of (lb, ub), or none:
+    every column its own twin and no row dropped.  The rows of a link are
+    those of the folded program other than its serve row: a folded usage
+    bit's entries count on its twin's column, and the dropped rows and those
+    that hold everywhere in the box (``restrict``) are left out.  Two links
+    of one robot-slot are open when both can still take either value, and
+    open link j dominates open link k when k lies in every row of j with a
+    coefficient at least as large in magnitude.  Every dominated link is
+    fixed at 0, save the first in link order of links that dominate each
+    other.  A link in no row dominates every other link of its robot-slot,
+    and its O too, whose only other rows are ``win_*``: the first such link
+    is fixed at 1 and the O at 0, which settles the robot-slot.
+
+    This is the dominated-column reduction of Achterberg et al., "Presolve
+    Reductions in Mixed Integer Programming" (INFORMS J. Computing 32(2),
+    2020).  It keeps an optimum, and keeps infeasibility.  Outside the serve
+    row every coefficient of an allocation bit works against it: +1 in the
+    ``<=`` rows ``excl_*``, ``used_*`` and, folded, ``ready_*``; negative in
+    a SINR ``>=`` row, whose victim coefficient ``sig - M`` is negative (a
+    row is emitted only where ``M > psi*(1 + sum of its levels) >= sig``),
+    as are its interferer coefficients.  So moving a robot-slot of a
+    feasible point from k to j keeps every row: the serve row holds one unit
+    either way, a row of j, which holds k with at least j's coefficient,
+    moves toward its side, and a row of k alone only loses k.  Allocation bits cost nothing, so the objective
+    stays.  Dominance is transitive, so each fixed link has an open link
+    that dominates it.  Moving a robot-slot from O to a link in no row
+    likewise keeps every row, ``win_*`` rows holding +1 on O, and lowers
+    the objective, which counts O.
+
+    A folded usage bit's rows are ``ready_*`` rows, which hold no other
+    link of the robot-slot, so a link that holds one dominates nothing, and
+    only the rows of a link's own column are searched.
+    """
+    parts, n_rows, n_vars = model.parts, model.n_rows, model.n_vars
+    csc = parts.by_column
+    links, outage = model.columns["X"], model.columns["O"]                   # (L, R, N), (R, N)
+    n_l = len(links)
+    counted = restrict(model, lb, ub, twin, dropped)[-1] & ~parts.serve
+    # the counted rows of each column, and those it holds through folded usage bits
+    held = parts.transposed @ counted.astype(float)
+    through = np.bincount(twin, np.where(twin == np.arange(n_vars), 0.0, held), n_vars)
+    is_open = np.append(lb < ub, False)[links]                                # (L, R, N)
+    # a link in a counted row with no other open link dominates nothing
+    open_link = np.zeros(n_vars)
+    open_link[links[is_open]] = 1.0
+    lonely = counted & (parts.pattern @ open_link < 2)
+    able = is_open & np.append((through == 0) & (parts.transposed @ lonely.astype(float) == 0), False)[links]
+    # every ordered pair (j, k) of open links of one robot-slot with j able to dominate
+    a, r, n = (np.repeat(v, n_l) for v in np.nonzero(able))
+    b = np.tile(np.arange(n_l), len(a) // n_l)
+    pair = (a != b) & is_open[b, r, n]
+    a, b, r, n = a[pair], b[pair], r[pair], n[pair]
+    j, k = links[a, r, n], links[b, r, n]
+    # j dominates k unless a counted row of j misses k or holds it with a smaller coefficient
+    pos, pair = _entries(csc.indptr, j)
+    keep = counted[csc.indices[pos]]
+    pos, pair = pos[keep], pair[keep]
+    target = k[pair] * n_rows + csc.indices[pos]
+    found = np.minimum(np.searchsorted(parts.keys, target), len(parts.keys) - 1)
+    short = (parts.keys[found] != target) | (np.abs(csc.data[found]) < np.abs(csc.data[pos]))
+    dominates = np.zeros((n_l,) + links.shape, dtype=bool)                  # (L, L, R, N)
+    dominates[a, b, r, n] = np.bincount(pair[short], minlength=len(j)) == 0
+    earlier = np.arange(n_l)[:, None, None, None] < np.arange(n_l)[:, None, None]
+    beaten = (dominates & (earlier | ~dominates.transpose(1, 0, 2, 3))).any(axis=0)
+    lb, ub = lb.copy(), ub.copy()
+    ub[links[beaten]] = 0.0
+    # a link in no counted row settles its robot-slot
+    bare = is_open & np.append(held + through == 0, False)[links]
+    settled = bare.any(axis=0)                                               # (R, N)
+    ub[outage[settled]] = 0.0
+    lb[np.take_along_axis(links, bare.argmax(axis=0)[None], axis=0)[0][settled]] = 1.0
     return lb, ub
 
 
 def fold_usage(model: MilpModel, lb: np.ndarray, ub: np.ndarray) -> tuple:
-    """Fold the usage bits that bounds (lb, ub) leave with at most one free link.
+    """Fold the usage bits that bounds (lb, ub) leave with at most one link that can be 1.
 
     Returns (ub, twin, dropped).  A usage bit Y whose ``used_*`` rows hold no
-    free allocation bit is fixed at 0 in ``ub``.  One whose ``used_*`` rows
-    hold exactly one free allocation bit X takes X's value: ``twin[Y]`` is
-    X's column, its ``ready_*`` coefficients belong on X's column, and
+    allocation bit that can still be 1 is fixed at 0 in ``ub``.  One whose
+    ``used_*`` rows hold exactly one such bit X takes X's value: ``twin[Y]``
+    is X's column, its ``ready_*`` coefficients belong on X's column, and
     ``dropped`` marks its ``used_*`` rows.  Every other column is its own
     twin.
 
-    Both are exact for bounds from ``settled_bounds``.  Y has cost 0 and
-    lies only in its ``used_*`` rows ``X - Y <= 0`` and in one ``<=`` ready
-    row with coefficient +1, so lowering Y to the largest X of its window
-    keeps every point feasible and its objective: the fold keeps every
-    integer optimum and the LP bound.  That largest X is the free one, or 0,
-    since no allocation bit of a ``used_*`` row is fixed at 1: settling
-    fixes at 1 only free links, which lie in no row but their serve row,
-    and the model fixes at 1 only outage bits.  A point of the folded
-    program with each folded Y set to its X thus keeps every row of the
-    whole model.  The ready rows keep distinct columns, since the Y of one
-    window belong to distinct robots and so do their X.
+    Both are exact for any bounds.  Y has cost 0 and lies only in its
+    ``used_*`` rows ``X - Y <= 0`` and in one ``<=`` ready row with
+    coefficient +1, so lowering Y to the largest X of its window keeps every
+    point feasible and its objective: the fold keeps every integer optimum
+    and the LP bound.  That largest X is the one that can be 1, or 0.  A
+    point of the folded program with each folded Y set to its X thus keeps
+    every row of the whole model.  The ready rows keep distinct columns,
+    since the Y of one window belong to distinct robots and so do their X.
     """
-    n_vars, matrix = model.n_vars, model.matrix
-    is_y = np.zeros(n_vars, dtype=bool)
-    ys = model.columns["Y"][model.columns["Y"] >= 0]
-    is_y[ys] = True
-    entry_row = np.repeat(np.arange(model.n_rows), np.diff(matrix.indptr))
-    # the usage bit of each used_* row: the one Y with coefficient -1
-    at_y = is_y[matrix.indices] & (matrix.data < 0)
-    row_y = np.full(model.n_rows, -1)
-    row_y[entry_row[at_y]] = matrix.indices[at_y]
-    # the free allocation bits of the used_* rows, by usage bit
-    at_x = (row_y[entry_row] >= 0) & ~at_y
-    x, y = matrix.indices[at_x], row_y[entry_row[at_x]]
-    open_x = lb[x] < ub[x]
-    x, y = x[open_x], y[open_x]
-    n_open = np.bincount(y, minlength=n_vars)
+    row, x, y = model.parts.used
+    possible = ub[x] > 0
+    n_possible = np.bincount(y[possible], minlength=model.n_vars)
     ub = ub.copy()
-    ub[ys[n_open[ys] == 0]] = 0.0
-    twin = np.arange(n_vars)
-    single = n_open[y] == 1
+    ub[y[n_possible[y] == 0]] = 0.0
+    single = possible & (n_possible[y] == 1)
+    twin = np.arange(model.n_vars)
     twin[y[single]] = x[single]
-    folded = twin != np.arange(n_vars)
-    return ub, twin, (row_y >= 0) & folded[row_y]
+    dropped = np.zeros(model.n_rows, dtype=bool)
+    dropped[row] = twin[y] != y
+    return ub, twin, dropped
 
 
 def extract_schedule(model: MilpModel, values: np.ndarray) -> AllocationSchedule:

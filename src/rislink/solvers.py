@@ -5,19 +5,21 @@ shipped with scipy; it is tested against the brute-force oracle in
 ``tests/oracle.py``.  ``lpio.export_model`` writes the whole model as LP or
 MPS text for any other solver.
 
-Before HiGHS runs, ``milp.settled_bounds`` settles every robot-slot with a
-link that no row but its serve row holds, and ``milp.fold_usage`` then fixes
-at 0 each usage bit whose ``used_*`` rows hold no free allocation bit and
-replaces one whose rows hold exactly one by that bit, dropping those rows.
-The columns then fixed, and those the model fixes itself, leave the program
-with their value folded into the row sides, and so does every row that holds
-everywhere in the remaining 0/1 box.  HiGHS gets the rest through scipy's
-bundled binding (``scipy.optimize._highspy._core``, whose parts used here
-``tests/test_highs_read.py`` pins); a program with no column left is decided
-without it.  Every optimum HiGHS returns is checked against the bounds and
-every row of the whole model before ``solve`` returns it.  The binding is
-imported on the first HiGHS solve, so a path that never solves does not pay
-for it.
+Before HiGHS runs, ``milp.dominated_bounds`` fixes at 0 every link that
+another open link of its robot-slot dominates, settling each robot-slot
+with a link that no row but its serve row holds, and ``milp.fold_usage``
+fixes at 0 each usage bit whose ``used_*`` rows hold no allocation bit that
+can be 1 and replaces one whose rows hold exactly one by that bit, dropping
+those rows.  The two alternate until neither changes a bound.  The columns
+then fixed, and those the model fixes itself, leave the program with their
+value folded into the row sides, and so does every row that holds
+everywhere in the remaining 0/1 box (``milp.restrict``).  HiGHS gets the
+rest through scipy's bundled binding (``scipy.optimize._highspy._core``,
+whose parts used here ``tests/test_highs_read.py`` pins); a program with
+no column left is decided without it.  Every optimum, HiGHS's or one the
+reductions decide alone, is checked against the bounds and every row of
+the whole model before ``solve`` returns it.  The binding is imported on the first HiGHS solve,
+so a path that never solves does not pay for it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .milp import MilpModel, fold_usage, settled_bounds
+from .milp import MilpModel, dominated_bounds, fold_usage, restrict
 
 INT_TOL = 1e-6
 ROW_TOL = 1e-6
@@ -53,7 +55,8 @@ class SolveResult:
     dual_bound: float | None = None
     gap: float | None = None
     lp_iterations: int | None = None
-    # (columns, rows, nonzeros) left for HiGHS once settled and folded
+    # (columns, rows, nonzeros) left for HiGHS once reduced and folded
+    # ((0, 0, 0) where no column is left)
     solved_size: tuple | None = None
 
 
@@ -91,7 +94,7 @@ def solve(model: MilpModel, time_budget: float | None = None) -> SolveResult:
         raise ValueError(f"time budget must be positive and finite, got {time_budget!r}")
     start = time.perf_counter()
     if model.n_vars == 0:
-        return SolveResult("optimal", 0.0, np.zeros(0), time.perf_counter() - start)
+        return SolveResult("optimal", 0.0, np.zeros(0), time.perf_counter() - start, solved_size=(0, 0, 0))
     return _solve_highs(model, time_budget)
 
 
@@ -99,32 +102,26 @@ def _solve_highs(model: MilpModel, time_budget) -> SolveResult:
     from scipy.optimize._highspy import _core
 
     start = time.perf_counter()
-    lb, ub = settled_bounds(model)
-    ub, twin, dropped = fold_usage(model, lb, ub)
+    # fix dominated links and fold usage bits until neither changes a bound
+    lb, ub = model.lb, model.ub
+    twin, dropped = np.arange(model.n_vars), np.zeros(model.n_rows, dtype=bool)
+    while True:
+        new_lb, new_ub = dominated_bounds(model, lb, ub, twin, dropped)
+        new_ub, twin, dropped = fold_usage(model, new_lb, new_ub)
+        if np.array_equal(new_lb, lb) and np.array_equal(new_ub, ub):
+            break
+        lb, ub = new_lb, new_ub
+    values, free, lower, upper, kept = restrict(model, lb, ub, twin, dropped)
     folded = twin != np.arange(model.n_vars)
-    free = (lb < ub) & ~folded
-    values = np.where(lb < ub, 0.0, lb)    # fixed columns at their value, the rest at 0
     offset = float(model.objective @ values)
-    matrix, sense, rhs = model.matrix, model.row_sense, model.row_rhs
-    activity = matrix @ values
-    lower = np.where(sense == "<", -np.inf, rhs) - activity
-    upper = np.where(sense == ">", np.inf, rhs) - activity
-    # each entry's column in the program HiGHS gets: a folded bit's is its
-    # twin's, a fixed column has none
-    solved = np.where(free[twin], np.cumsum(free)[twin] - 1, -1)[matrix.indices]
-    on_free = solved >= 0
-    # a row whose least and greatest activity over the free columns' 0/1 box
-    # lie within its sides holds everywhere in the box; exact comparisons,
-    # since keeping a row that holds is harmless
-    entry_row = np.repeat(np.arange(model.n_rows), np.diff(matrix.indptr))
-    coefs = np.where(on_free, matrix.data, 0.0)
-    least = np.bincount(entry_row, np.minimum(coefs, 0.0), model.n_rows)
-    most = np.bincount(entry_row, np.maximum(coefs, 0.0), model.n_rows)
-    kept = ((lower > least) | (upper < most)) & ~dropped
-    # the kept rows over the free columns, built once and column-major, as HiGHS takes them
-    entry = kept[entry_row] & on_free
+    # the kept rows over the free columns, built once and column-major, as
+    # HiGHS takes them; a folded bit's entries go to its twin's column
+    entry_row = np.repeat(np.arange(model.n_rows), np.diff(model.matrix.indptr))
+    col = twin[model.matrix.indices]
+    entry = kept[entry_row] & free[col]
     n_free, n_kept = int(free.sum()), int(kept.sum())
-    reduced = sp.csc_matrix((matrix.data[entry], ((np.cumsum(kept) - 1)[entry_row[entry]], solved[entry])),
+    reduced = sp.csc_matrix((model.matrix.data[entry], ((np.cumsum(kept) - 1)[entry_row[entry]],
+                                                        (np.cumsum(free) - 1)[col[entry]])),
                             shape=(n_kept, n_free))
     size = (n_free, n_kept, reduced.nnz)
     if not free.any():
@@ -132,6 +129,7 @@ def _solve_highs(model: MilpModel, time_budget) -> SolveResult:
         runtime = time.perf_counter() - start
         if kept.any():
             return SolveResult("infeasible", None, None, runtime, solved_size=size)
+        _check_point(model, values)
         return SolveResult("optimal", offset, values, runtime, solved_size=size)
     lp = _core.HighsLp()
     lp.num_col_, lp.num_row_ = n_free, n_kept

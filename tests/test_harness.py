@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rislink import harness
+from rislink import harness, solvers
 from rislink.harness import SweepSpec, apply_axis, load_sweep_spec, run_sweep, run_trial, sweep_to_csv
-from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, ScenarioFormatError, _config_to_dict
+from rislink.milp import build_model
+from rislink.scenario import (EXPERIMENT_CONFIG, ScenarioConfig, ScenarioFormatError, _config_to_dict, generate,
+                              precompute)
 
 from conftest import recording_pool, tiny_config
 
@@ -49,10 +51,20 @@ class TestRunTrial:
         ilp = run_trial(replace(EXPERIMENT_CONFIG, n_robots=14), 1004, methods=("ilp",)).methods["ilp"]
         assert not ilp.feasible and not ilp.timed_out and ilp.outage_pct is None
         assert ilp.dark_run == (1, 31, 44)
+        assert ilp.solved_size is None and ilp.nodes is None and ilp.lp_iterations is None
 
     def test_solved_trial_has_no_dark_run(self):
         ilp = run_trial(FAST_CFG, 0, methods=("ilp",)).methods["ilp"]
         assert ilp.feasible and ilp.dark_run is None
+
+    def test_solved_trial_records_the_program_highs_received(self):
+        config = replace(EXPERIMENT_CONFIG, n_robots=14)
+        ilp = run_trial(config, 1002, methods=("ilp",)).methods["ilp"]
+        s = generate(config, 1002)
+        res = solvers.solve(build_model(precompute(s), s))
+        assert ilp.feasible and ilp.objective == res.objective
+        assert ilp.solved_size == res.solved_size and ilp.solved_size[0] > 0
+        assert ilp.nodes == res.nodes and ilp.lp_iterations == res.lp_iterations > 0
 
 
 class TestApplyAxis:

@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from rislink import channel, solvers
 from rislink.allocation import AllocationSchedule, derive_history, validate
 from rislink.heuristic import allocate
-from rislink.milp import MU_SAFETY, build_model, dark_run, extract_schedule, fold_usage, settled_bounds
+from rislink.milp import (MU_SAFETY, MilpModel, build_model, dark_run, dominated_bounds, extract_schedule, fold_usage,
+                          restrict)
 from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
@@ -376,7 +378,65 @@ class TestDarkRunCertificate:
         assert certified
 
 
+def first_round(model):
+    """Bounds after one round of the dominance rule on the unfolded model."""
+    return dominated_bounds(model, model.lb, model.ub, np.arange(model.n_vars), np.zeros(model.n_rows, dtype=bool))
+
+
+def settle_and_fold(model):
+    """Undecided columns after settling alone, and after settling then folding.
+
+    Settling is the reduction the dominance rule generalises: a robot-slot
+    with a link whose column has one nonzero, its serve row, fixes the first
+    such link at 1 and its O and other links at 0."""
+    lb, ub = model.lb.copy(), model.ub.copy()
+    nonzeros = np.diff(model.matrix.tocsc().indptr)
+    for (r, n), cols in robot_slot_links(model).items():
+        free = [c for c in cols if nonzeros[c] == 1]
+        if free:
+            ub[cols] = ub[model.columns["O"][r, n]] = 0.0
+            lb[free[0]] = ub[free[0]] = 1.0
+    folded_ub, twin, _ = fold_usage(model, lb, ub)
+    return ((lb < folded_ub) & (twin == np.arange(model.n_vars))).sum(), (lb < ub).sum()
+
+
+def robot_slot_links(model):
+    """The link columns of each robot-slot in link order, read from the column names."""
+    links = collections.defaultdict(list)
+    for c, name in enumerate(model.var_names):
+        if name.startswith("X"):
+            _, _, r, n = name.split("_")
+            links[int(r), int(n)].append(c)
+    return links
+
+
+def folded_rows(model, lb, ub, twin, dropped):
+    """{column: {row: coefficient}} of the folded program on the box (lb, ub),
+    read from ``matrix.tocsc()`` and the row names.  A folded bit's entries
+    count on its twin, and serve rows, dropped rows and rows that hold
+    everywhere in the box are left out."""
+    csc = model.matrix.tocsc()
+    owner = twin[np.repeat(np.arange(model.n_vars), np.diff(csc.indptr))]
+    row, coef = csc.indices, csc.data
+    fixed = lb[owner] == ub[owner]
+    activity = np.bincount(row, np.where(fixed, coef * lb[owner], 0.0), model.n_rows)
+    least = np.bincount(row, np.where(fixed, 0.0, np.minimum(coef, 0.0)), model.n_rows)
+    most = np.bincount(row, np.where(fixed, 0.0, np.maximum(coef, 0.0)), model.n_rows)
+    lo = np.where(model.row_sense == "<", -np.inf, model.row_rhs) - activity
+    hi = np.where(model.row_sense == ">", np.inf, model.row_rhs) - activity
+    left_out = dropped | ((lo <= least) & (most <= hi))
+    left_out |= np.array([name.startswith("serve_") for name in model.row_names])
+    rows = collections.defaultdict(dict)
+    for c, k, a in zip(owner, row, coef):
+        if not left_out[k]:
+            assert k not in rows[c]
+            rows[c][k] = a
+    return rows
+
+
 class TestSettledBounds:
+    # settling is the first case of the dominance rule: a link in no row but
+    # its serve row dominates every other link of its robot-slot and its O
     @pytest.fixture(scope="class", params=(1002, 1003))
     def case(self, request):
         s = generate(BENCHMARK_FLOOR, request.param)
@@ -385,7 +445,7 @@ class TestSettledBounds:
 
     def test_each_settled_link_lies_only_in_its_serve_row(self, case):
         _, _, model = case
-        lb, ub = settled_bounds(model)
+        lb, ub = first_round(model)
         assert (model.lb <= lb).all() and (lb <= ub).all() and (ub <= model.ub).all()
         csc = model.matrix.tocsc()
         nonzeros = np.diff(csc.indptr)
@@ -403,15 +463,59 @@ class TestSettledBounds:
             assert chosen[0] == first and model.var_names[first].startswith("Xb")
             rows = csc.indices[csc.indptr[first]:csc.indptr[first + 1]]
             assert [model.row_names[k] for k in rows] == [f"serve_{r}_{n}"]
-        # a bit that no robot-slot settles keeps its bounds
+        # outside the settled robot-slots no bit is fixed at 1 and only links
+        # are fixed at 0 (each by a link that dominates it, see below)
         touched = np.append(links[:, settled[:, 0], settled[:, 1]], model.columns["O"][tuple(settled.T)])
         untouched = np.ones(model.n_vars, dtype=bool)
         untouched[touched[touched >= 0]] = False
-        assert (lb[untouched] == model.lb[untouched]).all() and (ub[untouched] == model.ub[untouched]).all()
+        assert (lb[untouched] == model.lb[untouched]).all()
+        changed = np.flatnonzero(untouched & (ub < model.ub))
+        assert all(model.var_names[c].startswith("X") for c in changed) and (ub[changed] == 0).all()
+
+    def test_every_fixed_link_has_an_open_link_that_dominates_it(self, case):
+        # each round of the solver's reduction, checked against the rule
+        # recomputed from the CSC matrix and the row and column names
+        _, _, model = case
+        slots = robot_slot_links(model)
+        outage = {name: c for c, name in enumerate(model.var_names) if name.startswith("O_")}
+        lb, ub = model.lb, model.ub
+        twin, dropped = np.arange(model.n_vars), np.zeros(model.n_rows, dtype=bool)
+        dominated = settled = rounds = 0
+        while True:
+            new_lb, new_ub = dominated_bounds(model, lb, ub, twin, dropped)
+            assert (lb <= new_lb).all() and (new_lb <= new_ub).all() and (new_ub <= ub).all()
+            rows = folded_rows(model, lb, ub, twin, dropped)
+            for (r, n), cols in slots.items():
+                open_ = [c for c in cols if lb[c] < ub[c]]
+                for c in open_:
+                    for k, a in rows[c].items():
+                        # every allocation-bit coefficient works against the bit
+                        assert a > 0 if model.row_sense[k] == "<" else a < 0 and model.row_sense[k] == ">"
+                kept = [j for j in open_ if new_ub[j] == 1]
+                for k in open_:
+                    if new_ub[k] == 0:
+                        assert any(all(row in rows[k] and abs(rows[k][row]) >= abs(a) for row, a in rows[j].items())
+                                   for j in kept if j != k), model.var_names[k]
+                        dominated += 1
+                o = outage[f"O_{r}_{n}"]
+                if new_ub[o] < ub[o]:
+                    # a settled robot-slot holds its first link in no row at 1
+                    assert [j for j in open_ if new_lb[j] == 1] == [next(j for j in open_ if not rows[j])]
+                    settled += 1
+                else:
+                    assert (new_lb[open_] == 0).all()
+            rounds += 1
+            new_ub, twin, dropped = fold_usage(model, new_lb, new_ub)
+            if np.array_equal(new_lb, lb) and np.array_equal(new_ub, ub):
+                break
+            lb, ub = new_lb, new_ub
+        # the rule reaches past settling, and folding feeds it more rounds
+        assert dominated > 1000 and settled > 300 and rounds > 2
+        assert solvers.solve(model).solved_size[0] == ((lb < ub) & (twin == np.arange(model.n_vars))).sum()
 
     def test_each_folded_usage_bit_had_at_most_one_free_link(self, case):
         _, _, model = case
-        lb, ub = settled_bounds(model)
+        lb, ub = first_round(model)
         folded_ub, twin, dropped = fold_usage(model, lb, ub)
         csc = model.matrix.tocsc()
         used = np.array([name.startswith("used_") for name in model.row_names])
@@ -434,6 +538,51 @@ class TestSettledBounds:
         assert (folded_ub[others] == ub[others]).all() and (twin[others] == np.flatnonzero(others)).all()
         assert not dropped[~used].any()
 
+    def test_a_usage_bit_folds_onto_a_link_fixed_at_1(self, case):
+        # a settled link can hold a used_* row once its usage bit is folded
+        # onto it: with X fixed at 1 and every other link of Y's window at 0,
+        # Y takes X's value, 1, and is not fixed at 0
+        _, _, model = case
+        k = next(k for k, name in enumerate(model.row_names) if name.startswith("used_"))
+        x, y = model.row_cols[k][model.row_coefs[k] > 0][0], model.row_cols[k][model.row_coefs[k] < 0][0]
+        csc = model.matrix.tocsc()
+        rows = [q for q in csc.indices[csc.indptr[y]:csc.indptr[y + 1]] if model.row_names[q].startswith("used_")]
+        window = [c for q in rows for c in model.row_cols[q] if c != y]
+        lb, ub = model.lb.copy(), model.ub.copy()
+        lb[x] = 1.0
+        ub[[c for c in window if c != x]] = 0.0
+        folded_ub, twin, dropped = fold_usage(model, lb, ub)
+        assert folded_ub[y] == 1.0 and twin[y] == x and dropped[rows].all()
+        assert restrict(model, lb, folded_ub, twin, dropped)[0][y] == 1.0
+
+    def test_two_identical_links_keep_the_first_open(self):
+        # robot 0's two BS links share the serve row and one exclusion row
+        # with robot 1's first link; each dominates the other
+        names = ["Xb_0_0_0", "Xb_0_1_0", "Xb_1_0_0", "Xb_1_1_0", "O_0_0", "O_1_0"]
+        rows = [("serve_0_0", "=", 1.0, {4: 1.0, 0: 1.0, 2: 1.0}),
+                ("serve_1_0", "=", 1.0, {5: 1.0, 1: 1.0, 3: 1.0}),
+                ("excl_0_1_0_0", "<", 1.0, {0: 1.0, 2: 1.0, 1: 1.0}),
+                ("win_0_0", "<", 0.0, {4: 1.0}),
+                ("win_1_0", "<", 0.0, {5: 1.0})]
+        matrix = np.zeros((len(rows), len(names)))
+        for k, (_, _, _, coefs) in enumerate(rows):
+            matrix[k, list(coefs)] = list(coefs.values())
+        model = MilpModel(n_bs=2, n_ris=0, n_robots=2, n_slots=1, dense=np.arange(6), lb=np.zeros(6),
+                          ub=np.ones(6), objective=np.array([0, 0, 0, 0, 1.0, 1.0]),
+                          matrix=sp.csr_matrix(matrix), row_sense=np.array([r[1] for r in rows]),
+                          row_rhs=np.array([r[2] for r in rows]), make_row_names=lambda: [r[0] for r in rows])
+        assert list(model.var_names) == names
+        lb, ub = first_round(model)
+        # robot 0 keeps its first link open and fixes the second at 0; robot 1
+        # settles on its second link, which lies in no row but its serve row
+        assert (lb[:4] == [0, 0, 0, 1]).all() and (ub[:4] == [1, 0, 0, 1]).all()
+        assert (lb[4:] == 0).all() and (ub[4:] == [1, 0]).all()
+        # the next round finds robot 0's first link in no counted row, as the
+        # exclusion row now holds in the box, and settles it
+        res = solvers.solve(model)
+        assert res.status == "optimal" and res.objective == 0.0 and res.solved_size == (0, 0, 0)
+        assert (res.values == [1, 0, 0, 1, 0, 0]).all()
+
     @pytest.mark.parametrize("config, seed", [(BENCHMARK_FLOOR, 1002), (BENCHMARK_FLOOR, 1003),
                                               (replace(EXPERIMENT_CONFIG, n_robots=12, d_reconfig=4), 2001)],
                              ids=["1002", "1003", "2001"])
@@ -450,8 +599,8 @@ class TestSettledBounds:
         assert full.status == 0 and res.status == "optimal"
         assert res.objective == round(full.fun)
         solvers._check_point(model, res.values)
-        lb, ub = settled_bounds(model)
-        assert res.solved_size[0] < (lb < ub).sum() < (model.lb < model.ub).sum()
+        folded, settled = settle_and_fold(model)
+        assert res.solved_size[0] < folded < settled < (model.lb < model.ub).sum()
         assert validate(s, t, extract_schedule(model, res.values)).ok
 
 

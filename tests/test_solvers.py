@@ -9,7 +9,7 @@ from scipy.optimize._highspy import _core
 
 from rislink import solvers
 from rislink.geometry import Obstacle
-from rislink.milp import build_model, extract_schedule, fold_usage, settled_bounds
+from rislink.milp import build_model, dominated_bounds, extract_schedule, fold_usage
 from rislink.scenario import EXPERIMENT_CONFIG, ScenarioConfig, generate, precompute
 
 from conftest import tiny_config
@@ -46,13 +46,17 @@ class TestBackendContract:
     def test_empty_model_short_circuits(self):
         res = solvers.solve(empty_model())
         assert res.status == "optimal" and res.objective == 0.0
+        # HiGHS received nothing, as from an all-settled model
+        assert res.solved_size == (0, 0, 0)
 
     def test_timeout_reported(self):
+        # seed 5 leaves HiGHS columns to decide; the reductions before it
+        # decide all of seed 1, and a decided model needs no time budget
         cfg = tiny_config(n_robots=3, n_slots=4)
-        s = generate(cfg, 1)
+        s = generate(cfg, 5)
         model = build_model(precompute(s), s)
         res = solvers.solve(model, time_budget=1e-9)
-        assert res.status == "timeout"
+        assert res.status == "timeout" and res.solved_size[0] > 0
         assert res.values is None
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
@@ -80,11 +84,20 @@ class TestSolverStatistics:
 
     def test_solved_size_is_the_undecided_part(self, r14_model):
         res = solvers.solve(r14_model)
-        lb, ub = settled_bounds(r14_model)
-        folded_ub, twin, _ = fold_usage(r14_model, lb, ub)
+        n_vars = r14_model.n_vars
+        lb, ub = r14_model.lb, r14_model.ub
+        twin, dropped = np.arange(n_vars), np.zeros(r14_model.n_rows, dtype=bool)
+        first = None
+        while True:
+            new_lb, new_ub = dominated_bounds(r14_model, lb, ub, twin, dropped)
+            first = (new_lb < new_ub).sum() if first is None else first
+            new_ub, twin, dropped = fold_usage(r14_model, new_lb, new_ub)
+            if np.array_equal(new_lb, lb) and np.array_equal(new_ub, ub):
+                break
+            lb, ub = new_lb, new_ub
         columns, rows, nonzeros = res.solved_size
-        assert columns == ((lb < folded_ub) & (twin == np.arange(r14_model.n_vars))).sum()
-        assert columns < (lb < ub).sum() < (r14_model.lb < r14_model.ub).sum()
+        assert columns == ((lb < ub) & (twin == np.arange(n_vars))).sum()
+        assert columns < first < (r14_model.lb < r14_model.ub).sum()
         assert 0 < rows < r14_model.n_rows and 0 < nonzeros < r14_model.matrix.nnz
 
     def test_timeout_bound_never_above_incumbent(self, r14_model):
@@ -101,7 +114,8 @@ class TestSettledSolve:
         cfg = ScenarioConfig(n_bs=1, n_ris=0, n_robots=1, n_slots=4, n_obstacles=0, k_range=(2, 2))
         s = generate(cfg, 0)
         model = build_model(precompute(s), s)
-        lb, ub = settled_bounds(model)
+        no_fold = np.arange(model.n_vars), np.zeros(model.n_rows, dtype=bool)
+        lb, ub = dominated_bounds(model, model.lb, model.ub, *no_fold)
         assert (lb == ub).all() and (lb[model.columns["X"][0, 0]] == 1).all()
 
         def refuse(*args, **kwargs):
@@ -126,6 +140,26 @@ class TestSettledSolve:
             return ub, np.arange(model.n_vars), model.matrix[:, ys].min(axis=1).toarray().ravel() < 0
 
         monkeypatch.setattr(solvers, "fold_usage", fix_every_usage_bit)
+        with pytest.raises(solvers.BackendError, match="breaks row used_"):
+            solvers.solve(model)
+
+    def test_wrong_fold_of_a_decided_model_is_caught(self, monkeypatch):
+        # the same fold on a model the reductions decide without HiGHS: a
+        # settled surface link breaks its dropped used_* row
+        s = generate(tiny_config(n_robots=3, n_slots=4), 4)
+        model = build_model(precompute(s), s)
+        ys = model.columns["Y"][model.columns["Y"] >= 0]
+
+        def fix_every_usage_bit(model, lb, ub):
+            ub = ub.copy()
+            ub[ys] = 0.0
+            return ub, np.arange(model.n_vars), model.matrix[:, ys].min(axis=1).toarray().ravel() < 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("HiGHS called on a decided model")
+
+        monkeypatch.setattr(solvers, "fold_usage", fix_every_usage_bit)
+        monkeypatch.setattr(_core, "_Highs", refuse)
         with pytest.raises(solvers.BackendError, match="breaks row used_"):
             solvers.solve(model)
 
